@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -13,7 +10,6 @@
 #include "core/stream_layout.h"
 #include "core/wiring.h"
 #include "net/network.h"
-#include "runner/psim.h"
 #include "tensor/blocks.h"
 
 namespace omr::core {
@@ -54,48 +50,6 @@ tensor::DenseTensor reference_reduce(
 
 namespace {
 
-/// OMR_SIM_THREADS > 1 was requested but the run cannot take the parallel
-/// engine. Warn once per distinct reason (sweeps would otherwise repeat
-/// the line per cell); the run proceeds on the serial engine, so results
-/// are unaffected — only wall-clock is.
-void warn_serial_fallback(const std::string& reason) {
-  static std::mutex mu;
-  static std::set<std::string> seen;
-  std::lock_guard<std::mutex> lock(mu);
-  if (!seen.insert(reason).second) return;
-  std::cerr << "omnireduce: OMR_SIM_THREADS ignored, using serial engine: "
-            << reason << "\n";
-}
-
-/// Partition assignment for the conservative parallel engine. Two-tier
-/// fabrics partition rack-aligned (contiguous rack blocks, so intra-rack
-/// traffic never crosses a partition and the lookahead window is the
-/// cheap intra-rack latency); the ideal switch round-robins NICs across
-/// partitions, which load-balances dedicated aggregators against workers.
-/// Correctness does not depend on the assignment — the commit order is
-/// keyed by source endpoint, not partition — only load balance does.
-std::vector<int> assign_partitions(const ClusterSpec& cluster,
-                                   std::size_t n_workers,
-                                   std::size_t n_dedicated,
-                                   std::size_t n_partitions) {
-  const std::size_t n_nics = n_workers + n_dedicated;
-  std::vector<int> part(n_nics, 0);
-  if (cluster.topology.two_tier()) {
-    const std::vector<int> racks =
-        resolve_nic_racks(cluster.topology, n_workers, n_dedicated);
-    const std::size_t n_racks = cluster.topology.n_racks;
-    for (std::size_t i = 0; i < n_nics; ++i) {
-      part[i] = static_cast<int>(
-          static_cast<std::size_t>(racks[i]) * n_partitions / n_racks);
-    }
-  } else {
-    for (std::size_t i = 0; i < n_nics; ++i) {
-      part[i] = static_cast<int>(i % n_partitions);
-    }
-  }
-  return part;
-}
-
 /// Shared body of run_allreduce / run_allreduce_report. With a null
 /// `tracer` this is byte-for-byte the seed engine path: telemetry attaches
 /// only recording hooks, never simulation behavior, so results and RunStats
@@ -103,8 +57,7 @@ std::vector<int> assign_partitions(const ClusterSpec& cluster,
 RunStats run_allreduce_impl(std::vector<tensor::DenseTensor>& tensors,
                             const Config& cfg, const ClusterSpec& cluster,
                             bool verify, telemetry::Tracer* tracer,
-                            std::uint64_t* sim_events_out,
-                            telemetry::PsimStats* psim_out = nullptr) {
+                            std::uint64_t* sim_events_out) {
   const FabricConfig& fabric = cluster.fabric;
   if (tensors.empty()) throw std::invalid_argument("no workers");
   const std::size_t n_workers = tensors.size();
@@ -256,63 +209,6 @@ RunStats run_allreduce_impl(std::vector<tensor::DenseTensor>& tensors,
     workers[w]->bind(wiring.worker_eps[w], agg_of_stream);
   }
 
-  // --- conservative parallel engine (OMR_SIM_THREADS) ---------------------
-  // Eligibility: the parallel engine reproduces serial results only when
-  // every cross-partition effect flows through Network::send. Fault
-  // injection (the controller's first-verdict-wins abort reads the global
-  // timeline), event tracing (trace order is a serial-execution artifact)
-  // and fabric-level loss (one shared, sequentially-drawn RNG) fall back
-  // to serial with a warning; per-link loss processes are fine (each link
-  // draws its own RNG inside the single-threaded commit).
-  const std::size_t sim_threads = runner::sim_threads_from_env();
-  std::size_t n_partitions = 0;
-  std::vector<int> partition_of_nic;
-  sim::Time lookahead = 0;
-  if (sim_threads > 1) {
-    std::string fallback;
-    if (faults_on) {
-      fallback = "fault injection needs the global timeline";
-    } else if (tracer != nullptr) {
-      fallback = "event tracing records serial execution order";
-    } else if (fabric.lossy()) {
-      fallback = "fabric-level loss draws one shared RNG";
-    } else {
-      network.topology().finalize();
-      lookahead = network.topology().min_path_latency();
-      if (lookahead <= 0) {
-        fallback = "topology has zero lookahead (no minimum path latency)";
-      }
-    }
-    if (fallback.empty()) {
-      // Threads clamp to the partition-unit count: racks on a two-tier
-      // fabric (rack-aligned domains), NICs on the ideal switch.
-      const std::size_t units = cluster.topology.two_tier()
-                                    ? cluster.topology.n_racks
-                                    : n_workers + n_dedicated;
-      n_partitions = std::min(sim_threads, units);
-      if (n_partitions < 2) {
-        n_partitions = 0;
-        warn_serial_fallback("fewer than two partition units");
-      } else {
-        partition_of_nic =
-            assign_partitions(cluster, n_workers, n_dedicated, n_partitions);
-      }
-    } else {
-      warn_serial_fallback(fallback);
-    }
-  }
-  std::vector<std::unique_ptr<sim::Simulator>> psims;
-  if (n_partitions >= 2) {
-    net::PartitionPlan plan;
-    for (std::size_t p = 0; p < n_partitions; ++p) {
-      psims.push_back(std::make_unique<sim::Simulator>());
-      plan.sims.push_back(psims.back().get());
-    }
-    plan.partition_of_nic = partition_of_nic;
-    plan.lookahead = lookahead;
-    network.begin_partitioned(std::move(plan));
-  }
-
   // --- run ------------------------------------------------------------------
   if (!fabric.worker_start_offsets.empty() &&
       fabric.worker_start_offsets.size() != n_workers) {
@@ -322,30 +218,6 @@ RunStats run_allreduce_impl(std::vector<tensor::DenseTensor>& tensors,
     const sim::Time offset = fabric.worker_start_offsets.empty()
                                  ? 0
                                  : fabric.worker_start_offsets[w];
-    if (network.partitioned()) {
-      // Run the start (or schedule it) inside the worker's own partition:
-      // its timers land on the partition's queue and its sends in the
-      // partition's outbox, committed at the first window barrier.
-      net::PartitionScope scope(network,
-                                partition_of_nic[worker_nics[w]]);
-      // Start events are born pre-run (birth time -1, before any real
-      // event) in worker order — the order the serial engine's pre-run
-      // schedule fires them in.
-      if (offset == 0) {
-        net::TriggerRankScope rank(-1, w);
-        workers[w]->start(tensors[w], layout, cluster.device);
-      } else {
-        Worker* worker = workers[w].get();
-        tensor::DenseTensor* t = &tensors[w];
-        const device::DeviceModel* device = &cluster.device;
-        network.simulator().schedule_at(
-            offset, [worker, t, &layout, device, w]() {
-              net::TriggerRankScope rank(-1, w);
-              worker->start(*t, layout, *device);
-            });
-      }
-      continue;
-    }
     if (offset == 0) {
       workers[w]->start(tensors[w], layout, cluster.device);
     } else {
@@ -381,36 +253,8 @@ RunStats run_allreduce_impl(std::vector<tensor::DenseTensor>& tensors,
       }
     });
   }
-  if (network.partitioned()) {
-    std::vector<sim::Simulator*> raw_sims;
-    for (const auto& s : psims) raw_sims.push_back(s.get());
-    runner::SimDomain domain(std::move(raw_sims), lookahead);
-    domain.run(
-        [&](std::size_t p, sim::Time horizon) {
-          net::PartitionScope scope(network, static_cast<int>(p));
-          psims[p]->run_until(horizon);
-        },
-        [&] { network.commit_pending(); },
-        [&] { return network.has_pending_deliveries(); });
-    network.end_partitioned();
-    if (psim_out != nullptr) {
-      const runner::SimDomainStats& ds = domain.stats();
-      psim_out->partitions = psims.size();
-      psim_out->sync_rounds = ds.sync_rounds;
-      psim_out->partition_events = ds.partition_events;
-      psim_out->horizon_stall_seconds = ds.horizon_stall_seconds;
-    }
-  } else {
-    simulator.run();
-  }
-  if (sim_events_out != nullptr) {
-    // In partitioned mode every logical event ran in exactly one
-    // partition, so the sum matches the serial engine's count exactly
-    // (asserted by the psim test suite).
-    std::uint64_t events = simulator.events_executed();
-    for (const auto& s : psims) events += s->events_executed();
-    *sim_events_out = events;
-  }
+  simulator.run();
+  if (sim_events_out != nullptr) *sim_events_out = simulator.events_executed();
 
   RunStats stats;
   const bool aborted = faults != nullptr && faults->aborted();
@@ -504,15 +348,12 @@ telemetry::RunReport run_allreduce_report(
   telemetry::Tracer* tracer_ptr =
       cluster.telemetry.enabled ? &tracer : nullptr;
   std::uint64_t sim_events = 0;
-  telemetry::PsimStats psim;
-  const RunStats stats = run_allreduce_impl(
-      tensors, cfg, cluster, verify, tracer_ptr, &sim_events,
-      cluster.telemetry.psim_stats ? &psim : nullptr);
+  const RunStats stats = run_allreduce_impl(tensors, cfg, cluster, verify,
+                                            tracer_ptr, &sim_events);
   telemetry::RunReport report = make_run_report(label, stats, cluster,
                                                 n_workers, n_elements,
                                                 tracer_ptr);
   report.sim_events_executed = sim_events;
-  report.psim = std::move(psim);
   return report;
 }
 
@@ -573,22 +414,6 @@ telemetry::RunReport make_run_report(const std::string& label,
     report.trace = tracer->snapshot_trace();
   }
   return report;
-}
-
-RunStats run_allreduce_simple(std::vector<tensor::DenseTensor>& tensors,
-                              Transport transport, double bandwidth_bps,
-                              bool gdr, double loss_rate,
-                              std::uint64_t seed) {
-  const Config cfg = Config::for_transport(transport);
-  ClusterSpec cluster;
-  cluster.fabric.worker_bandwidth_bps = bandwidth_bps;
-  cluster.fabric.aggregator_bandwidth_bps = bandwidth_bps;
-  cluster.fabric.loss_rate = loss_rate;
-  cluster.fabric.seed = seed;
-  cluster.deployment = Deployment::kDedicated;
-  cluster.n_aggregator_nodes = std::max<std::size_t>(tensors.size(), 1);
-  cluster.device.gdr = gdr;
-  return run_allreduce(tensors, cfg, cluster);
 }
 
 }  // namespace omr::core

@@ -97,11 +97,4 @@ telemetry::RunReport make_run_report(const std::string& label,
                                      std::size_t n_elements,
                                      const telemetry::Tracer* tracer);
 
-/// Convenience wrapper with paper-style knobs: picks Config from the
-/// transport, dedicated aggregators, and a device model with/without GDR.
-RunStats run_allreduce_simple(std::vector<tensor::DenseTensor>& tensors,
-                              Transport transport, double bandwidth_bps,
-                              bool gdr = false, double loss_rate = 0.0,
-                              std::uint64_t seed = 1);
-
 }  // namespace omr::core

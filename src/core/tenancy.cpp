@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -15,7 +12,6 @@
 #include "core/stream_layout.h"
 #include "core/worker.h"
 #include "net/topology.h"
-#include "runner/psim.h"
 #include "tensor/blocks.h"
 
 namespace omr::core {
@@ -25,8 +21,7 @@ namespace {
 /// Job control-plane message. Control traffic rides the simulated fabric
 /// itself (64-byte frames between the JobController and its agents), so
 /// every cross-machine effect of step sequencing flows through
-/// Network::send — which is what makes multi-job runs reproducible under
-/// the conservative parallel engine with zero special-casing.
+/// Network::send and pays wire time like data traffic.
 struct JobCtl final : net::Message {
   enum Kind : std::uint8_t {
     kSetup,      // controller -> agg agent: open step `step`
@@ -49,15 +44,6 @@ struct JobCtl final : net::Message {
 
   std::size_t wire_bytes() const override { return 64; }
 };
-
-void warn_serial_fallback(const std::string& reason) {
-  static std::mutex mu;
-  static std::set<std::string> seen;
-  std::lock_guard<std::mutex> lock(mu);
-  if (!seen.insert(reason).second) return;
-  std::cerr << "omnireduce: OMR_SIM_THREADS ignored, using serial engine: "
-            << reason << "\n";
-}
 
 std::vector<int> resolve_machine_racks(const TenantFabricSpec& spec) {
   std::vector<int> racks(spec.n_machines, 0);
@@ -102,7 +88,7 @@ std::unique_ptr<net::Topology> make_fabric_topology(
 
 struct Fabric::JobState {
   /// Everything about one step, precomputed at add_job so the in-run
-  /// control plane only reads immutable plans (no cross-partition state).
+  /// control plane only reads immutable plans.
   struct StepPlan {
     StreamLayout layout;
     std::vector<net::EndpointId> agg_of_stream;
@@ -153,8 +139,8 @@ struct Fabric::JobState {
 
 /// Per-worker agent: receives kStart/kJoin from the controller, drives the
 /// Worker, and reports kDone the moment the worker's on_done hook fires.
-/// Lives on the same NIC (hence the same psim partition) as its worker, so
-/// the direct Worker calls never cross a partition.
+/// Lives on the same NIC as its worker, so its direct Worker calls stay
+/// on one machine.
 class Fabric::WorkerAgent final : public net::Endpoint {
  public:
   WorkerAgent(JobState& job, std::size_t w) : job_(job), w_(w) {}
@@ -424,7 +410,7 @@ Fabric::Fabric(TenantFabricSpec spec)
   }
   if (spec_.topology.spine_lossy()) {
     // Fabric-level loss draws one shared RNG stream, which the multi-job
-    // determinism guarantees (and partitioned replay) cannot preserve.
+    // determinism guarantees cannot preserve.
     throw std::invalid_argument(
         "multi-tenant fabric does not support a lossy spine");
   }
@@ -629,9 +615,6 @@ int Fabric::add_custom_job(const CustomJobSpec& spec, FabricJob& job) {
   }
   const int index = next_index_++;
   job.attach(*network_, machine_nics_);
-  if (job.home_machine() >= spec_.n_machines) {
-    throw std::invalid_argument("custom job home machine out of range");
-  }
   CustomState state;
   state.spec = spec;
   state.index = index;
@@ -650,17 +633,15 @@ std::vector<Fabric::Kick> Fabric::kickoff_order() {
   for (const auto& job : jobs_) {
     if (!job->admitted) continue;
     JobController* controller = job->controller.get();
-    kicks.push_back({job->index, job->controller_machine, job->spec.start_at,
+    kicks.push_back({job->index, job->spec.start_at,
                      [controller] { controller->kickoff(); }});
   }
   for (const auto& c : custom_) {
     FabricJob* job = c.job;
-    kicks.push_back(
-        {c.index, job->home_machine(), c.spec.start_at, [job] { job->kickoff(); }});
+    kicks.push_back({c.index, c.spec.start_at, [job] { job->kickoff(); }});
   }
-  // Tenant-index order == add order across both job kinds: the serial
-  // engine fires kickoffs in this order, and the partitioned engine folds
-  // the index into each kickoff's birth rank, replaying the same order.
+  // Tenant-index order == add order across both job kinds: kickoffs fire
+  // in this order.
   std::sort(kicks.begin(), kicks.end(),
             [](const Kick& a, const Kick& b) { return a.index < b.index; });
   return kicks;
@@ -704,7 +685,14 @@ void Fabric::run() {
     network_->set_endpoint_tenant(job->controller_ep, job->index);
   }
 
-  if (!try_run_partitioned()) run_serial();
+  for (const Kick& k : kickoff_order()) {
+    if (k.start_at == 0) {
+      k.fn();
+    } else {
+      simulator_->schedule_at(k.start_at, k.fn);
+    }
+  }
+  simulator_->run();
 
   for (const auto& job : jobs_) {
     if (!job->admitted) continue;
@@ -721,93 +709,6 @@ void Fabric::run() {
     }
     c.job->finalize();
   }
-}
-
-void Fabric::run_serial() {
-  for (const Kick& k : kickoff_order()) {
-    if (k.start_at == 0) {
-      k.fn();
-    } else {
-      simulator_->schedule_at(k.start_at, k.fn);
-    }
-  }
-  simulator_->run();
-}
-
-bool Fabric::try_run_partitioned() {
-  const std::size_t sim_threads = runner::sim_threads_from_env();
-  if (sim_threads <= 1) return false;
-  network_->topology().finalize();
-  const sim::Time lookahead = network_->topology().min_path_latency();
-  if (lookahead <= 0) {
-    warn_serial_fallback(
-        "topology has zero lookahead (no minimum path latency)");
-    return false;
-  }
-  const bool two_tier = spec_.topology.two_tier();
-  const std::size_t units =
-      two_tier ? spec_.topology.n_racks : spec_.n_machines;
-  const std::size_t n_partitions = std::min(sim_threads, units);
-  if (n_partitions < 2) {
-    warn_serial_fallback("fewer than two partition units");
-    return false;
-  }
-
-  // Machines partition exactly as the single-job engine's NICs do:
-  // rack-aligned on a two-tier fabric, round-robin on the ideal switch.
-  const std::vector<int> racks = resolve_machine_racks(spec_);
-  std::vector<int> partition_of_nic(spec_.n_machines, 0);
-  for (std::size_t m = 0; m < spec_.n_machines; ++m) {
-    const auto nic = static_cast<std::size_t>(machine_nics_[m]);
-    partition_of_nic[nic] =
-        two_tier ? static_cast<int>(static_cast<std::size_t>(racks[m]) *
-                                    n_partitions / spec_.topology.n_racks)
-                 : static_cast<int>(m % n_partitions);
-  }
-
-  std::vector<std::unique_ptr<sim::Simulator>> psims;
-  net::PartitionPlan plan;
-  for (std::size_t p = 0; p < n_partitions; ++p) {
-    psims.push_back(std::make_unique<sim::Simulator>());
-    plan.sims.push_back(psims.back().get());
-  }
-  plan.partition_of_nic = partition_of_nic;
-  plan.lookahead = lookahead;
-  network_->begin_partitioned(std::move(plan));
-
-  // Kick off every job inside its home machine's partition. Kickoffs are
-  // born pre-run at time -1 with rank = job index, folding the job id into
-  // the commit tie-break — concurrent jobs replay in add order, exactly
-  // the serial engine's kickoff order.
-  for (const Kick& k : kickoff_order()) {
-    const int p =
-        partition_of_nic[static_cast<std::size_t>(machine_nics_[k.machine])];
-    net::PartitionScope scope(*network_, p);
-    const auto rank = static_cast<std::uint64_t>(k.index);
-    if (k.start_at == 0) {
-      net::TriggerRankScope birth(-1, rank);
-      k.fn();
-    } else {
-      network_->simulator().schedule_at(k.start_at, [fn = k.fn, rank]() {
-        net::TriggerRankScope birth(-1, rank);
-        fn();
-      });
-    }
-  }
-
-  std::vector<sim::Simulator*> raw;
-  raw.reserve(psims.size());
-  for (const auto& s : psims) raw.push_back(s.get());
-  runner::SimDomain domain(std::move(raw), lookahead);
-  domain.run(
-      [&](std::size_t p, sim::Time horizon) {
-        net::PartitionScope scope(*network_, static_cast<int>(p));
-        psims[p]->run_until(horizon);
-      },
-      [&] { network_->commit_pending(); },
-      [&] { return network_->has_pending_deliveries(); });
-  network_->end_partitioned();
-  return true;
 }
 
 void Fabric::finish_job(JobState& job) {

@@ -83,12 +83,9 @@ struct JobSpec {
 /// A non-collective tenant of a Fabric — e.g. the src/serve parameter-
 /// server serving tier. Implementations attach their endpoints in
 /// attach(), then drive themselves entirely through Network::send plus
-/// deferred timers that carry net::deferred_trigger_birth keys, so the
-/// conservative parallel engine (OMR_SIM_THREADS) replays them
-/// bit-identically with no special-casing. The Fabric owns scheduling
-/// (kickoff at CustomJobSpec::start_at, inside the home machine's
-/// partition) and tenant attribution (weighted-fair link shares); the job
-/// owns its protocol and telemetry.
+/// timers on the network's simulator. The Fabric owns scheduling (kickoff
+/// at CustomJobSpec::start_at) and tenant attribution (weighted-fair link
+/// shares); the job owns its protocol and telemetry.
 class FabricJob {
  public:
   virtual ~FabricJob() = default;
@@ -100,8 +97,6 @@ class FabricJob {
                       const std::vector<net::NicId>& machine_nics) = 0;
   /// Every endpoint attach() created (for tenant attribution).
   virtual std::vector<net::EndpointId> endpoints() const = 0;
-  /// Machine whose partition executes kickoff().
-  virtual std::size_t home_machine() const = 0;
   /// Begin the job (invoked at CustomJobSpec::start_at).
   virtual void kickoff() = 0;
   /// Whether the job ran to completion once the simulator drained.
@@ -132,11 +127,9 @@ struct CustomJobSpec {
 /// Steps of a job are sequenced by a per-job control plane whose messages
 /// travel the simulated fabric itself (a JobController plus one agent per
 /// worker/aggregator machine), so every cross-machine effect flows through
-/// Network::send and the conservative parallel engine (OMR_SIM_THREADS)
-/// reproduces serial results bit-identically — each job's kickoff folds
-/// its job index into the birth-key tie-break. Contended interior links
-/// are shared weighted-fair by job weight (net::Network::set_tenants);
-/// machine NICs stay FIFO, as real hosts are.
+/// Network::send. Contended interior links are shared weighted-fair by job
+/// weight (net::Network::set_tenants); machine NICs stay FIFO, as real
+/// hosts are.
 ///
 /// Usage:
 ///   Fabric fabric(spec);
@@ -172,10 +165,8 @@ class Fabric {
   /// Whether job `job` passed admission.
   bool admitted(int job) const;
 
-  /// Run every admitted job to completion. Serial by default; with
-  /// OMR_SIM_THREADS > 1 and a usable topology lookahead the conservative
-  /// parallel engine partitions the machines, bit-identical to serial.
-  /// Call once; throws if a step's result fails verification.
+  /// Run every admitted job to completion. Call once; throws if a step's
+  /// result fails verification.
   void run();
 
   /// Fabric-level outcome: per-job summaries, the per-(link, job) traffic
@@ -198,16 +189,13 @@ class Fabric {
     FabricJob* job = nullptr;
   };
   /// One kickoff action, ordered by tenant index across training and
-  /// custom jobs (the index doubles as the pre-run birth rank).
+  /// custom jobs.
   struct Kick {
     int index = 0;
-    std::size_t machine = 0;
     sim::Time start_at = 0;
     std::function<void()> fn;
   };
 
-  void run_serial();
-  bool try_run_partitioned();
   std::vector<Kick> kickoff_order();
   void finish_job(JobState& job);  // post-run verify + counter sweep
 

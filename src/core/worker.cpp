@@ -289,21 +289,6 @@ void Worker::send_packet(std::size_t stream, std::shared_ptr<DataPacket> pkt,
   if (ready <= sim().now()) {
     net_.send(self_, agg, pkt);
     arm_timer(stream);
-  } else if (net_.partitioned()) {
-    // The serial engine orders this send among same-fire-time events by
-    // where its scheduling action fell; capture that birth key and
-    // re-publish it at fire time so the commit sort reproduces the order.
-    // Partitioned mode only: the 16-byte capture would push the serial
-    // closure past the event queue's inline buffer.
-    sim().schedule_at(
-        ready, [this, stream, agg, pkt, epoch = epoch_,
-                birth = net::deferred_trigger_birth(sim().now())]() {
-          if (epoch != epoch_) return;
-          if (faults_ != nullptr && faults_->aborted()) return;
-          net::TriggerRankScope rank(birth);
-          net_.send(self_, agg, pkt);
-          arm_timer(stream);
-        });
   } else {
     sim().schedule_at(ready, [this, stream, agg, pkt, epoch = epoch_]() {
       // A crash between scheduling and firing voids the send (the epoch
@@ -323,14 +308,8 @@ void Worker::arm_timer(std::size_t stream) {
   const sim::Time timeout =
       faults_ != nullptr ? faults_->retransmit_timeout(wid_, st.attempts)
                          : cfg_.retransmit_timeout;
-  // Timers re-publish the arming event's birth key so retransmissions tie
-  // with serial schedule order (they only fire under loss; see above).
-  st.timer = sim().schedule_after(
-      timeout,
-      [this, stream, birth = net::deferred_trigger_birth(sim().now())]() {
-        net::TriggerRankScope rank(birth);
-        on_timeout(stream);
-      });
+  st.timer =
+      sim().schedule_after(timeout, [this, stream]() { on_timeout(stream); });
 }
 
 void Worker::on_timeout(std::size_t stream) {

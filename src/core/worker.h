@@ -152,10 +152,7 @@ class Worker final : public net::Endpoint {
   /// occupancy series. No-op without a tracer.
   void note_in_flight(std::size_t stream, bool value);
 
-  /// The simulator this worker schedules on. Resolved per use (not bound
-  /// at construction) so the parallel engine can route the worker to its
-  /// partition's event queue; serial mode returns the network's own
-  /// simulator, exactly as before.
+  /// The simulator this worker schedules on: the network's.
   sim::Simulator& sim() const { return net_.simulator(); }
 
   Config cfg_;

@@ -7,47 +7,6 @@
 
 namespace omr::net {
 
-namespace {
-// Which (network, partition) the calling thread is executing. Keyed by the
-// Network so nested scopes over different networks (a parallel run inside
-// a sweep cell) resolve independently.
-thread_local const Network* tls_net = nullptr;
-thread_local int tls_partition = -1;
-// Birth key of the event the calling thread is executing (see TriggerBirth
-// in network.h). Captured into every DeliveryRecord as the equal-send-time
-// commit tie-break.
-thread_local TriggerBirth tls_trigger_birth{};
-}  // namespace
-
-TriggerBirth deferred_trigger_birth(sim::Time now) {
-  return TriggerBirth{now, tls_trigger_birth.rank};
-}
-
-PartitionScope::PartitionScope(Network& net, int partition)
-    : prev_net_(tls_net), prev_partition_(tls_partition) {
-  tls_net = &net;
-  tls_partition = partition;
-}
-
-PartitionScope::~PartitionScope() {
-  tls_net = prev_net_;
-  tls_partition = prev_partition_;
-}
-
-TriggerRankScope::TriggerRankScope(TriggerBirth birth)
-    : prev_birth_(tls_trigger_birth) {
-  tls_trigger_birth = birth;
-}
-
-TriggerRankScope::~TriggerRankScope() { tls_trigger_birth = prev_birth_; }
-
-sim::Simulator& Network::partition_simulator() {
-  if (tls_net == this && tls_partition >= 0) {
-    return *plan_.sims[static_cast<std::size_t>(tls_partition)];
-  }
-  return sim_;
-}
-
 Network::Network(sim::Simulator& simulator, sim::Time one_way_latency,
                  std::uint64_t seed)
     : Network(simulator, std::make_unique<IdealSwitch>(one_way_latency),
@@ -169,9 +128,9 @@ bool Network::nic_down(NicId nic, sim::Time t) const {
 }
 
 sim::Time Network::tx_serialize(NicId nic_id, std::size_t bytes,
-                                std::size_t payload_bytes, sim::Time now) {
+                                std::size_t payload_bytes) {
   Nic& nic = nics_[nic_id];
-  const sim::Time start = std::max(now, nic.tx_free);
+  const sim::Time start = std::max(sim_.now(), nic.tx_free);
   const sim::Time cost = sim::from_seconds(
       static_cast<double>(bytes) * 8.0 / nic.cfg.tx_bandwidth_bps);
   nic.tx_free = start + cost;
@@ -318,16 +277,12 @@ sim::Time Network::traverse_path(NicId src_nic, NicId dst_nic,
 
 void Network::deliver(EndpointId src, EndpointId dst, MessagePtr msg,
                       sim::Time departure, std::size_t bytes,
-                      std::size_t payload_bytes, TriggerBirth handler_birth) {
+                      std::size_t payload_bytes) {
   if (!nic_flaps_.empty() && nic_down(endpoints_[src].nic, departure)) {
     // Sender's NIC is flapped at wire departure: the message never enters
     // the fabric, so link loss processes see an unchanged draw sequence.
     nics_[endpoints_[src].nic].stats.dropped_messages += 1;
     ++total_dropped_;
-    if (trace_ != nullptr) {
-      trace_->push_back({departure, 0, src, dst,
-                         static_cast<std::uint32_t>(bytes), true});
-    }
     if (tracer_ != nullptr) {
       tracer_->message_drop(endpoints_[src].nic, departure, bytes, dst);
     }
@@ -336,20 +291,10 @@ void Network::deliver(EndpointId src, EndpointId dst, MessagePtr msg,
   const sim::Time arrival = traverse_path(
       endpoints_[src].nic, endpoints_[dst].nic, departure, bytes,
       payload_bytes, endpoint_tenant(src));
-  if (arrival < 0) {  // eaten by a link's loss process
-    if (trace_ != nullptr) {
-      trace_->push_back({departure, 0, src, dst,
-                         static_cast<std::uint32_t>(bytes), true});
-    }
-    return;
-  }
+  if (arrival < 0) return;  // eaten by a link's loss process
   if (!nic_flaps_.empty() && nic_down(endpoints_[dst].nic, arrival)) {
     nics_[endpoints_[dst].nic].stats.dropped_messages += 1;
     ++total_dropped_;
-    if (trace_ != nullptr) {
-      trace_->push_back({departure, 0, src, dst,
-                         static_cast<std::uint32_t>(bytes), true});
-    }
     if (tracer_ != nullptr) {
       tracer_->message_drop(endpoints_[dst].nic, arrival, bytes, dst);
     }
@@ -358,10 +303,6 @@ void Network::deliver(EndpointId src, EndpointId dst, MessagePtr msg,
   if (!fabric_loss_.lossless() && fabric_loss_.drop(drop_rng_)) {
     nics_[endpoints_[dst].nic].stats.dropped_messages += 1;
     ++total_dropped_;
-    if (trace_ != nullptr) {
-      trace_->push_back({departure, 0, src, dst,
-                         static_cast<std::uint32_t>(bytes), true});
-    }
     if (tracer_ != nullptr) {
       tracer_->message_drop(endpoints_[dst].nic, arrival, bytes, dst);
     }
@@ -380,33 +321,14 @@ void Network::deliver(EndpointId src, EndpointId dst, MessagePtr msg,
   dnic.rx_free = rx_start + rx_cost;
   dnic.stats.rx_bytes += bytes;
   dnic.stats.rx_messages += 1;
-  if (trace_ != nullptr) {
-    trace_->push_back({departure, dnic.rx_free, src, dst,
-                       static_cast<std::uint32_t>(bytes), false});
-  }
   if (tracer_ != nullptr) {
     tracer_->message_rx(endpoints_[dst].nic, rx_start, dnic.rx_free, bytes,
                         payload_bytes);
   }
   Endpoint* receiver = endpoints_[dst].endpoint;
-  if (plan_.sims.empty()) {
-    sim_.schedule_at(dnic.rx_free, [receiver, src, msg = std::move(msg)]() {
-      receiver->on_message(src, msg);
-    });
-    return;
-  }
-  // Partitioned mode: the arrival fires inside the destination NIC's
-  // partition. rx_free >= send_time + lookahead >= the safe horizon, so
-  // the destination's clock has not passed it (commit runs at barriers).
-  // The handler publishes its birth key so sends it makes inherit it as
-  // their equal-time commit tie-break.
-  sim::Simulator& dst_sim = *plan_.sims[static_cast<std::size_t>(
-      plan_.partition_of_nic[endpoints_[dst].nic])];
-  dst_sim.schedule_at(dnic.rx_free,
-                      [receiver, src, handler_birth, msg = std::move(msg)]() {
-                        TriggerRankScope rank(handler_birth);
-                        receiver->on_message(src, msg);
-                      });
+  sim_.schedule_at(dnic.rx_free, [receiver, src, msg = std::move(msg)]() {
+    receiver->on_message(src, msg);
+  });
 }
 
 void Network::send(EndpointId src, EndpointId dst, MessagePtr msg) {
@@ -414,13 +336,7 @@ void Network::send(EndpointId src, EndpointId dst, MessagePtr msg) {
   assert(dst >= 0 && dst < static_cast<EndpointId>(endpoints_.size()));
   const std::size_t bytes = msg->wire_bytes();
   const std::size_t payload = msg->payload_bytes();
-  const sim::Time now = simulator().now();
-  const sim::Time departure =
-      tx_serialize(endpoints_[src].nic, bytes, payload, now);
-  if (!plan_.sims.empty()) {
-    enqueue_delivery(src, dst, std::move(msg), now, departure, bytes, payload);
-    return;
-  }
+  const sim::Time departure = tx_serialize(endpoints_[src].nic, bytes, payload);
   deliver(src, dst, std::move(msg), departure, bytes, payload);
 }
 
@@ -429,111 +345,8 @@ void Network::send_switch_multicast(EndpointId src,
                                     MessagePtr msg) {
   const std::size_t bytes = msg->wire_bytes();
   const std::size_t payload = msg->payload_bytes();
-  const sim::Time now = simulator().now();
-  const sim::Time departure =
-      tx_serialize(endpoints_[src].nic, bytes, payload, now);
-  if (!plan_.sims.empty()) {
-    // One record per destination; consecutive sequence numbers keep the
-    // serial deliver loop's destination order through the commit sort.
-    for (EndpointId dst : dsts) {
-      enqueue_delivery(src, dst, msg, now, departure, bytes, payload);
-    }
-    return;
-  }
+  const sim::Time departure = tx_serialize(endpoints_[src].nic, bytes, payload);
   for (EndpointId dst : dsts) deliver(src, dst, msg, departure, bytes, payload);
-}
-
-void Network::begin_partitioned(PartitionPlan plan) {
-  if (partitioned()) throw std::logic_error("already in partitioned mode");
-  if (plan.sims.empty()) throw std::invalid_argument("empty partition plan");
-  for (sim::Simulator* s : plan.sims) {
-    if (s == nullptr) throw std::invalid_argument("null partition simulator");
-  }
-  if (plan.partition_of_nic.size() != nics_.size()) {
-    throw std::invalid_argument("partition plan does not cover every NIC");
-  }
-  for (int p : plan.partition_of_nic) {
-    if (p < 0 || static_cast<std::size_t>(p) >= plan.sims.size()) {
-      throw std::invalid_argument("NIC partition out of range");
-    }
-  }
-  if (plan.lookahead <= 0) {
-    throw std::invalid_argument("partitioned mode requires lookahead > 0");
-  }
-  if (tracer_ != nullptr || trace_ != nullptr) {
-    // Trace order is an artifact of serial execution; the engine falls
-    // back to serial for traced runs rather than emit a reordered trace.
-    throw std::logic_error("partitioned mode is incompatible with tracing");
-  }
-  plan_ = std::move(plan);
-  next_commit_rank_ = kCommitRankBase;
-  outboxes_.clear();
-  outboxes_.resize(plan_.sims.size());
-}
-
-void Network::end_partitioned() {
-  if (has_pending_deliveries()) {
-    throw std::logic_error("leaving partitioned mode with pending deliveries");
-  }
-  plan_ = PartitionPlan{};
-  outboxes_.clear();
-}
-
-bool Network::has_pending_deliveries() const {
-  for (const Outbox& ob : outboxes_) {
-    if (!ob.records.empty()) return true;
-  }
-  return false;
-}
-
-void Network::enqueue_delivery(EndpointId src, EndpointId dst, MessagePtr msg,
-                               sim::Time send_time, sim::Time departure,
-                               std::size_t bytes, std::size_t payload_bytes) {
-  if (tls_net != this || tls_partition < 0) {
-    throw std::logic_error("send in partitioned mode outside PartitionScope");
-  }
-  Outbox& ob = outboxes_[static_cast<std::size_t>(tls_partition)];
-  ob.records.push_back(DeliveryRecord{
-      send_time, departure, src, dst, tls_trigger_birth.time,
-      tls_trigger_birth.rank, ob.next_seq++,
-      std::move(msg), static_cast<std::uint32_t>(bytes),
-      static_cast<std::uint32_t>(payload_bytes)});
-}
-
-void Network::commit_pending() {
-  commit_scratch_.clear();
-  for (Outbox& ob : outboxes_) {
-    for (DeliveryRecord& r : ob.records) {
-      commit_scratch_.push_back(std::move(r));
-    }
-    ob.records.clear();
-  }
-  // Serial runs process sends in global event order: primarily send time,
-  // and at equal times in FIFO schedule order of the events that made
-  // them — reconstructed from each sender's birth key: the virtual time
-  // the sending event was scheduled, then the rank ordering same-time
-  // scheduling actions (a handler's commit rank, the worker index for
-  // pre-run starts; see the class comment). Sequence numbers preserve
-  // each trigger's own send order; the source endpoint is a final
-  // deterministic guard so the commit order is total even for keys the
-  // scheme cannot distinguish. The psim suite pins serial equivalence.
-  std::sort(commit_scratch_.begin(), commit_scratch_.end(),
-            [](const DeliveryRecord& a, const DeliveryRecord& b) {
-              if (a.send_time != b.send_time) return a.send_time < b.send_time;
-              if (a.birth_time != b.birth_time) {
-                return a.birth_time < b.birth_time;
-              }
-              if (a.birth_rank != b.birth_rank) {
-                return a.birth_rank < b.birth_rank;
-              }
-              if (a.src != b.src) return a.src < b.src;
-              return a.seq < b.seq;
-            });
-  for (DeliveryRecord& r : commit_scratch_) {
-    deliver(r.src, r.dst, std::move(r.msg), r.departure, r.bytes,
-            r.payload_bytes, TriggerBirth{r.send_time, next_commit_rank_++});
-  }
-  commit_scratch_.clear();
 }
 
 }  // namespace omr::net

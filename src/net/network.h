@@ -50,43 +50,6 @@ class Endpoint {
   virtual void on_message(EndpointId from, const MessagePtr& msg) = 0;
 };
 
-/// Partitioning of the fabric for the conservative parallel engine: one
-/// Simulator per event-queue domain, the domain owning each NIC, and the
-/// synchronization lookahead (the topology's minimum static path latency).
-/// Built by the engine; Network::begin_partitioned() activates it.
-struct PartitionPlan {
-  std::vector<sim::Simulator*> sims;  // one per partition, non-owning
-  std::vector<int> partition_of_nic;  // indexed by NicId
-  sim::Time lookahead = 0;
-};
-
-/// One traced message event (see Network::enable_trace): when the message
-/// left the sender's NIC, when it was delivered, who sent it, its size,
-/// and whether it was dropped by loss injection.
-struct TraceEvent {
-  sim::Time departure = 0;
-  sim::Time delivery = 0;  // meaningless when dropped
-  EndpointId src = -1;
-  EndpointId dst = -1;
-  std::uint32_t bytes = 0;
-  bool dropped = false;
-};
-
-/// Birth key of the event the calling thread is executing (partitioned
-/// mode): the virtual time the event was *scheduled* and a rank ordering
-/// same-time scheduling actions. Sends inherit the current birth key as
-/// their commit tie-break at equal send times, reproducing the serial
-/// engine's FIFO schedule order. Defaults sort before every real key.
-struct TriggerBirth {
-  sim::Time time = -1;
-  std::uint64_t rank = 0;
-};
-
-/// Birth key for an event being deferred (scheduled for a later virtual
-/// time) from the current event's handler: born now, ordered after
-/// whatever scheduling actions the current trigger already performed.
-TriggerBirth deferred_trigger_birth(sim::Time now);
-
 /// Simulated fabric: full-duplex NICs joined by a pluggable Topology.
 /// Transmission of a B-byte message occupies the sender TX for B/tx_bw,
 /// traverses the topology's path — a propagation delay plus zero or more
@@ -145,12 +108,6 @@ class Network {
   void send_switch_multicast(EndpointId src, std::span<const EndpointId> dsts,
                              MessagePtr msg);
 
-  /// Record every message into `sink` (appended; caller owns the vector
-  /// and must keep it alive). Pass nullptr to disable. Intended for
-  /// debugging and timeline visualization, not for the hot path of large
-  /// benchmarks.
-  void enable_trace(std::vector<TraceEvent>* sink) { trace_ = sink; }
-
   /// Attach a typed-event tracer (non-owning; nullptr disables). The
   /// tracer receives TX/RX serialization spans and loss-injection drops;
   /// the caller maps NICs onto trace lanes via Tracer::map_nic.
@@ -205,54 +162,9 @@ class Network {
   const Topology& topology() const { return *topo_; }
   Topology& topology() { return *topo_; }
 
-  /// The simulator protocol code should schedule on. Serial mode: the
-  /// Network's own simulator. Partitioned mode: the simulator of the
-  /// partition the calling thread is executing (see PartitionScope), so
-  /// endpoint code is oblivious to the parallel engine.
-  sim::Simulator& simulator() {
-    return plan_.sims.empty() ? sim_ : partition_simulator();
-  }
+  /// The simulator protocol code schedules on.
+  sim::Simulator& simulator() { return sim_; }
   sim::Time one_way_latency() const { return latency_; }
-
-  // --- conservative parallel (partitioned) mode ---------------------------
-  //
-  // In partitioned mode send() still TX-serializes inline (the source NIC
-  // belongs to the calling partition) but defers every delivery effect —
-  // path traversal, per-link FIFO/loss, RX reservation, the on_message
-  // event — into a per-partition outbox. At each synchronization window
-  // the engine calls commit_pending() on one thread: records are sorted by
-  // (send time, birth key, per-partition sequence) and the exact serial
-  // deliver body runs for each, scheduling the arrival into the
-  // destination NIC's partition.
-  //
-  // The birth key reproduces the serial engine's tie order at equal send
-  // times. In a serial run, equal-time send events fire in FIFO schedule
-  // order — the order of the *scheduling actions* that created them. Each
-  // event therefore carries a birth key (TriggerBirth): the virtual time
-  // it was scheduled and a rank ordering same-time scheduling actions.
-  // Delivery handlers are born at their record's send time with a
-  // globally increasing commit rank (commits replay serial reservation
-  // order window by window, so the counter is a faithful proxy). Pre-run
-  // worker starts are born at time -1 with rank = worker index — before
-  // anything else, as in a serial run. Events a handler defers to a later
-  // time (staged sends, retransmission timers) capture the handler's own
-  // (now, rank) at the scheduling site. The key is published
-  // thread-locally while the event runs (TriggerRankScope) and sends
-  // inherit it as their commit tie-break. With that key, shared fabric
-  // state — RX cursors, link FIFOs, per-link loss draws — evolves
-  // identically and results are byte-identical to the serial engine.
-
-  /// Enter partitioned mode. Requires no tracer/trace sink (their event
-  /// order is a serial-execution artifact), a positive lookahead and one
-  /// partition entry per NIC. The plan's simulators must outlive the run.
-  void begin_partitioned(PartitionPlan plan);
-  /// Leave partitioned mode (outboxes must be drained).
-  void end_partitioned();
-  /// Drain all outboxes in deterministic commit order. Single-threaded:
-  /// call only at a window barrier, never while partitions execute.
-  void commit_pending();
-  bool partitioned() const { return !plan_.sims.empty(); }
-  bool has_pending_deliveries() const;
 
  private:
   struct Nic {
@@ -266,32 +178,9 @@ class Network {
     NicId nic = -1;
   };
 
-  /// One deferred delivery (partitioned mode): everything deliver() needs,
-  /// captured at send time, plus the deterministic commit key.
-  struct DeliveryRecord {
-    sim::Time send_time;  // virtual time of the send() call (commit key)
-    sim::Time departure;  // wire departure after TX serialization
-    EndpointId src;
-    EndpointId dst;
-    sim::Time birth_time;        // birth time of the event that sent this
-    std::uint64_t birth_rank;    // rank of the event that made this send
-    std::uint64_t seq;  // per-source-partition sequence (commit tie-break)
-    MessagePtr msg;
-    std::uint32_t bytes;
-    std::uint32_t payload_bytes;
-  };
-  /// Cache-line-aligned so partitions appending concurrently to adjacent
-  /// outboxes never write-share a line.
-  struct alignas(64) Outbox {
-    std::vector<DeliveryRecord> records;
-    std::uint64_t next_seq = 0;
-  };
-
   /// TX-serialize at src; returns the wire-departure completion time.
-  /// `now` is the caller's virtual time (the owning partition's clock in
-  /// partitioned mode, sim_.now() otherwise).
   sim::Time tx_serialize(NicId nic, std::size_t bytes,
-                         std::size_t payload_bytes, sim::Time now);
+                         std::size_t payload_bytes);
   /// Walk the topology path: per-link loss, FIFO serialization and
   /// propagation. Returns the fabric-exit time, or -1 when a link dropped
   /// the message (already accounted).
@@ -301,21 +190,11 @@ class Network {
   /// Schedule arrival/RX/delivery of a message departing at `departure`.
   /// `bytes`/`payload_bytes` are msg's sizes, computed once by the caller
   /// (multicast delivers the same message to many destinations).
-  /// `handler_birth` (partitioned mode only) is the delivery's commit-time
-  /// birth key — (record send time, global commit rank) — published to the
-  /// on_message handler via TriggerRankScope.
   void deliver(EndpointId src, EndpointId dst, MessagePtr msg,
                sim::Time departure, std::size_t bytes,
-               std::size_t payload_bytes, TriggerBirth handler_birth = {});
+               std::size_t payload_bytes);
   /// True when `nic` sits inside a flap window at time `t`.
   bool nic_down(NicId nic, sim::Time t) const;
-  /// Partitioned mode: the simulator of the partition the calling thread
-  /// executes (thread-local scope), or sim_ off any partition thread.
-  sim::Simulator& partition_simulator();
-  /// Record a deferred delivery into the calling partition's outbox.
-  void enqueue_delivery(EndpointId src, EndpointId dst, MessagePtr msg,
-                        sim::Time send_time, sim::Time departure,
-                        std::size_t bytes, std::size_t payload_bytes);
 
   sim::Simulator& sim_;
   std::unique_ptr<Topology> topo_;
@@ -330,7 +209,6 @@ class Network {
     sim::Time until = 0;
   };
   std::vector<NicFlap> nic_flaps_;  // few entries; linear scan when non-empty
-  std::vector<TraceEvent>* trace_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
   std::vector<bool> link_lane_named_;  // tracer lane names, set lazily
   std::vector<Nic> nics_;
@@ -341,54 +219,6 @@ class Network {
   std::vector<double> tenant_weights_;
   std::vector<int> tenant_of_;
   std::vector<NicStats> tenant_external_;
-  /// Birth ranks of committed deliveries start here; pre-run start events
-  /// use ranks below it (the engine passes the worker index). Start/commit
-  /// rank collisions are already broken by birth_time (-1 for starts).
-  static constexpr std::uint64_t kCommitRankBase = std::uint64_t{1} << 32;
-
-  PartitionPlan plan_;  // empty sims = serial mode
-  std::uint64_t next_commit_rank_ = kCommitRankBase;
-  std::vector<Outbox> outboxes_;  // one per partition
-  std::vector<DeliveryRecord> commit_scratch_;  // reused across windows
-
-  friend class PartitionScope;
-};
-
-/// RAII: marks the calling thread as executing `partition` of `net`, so
-/// Network::simulator() resolves to that partition's event queue and
-/// sends record into its outbox. The engine wraps each partition's
-/// run_until (and pre-run worker starts) in one of these; scopes nest by
-/// save/restore, so a scoped call into another Network is safe.
-class PartitionScope {
- public:
-  PartitionScope(Network& net, int partition);
-  ~PartitionScope();
-  PartitionScope(const PartitionScope&) = delete;
-  PartitionScope& operator=(const PartitionScope&) = delete;
-
- private:
-  const Network* prev_net_;
-  int prev_partition_;
-};
-
-/// RAII: publishes the birth key of the event the calling thread is
-/// executing. Sends enqueued while the scope is active carry the key as
-/// their commit tie-break at equal send times (see the partitioned-mode
-/// commit-order comment in Network). The commit loop opens one around
-/// each delivery handler; the engine opens one (time -1, rank = worker
-/// index) around each worker start; deferred protocol events re-publish
-/// a key captured with deferred_trigger_birth() at their scheduling site.
-class TriggerRankScope {
- public:
-  explicit TriggerRankScope(TriggerBirth birth);
-  TriggerRankScope(sim::Time time, std::uint64_t rank)
-      : TriggerRankScope(TriggerBirth{time, rank}) {}
-  ~TriggerRankScope();
-  TriggerRankScope(const TriggerRankScope&) = delete;
-  TriggerRankScope& operator=(const TriggerRankScope&) = delete;
-
- private:
-  TriggerBirth prev_birth_;
 };
 
 }  // namespace omr::net

@@ -70,18 +70,6 @@ void TwoTierFabric::freeze() {
   }
 }
 
-sim::Time TwoTierFabric::min_path_latency() const {
-  if (!frozen_) return 0;  // links not built yet: no usable lookahead
-  sim::Time best = intra_.ingress_latency;
-  for (const Path& p : inter_) {
-    if (p.links.empty()) continue;  // the unused s == d diagonal
-    sim::Time t = p.ingress_latency;
-    for (LinkId id : p.links) t += link(id).cfg.latency;
-    if (t < best) best = t;
-  }
-  return best;
-}
-
 const Path& TwoTierFabric::route(NicId src, NicId dst) {
   if (!frozen_) freeze();
   const auto s = static_cast<std::size_t>(rack_of(src));

@@ -170,14 +170,6 @@ class Topology {
   /// resolved up front — e.g. to schedule link flaps on rack uplinks.
   virtual void finalize() {}
 
-  /// Lower bound on the fabric transit time of any message between any
-  /// NIC pair: the minimum over all paths of ingress propagation plus the
-  /// links' propagation delays (store-and-forward serialization only adds
-  /// to this). The conservative parallel engine uses it as the lookahead
-  /// window; <= 0 means "no usable lookahead" and forces the serial
-  /// engine. Call finalize() first on lazily-built topologies.
-  virtual sim::Time min_path_latency() const { return 0; }
-
   /// Schedule an outage window on one link (fault injection): every
   /// message reaching the link during [from, until) is dropped.
   void add_link_flap(LinkId id, sim::Time from, sim::Time until) {
@@ -231,7 +223,6 @@ class IdealSwitch final : public Topology {
   const char* kind() const override { return "ideal_switch"; }
   void add_nic(NicId, double, double) override {}
   const Path& route(NicId, NicId) override { return path_; }
-  sim::Time min_path_latency() const override { return path_.ingress_latency; }
   sim::Time one_way_latency() const { return path_.ingress_latency; }
 
  private:
@@ -279,10 +270,6 @@ class TwoTierFabric final : public Topology {
   void finalize() override {
     if (!frozen_) freeze();
   }
-  /// Intra-rack transit (2 hops of propagation) is the fabric's shortest
-  /// path; inter-rack adds the uplink/downlink hops on top. With one rack
-  /// everything is intra. Requires the link table (call finalize() first).
-  sim::Time min_path_latency() const override;
 
   int rack_of(NicId nic) const;
   std::size_t n_racks() const { return cfg_.n_racks; }

@@ -60,8 +60,7 @@ struct ServeResponse final : net::Message {
 };
 
 /// Serving control plane: 64-byte frames on the simulated fabric (like
-/// core::Fabric's JobCtl), so start/drain sequencing replays identically
-/// under the partitioned engine.
+/// core::Fabric's JobCtl).
 struct ServeCtl final : net::Message {
   enum Kind : std::uint8_t { kStart, kDone };
   Kind kind = kStart;
@@ -107,11 +106,7 @@ class ServingJob::PsShard final : public net::Endpoint {
       // First request of a new batch arms the flush timer; later arrivals
       // within the window coalesce into the same batch.
       const sim::Time at = now + job_.spec_.batch_window;
-      sim.schedule_at(at,
-                      [this, at, birth = net::deferred_trigger_birth(now)] {
-                        net::TriggerRankScope rank(birth);
-                        flush(at);
-                      });
+      sim.schedule_at(at, [this, at] { flush(at); });
     }
   }
 
@@ -187,10 +182,7 @@ class ServingJob::PsShard final : public net::Endpoint {
       } else {
         sim::Simulator& sim = job_.net_->simulator();
         sim.schedule_at(cpu_free_, [this, from = p.from,
-                                    resp = std::move(resp),
-                                    birth = net::deferred_trigger_birth(
-                                        now)]() mutable {
-          net::TriggerRankScope rank(birth);
+                                    resp = std::move(resp)]() mutable {
           job_.net_->send(ep, from, std::move(resp));
         });
       }
@@ -292,10 +284,7 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
     if (r + 1 < spec.requests_per_client) {
       const sim::Time at =
           start + static_cast<sim::Time>(r + 1) * spec.interarrival;
-      sim.schedule_at(at, [this, r, birth = net::deferred_trigger_birth(now)] {
-        net::TriggerRankScope rank(birth);
-        issue(r + 1);
-      });
+      sim.schedule_at(at, [this, r] { issue(r + 1); });
     }
   }
 
@@ -426,8 +415,6 @@ void ServingJob::attach(net::Network& net,
 std::vector<net::EndpointId> ServingJob::endpoints() const {
   return all_eps_;
 }
-
-std::size_t ServingJob::home_machine() const { return client_machines_[0]; }
 
 void ServingJob::kickoff() {
   if (net_ == nullptr) throw std::logic_error("serving job not attached");

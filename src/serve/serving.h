@@ -24,11 +24,9 @@ namespace omr::serve {
 /// delta — so updates bump per-key versions without touching the base.
 ///
 /// Determinism: clients issue on a fixed absolute schedule (start + i *
-/// interarrival) and every cross-machine effect is a Network::send;
-/// deferred events (issue timers, batch flushes, staged response sends)
-/// capture net::deferred_trigger_birth keys, so serving runs replay
-/// byte-identically under OMR_SIM_THREADS — the torture suite pins the
-/// serialized ServeReport across serial and 4-thread runs.
+/// interarrival) and every cross-machine effect is a Network::send, so
+/// serving runs replay byte-identically — the torture suite pins the
+/// serialized fabric report across reruns.
 ///
 /// Usage:
 ///   core::Fabric fabric(spec);
@@ -57,7 +55,6 @@ class ServingJob final : public core::FabricJob {
   void attach(net::Network& net,
               const std::vector<net::NicId>& machine_nics) override;
   std::vector<net::EndpointId> endpoints() const override;
-  std::size_t home_machine() const override;
   void kickoff() override;
   bool done() const override;
   sim::Time finish_time() const override;

@@ -169,34 +169,6 @@ void Simulator::remove_at(std::size_t pos) {
 
 Time Simulator::run() { return run_until(kTimeInfinity); }
 
-Time Simulator::next_event_time() {
-  if (pending_ == 0) return kTimeInfinity;
-  // Same scan as run_until: find the earliest live wheel entry, dropping
-  // stale (cancelled) bucket heads along the way. Pruning here is pure
-  // cleanup — run_until would have dropped the same entries first thing —
-  // so peeking never perturbs the execution order.
-  const std::size_t cursor =
-      now_ > wheel_base_ ? static_cast<std::size_t>(now_ - wheel_base_) : 0;
-  for (std::size_t b = next_occupied(cursor); b < kWheelSize;
-       b = next_occupied(b + 1)) {
-    std::uint32_t head = bucket_head_[b];
-    while (head != kNil &&
-           slots_[wheel_pool_[head].slot].gen != wheel_pool_[head].gen) {
-      const std::uint32_t dead = head;
-      head = wheel_pool_[dead].next;
-      if (head != kNil) wheel_pool_[head].tail = wheel_pool_[dead].tail;
-      wheel_pool_[dead].next = free_node_;
-      free_node_ = dead;
-    }
-    bucket_head_[b] = head;
-    if (head != kNil) return wheel_base_ + static_cast<Time>(b);
-    clear_bucket_bit(b);
-  }
-  // Wheel drained: the earliest event (if any) sits at the far heap's
-  // root. No migration here — run_until jumps the window itself.
-  return heap_.empty() ? kTimeInfinity : heap_[0].t;
-}
-
 Time Simulator::run_until(Time deadline) {
   while (pending_ != 0) {
     // Find the earliest live wheel entry in [now_, wheel_base_ + window).

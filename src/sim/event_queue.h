@@ -220,13 +220,6 @@ class Simulator {
   /// Run until the queue is empty or `deadline` is reached.
   Time run_until(Time deadline);
 
-  /// Timestamp of the earliest pending event, without executing it, or
-  /// kTimeInfinity when idle. Prunes cancelled wheel-bucket heads exactly
-  /// like run_until does, so interleaving this with run_until leaves the
-  /// execution sequence unchanged. The conservative parallel engine uses
-  /// it to compute the global safe horizon each synchronization window.
-  Time next_event_time();
-
   /// Number of events executed so far (for diagnostics / loop detection).
   std::uint64_t events_executed() const { return executed_; }
 

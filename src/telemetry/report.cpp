@@ -169,15 +169,6 @@ void RunReport::write_json(std::ostream& os, bool include_trace) const {
        << ",\"residual_l2\":" << codec_residual_l2 << "}";
   }
 
-  if (psim.partitions > 0) {
-    os << ",\"psim\":{\"partitions\":" << psim.partitions
-       << ",\"sync_rounds\":" << psim.sync_rounds
-       << ",\"horizon_stall_s\":" << psim.horizon_stall_seconds
-       << ",\"partition_events\":";
-    write_array(os, psim.partition_events);
-    os << "}";
-  }
-
   if (!links.empty()) {
     os << ",\"links\":[";
     for (std::size_t i = 0; i < links.size(); ++i) {

@@ -20,19 +20,6 @@ struct LinkReport {
   std::uint64_t dropped_messages = 0;
 };
 
-/// Parallel-engine (conservative PDES) counters for one run. partitions ==
-/// 0 means the run executed on the serial engine or recording was off
-/// (TelemetryConfig::psim_stats); the "psim" JSON section is serialized
-/// only when partitions > 0, so serial reports stay byte-identical.
-/// horizon_stall_seconds is wall-clock (nondeterministic) — which is why
-/// the section is opt-in rather than always recorded.
-struct PsimStats {
-  std::size_t partitions = 0;
-  std::uint64_t sync_rounds = 0;
-  std::vector<std::uint64_t> partition_events;
-  double horizon_stall_seconds = 0.0;
-};
-
 /// Structured outcome of one collective (or a whole Session): a superset
 /// of core::RunStats — the flat stats fields are mirrored 1:1 so the
 /// report serializes without depending on core — plus telemetry-derived
@@ -94,9 +81,6 @@ struct RunReport {
   /// from the default IdealSwitch fabric stay byte-identical to
   /// pre-topology runs.
   std::vector<LinkReport> links;
-
-  /// Parallel-engine counters (partitions == 0 when serial / not recorded).
-  PsimStats psim;
 
   // --- fault-injection outcome (ClusterSpec::faults) -----------------------
   /// True when the run carried an active FaultSpec; the "fault" JSON

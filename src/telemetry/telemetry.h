@@ -96,12 +96,6 @@ struct TelemetryConfig {
   /// Drop trace events beyond this count (0 = unbounded). Counters keep
   /// accumulating either way, so RunReport totals stay exact.
   std::size_t max_events = 0;
-  /// Record parallel-engine counters (partitions, sync rounds, per-
-  /// partition events, barrier stall wall-clock) into RunReport::psim.
-  /// Off by default: the stall time is wall-clock, so recording it makes
-  /// report JSON nondeterministic run-to-run. Independent of `enabled` —
-  /// event tracing forces the serial engine, these counters do not.
-  bool psim_stats = false;
 };
 
 /// A time series of (ts, value) samples attached to one process lane,

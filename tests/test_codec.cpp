@@ -4,8 +4,8 @@
 //   - quantized-domain folds are exact (order-independent integer sums),
 //   - codec-encoded allreduces verify within the analytic slack,
 //   - codec disabled == byte-identical to the seed goldens,
-//   - codec enabled == replay-bit-identical, including the parallel
-//     engine (OMR_SIM_THREADS) and the serialized RunReport,
+//   - codec enabled == replay-bit-identical, including the serialized
+//     RunReport,
 //   - the online selector scores codec lanes and flips at the size
 //     crossover (setup cost vs. wire shrink).
 #include <gtest/gtest.h>
@@ -33,33 +33,6 @@ using compress::EncodedBlock;
 using compress::QuantAccumulator;
 using compress::WireCodec;
 using compress::kCodecGroup;
-
-/// Set/restore one environment variable for the scope of a test.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 const WireCodec kAllCodecs[] = {WireCodec::kFp8, WireCodec::kQ8,
                                 WireCodec::kQ6, WireCodec::kQ4};
@@ -361,26 +334,6 @@ TEST(CodecEnabled, EncodedRunsReplayBitIdentically) {
     for (std::size_t w = 0; w < ra.size(); ++w) {
       EXPECT_TRUE(ra[w] == rb[w]) << "worker " << w;  // bitwise
     }
-  }
-}
-
-TEST(CodecEnabled, ParallelEngineMatchesSerialBitExactly) {
-  RunSetup s = make_setup(Transport::kRdma, 0.0);
-  s.cfg.codec.codec = WireCodec::kQ4;
-  std::vector<tensor::DenseTensor> serial_result, parallel_result;
-  RunStats serial, parallel;
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "1");
-    serial = run_once(s, /*verify=*/false, &serial_result);
-  }
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "4");
-    parallel = run_once(s, /*verify=*/false, &parallel_result);
-  }
-  expect_identical(serial, parallel);
-  ASSERT_EQ(serial_result.size(), parallel_result.size());
-  for (std::size_t w = 0; w < serial_result.size(); ++w) {
-    EXPECT_TRUE(serial_result[w] == parallel_result[w]) << "worker " << w;
   }
 }
 

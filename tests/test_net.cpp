@@ -215,27 +215,25 @@ TEST(Network, TraceRecordsDeliveriesAndDrops) {
   auto [a, ra] = f.make_node();
   auto [b, rb] = f.make_node();
   (void)ra;
-  (void)rb;
-  std::vector<TraceEvent> trace;
-  f.net.enable_trace(&trace);
   f.net.set_loss_rate(0.5);
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) f.net.send(a, b, make_message<Blob>(100));
-  f.sim.run();
-  ASSERT_EQ(trace.size(), static_cast<std::size_t>(n));
-  std::size_t dropped = 0;
-  for (const TraceEvent& ev : trace) {
-    EXPECT_EQ(ev.src, a);
-    EXPECT_EQ(ev.dst, b);
-    EXPECT_EQ(ev.bytes, 100u);
-    if (ev.dropped) {
-      ++dropped;
-    } else {
-      EXPECT_GT(ev.delivery, ev.departure);
-    }
+  const std::size_t n = 2000;
+  for (std::size_t i = 0; i < n; ++i) {
+    f.net.send(a, b, make_message<Blob>(100, static_cast<int>(i)));
   }
-  EXPECT_EQ(dropped, f.net.total_dropped());
-  EXPECT_NEAR(static_cast<double>(dropped) / n, 0.5, 0.05);
+  f.sim.run();
+  // Every sent message is either delivered or dropped, exactly once.
+  const std::size_t received = rb->received.size();
+  EXPECT_EQ(f.net.nic_stats(f.net.nic_of(a)).tx_messages, n);
+  EXPECT_EQ(received + f.net.total_dropped(), n);
+  EXPECT_EQ(f.net.nic_stats(f.net.nic_of(b)).rx_messages, received);
+  EXPECT_EQ(f.net.nic_stats(f.net.nic_of(b)).rx_bytes, received * 100);
+  int last_tag = -1;
+  for (const Recorder::Rx& rx : rb->received) {
+    EXPECT_EQ(rx.from, a);
+    EXPECT_GT(rx.tag, last_tag);  // survivors arrive in send order
+    last_tag = rx.tag;
+  }
+  EXPECT_NEAR(static_cast<double>(f.net.total_dropped()) / n, 0.5, 0.05);
 }
 
 TEST(Network, AddTenantTrafficAccumulates) {

@@ -2,7 +2,7 @@
 // fabric: shard routing, hot-embedding caching, request batching, Zipf
 // traffic, and the serving-torture sweep. Every serving run must conserve
 // requests (issued == served, nothing in flight at drain), replay
-// byte-identically — rerun and under OMR_SIM_THREADS — and LRU hit counts
+// byte-identically on rerun, and LRU hit counts
 // must be exactly monotone in cache capacity. A zero-serving fabric must
 // stay byte-identical to the pre-serving goldens.
 #include <gtest/gtest.h>
@@ -26,33 +26,6 @@
 
 namespace omr::serve {
 namespace {
-
-/// Set/restore one environment variable for the scope of a test.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 std::uint64_t fnv1a64(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -463,7 +436,7 @@ TEST(Serving, ZeroServingFabricMatchesPreServingGoldens) {
 
 // Seeded sweep over (shards, clients, topology, skew, batch window, cache
 // shape, routing, co-tenant). Every iteration checks conservation, replay
-// byte-identity (rerun and OMR_SIM_THREADS=4, full fabric JSON), and exact
+// byte-identity (rerun, full fabric JSON), and exact
 // LRU hit-count monotonicity in cache capacity on a serve-only twin.
 TEST(Serving, TortureSweep) {
   constexpr int kIterations = 200;
@@ -507,11 +480,6 @@ TEST(Serving, TortureSweep) {
 
     const Outcome again = run_scenario(sc);
     ASSERT_EQ(first.json, again.json);
-    {
-      ScopedEnv env("OMR_SIM_THREADS", "4");
-      const Outcome parallel = run_scenario(sc);
-      ASSERT_EQ(first.json, parallel.json);
-    }
 
     // LRU inclusion property on a serve-only twin: same arrival sequences
     // (open-loop schedule; requests and responses ride disjoint

@@ -255,59 +255,6 @@ TEST(Simulator, StressMatchesReferenceOrdering) {
   EXPECT_EQ(s.events_cancelled(), cancellable.size());
 }
 
-TEST(Simulator, NextEventTimePeeksWithoutExecuting) {
-  Simulator s;
-  EXPECT_EQ(s.next_event_time(), kTimeInfinity);
-  int fired = 0;
-  s.schedule_at(12, [&] { ++fired; });
-  EXPECT_EQ(s.next_event_time(), 12);
-  EXPECT_EQ(s.now(), 0);       // the clock did not move
-  EXPECT_EQ(fired, 0);         // nothing executed
-  s.schedule_at(30'000'000, [&] { ++fired; });  // far heap
-  EXPECT_EQ(s.next_event_time(), 12);
-  s.run_until(12);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(s.next_event_time(), 30'000'000);  // wheel drained, heap head
-  s.run();
-  EXPECT_EQ(s.next_event_time(), kTimeInfinity);
-}
-
-TEST(Simulator, NextEventTimeSkipsCancelledHead) {
-  // Cancelled wheel-bucket heads must be pruned, not reported: the peek
-  // has to agree with what run_until would actually fire next.
-  Simulator s;
-  int fired_tag = 0;
-  EventId a = s.schedule_at(10, [&] { fired_tag = 1; });
-  s.schedule_at(10, [&] { fired_tag = 2; });
-  s.schedule_at(15, [] {});
-  EXPECT_TRUE(s.cancel(a));
-  EXPECT_EQ(s.next_event_time(), 10);
-  s.run_until(10);
-  EXPECT_EQ(fired_tag, 2);
-  EXPECT_EQ(s.next_event_time(), 15);
-}
-
-TEST(Simulator, NextEventTimeInterleavesWithRunUntil) {
-  // Peeking between windows must not perturb the execution sequence: the
-  // exact order/times of a plain run must be reproduced.
-  auto drive = [](bool peek) {
-    Simulator s;
-    std::vector<Time> fire_times;
-    for (Time t : {3, 3, 7, 20'000'000, 20'000'004}) {
-      s.schedule_at(t, [&fire_times, &s] { fire_times.push_back(s.now()); });
-    }
-    while (true) {
-      const Time next = peek ? s.next_event_time() : (s.idle() ? kTimeInfinity : 0);
-      if (peek && next == kTimeInfinity) break;
-      if (!peek && s.idle()) break;
-      s.run_until(peek ? next : kTimeInfinity);
-      if (!peek) break;
-    }
-    return fire_times;
-  };
-  EXPECT_EQ(drive(true), drive(false));
-}
-
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());

@@ -1,8 +1,7 @@
 // Multi-tenant fabric: concurrent jobs on one simulated network, with
 // weighted-fair link sharing, elastic membership (join/leave between
 // steps) and switch-slot admission. Every multi-job run must be
-// deterministic — replay-bit-identical serially and under the
-// conservative parallel engine (OMR_SIM_THREADS) — and elastic runs must
+// deterministic — replay-bit-identical run to run — and elastic runs must
 // reduce to exactly the reference over each step's active members.
 #include <gtest/gtest.h>
 
@@ -21,33 +20,6 @@
 
 namespace omr::core {
 namespace {
-
-/// Set/restore one environment variable for the scope of a test.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 Fabric::StepTensors make_steps(std::size_t steps, std::size_t n_workers,
                                std::size_t n, double sparsity,
@@ -104,20 +76,6 @@ TEST(Tenancy, TwoJobReplayIsByteIdentical) {
   const std::string second = run_two_jobs();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-}
-
-TEST(Tenancy, TwoJobPartitionedMatchesSerial) {
-  std::string serial;
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "1");
-    serial = run_two_jobs();
-  }
-  std::string parallel;
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "4");
-    parallel = run_two_jobs();
-  }
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(Tenancy, TwoJobReportHasPerTenantLinkRows) {
@@ -186,18 +144,9 @@ TEST(Tenancy, ElasticMembershipScalesAndVerifiesExactly) {
   run_elastic(/*check_report=*/true);
 }
 
-TEST(Tenancy, ElasticPartitionedMatchesSerial) {
-  std::string serial;
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "1");
-    serial = run_elastic(/*check_report=*/false);
-  }
-  std::string parallel;
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "4");
-    parallel = run_elastic(/*check_report=*/false);
-  }
-  EXPECT_EQ(serial, parallel);
+TEST(Tenancy, ElasticReplayIsByteIdentical) {
+  const std::string first = run_elastic(/*check_report=*/false);
+  EXPECT_EQ(first, run_elastic(/*check_report=*/false));
 }
 
 TEST(Tenancy, ElasticActiveSetResultsMatchReference) {
@@ -406,7 +355,7 @@ TEST(Tenancy, HigherWeightFinishesFirstUnderContention) {
   EXPECT_LT(finish_b_with(1.0, 3.0), finish_b_with(3.0, 1.0));
 }
 
-TEST(Tenancy, FairnessPartitionedMatchesSerial) {
+TEST(Tenancy, FairnessReplayIsByteIdentical) {
   auto run = [] {
     FairnessSetup s = make_fairness_setup(2.0, 1.0);
     Fabric fabric(s.spec);
@@ -417,17 +366,8 @@ TEST(Tenancy, FairnessPartitionedMatchesSerial) {
     fabric.run();
     return report_json(fabric);
   };
-  std::string serial;
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "1");
-    serial = run();
-  }
-  std::string parallel;
-  {
-    ScopedEnv env("OMR_SIM_THREADS", "4");
-    parallel = run();
-  }
-  EXPECT_EQ(serial, parallel);
+  const std::string first = run();
+  EXPECT_EQ(first, run());
 }
 
 TEST(Tenancy, MalformedJobSpecsThrow) {

@@ -105,11 +105,9 @@ def build(build_dir: str, targets) -> str:
     return build_dir
 
 
-def run_bench(exe: str, jobs: int, mb: float, report_path: str,
-              sim_threads: int = 1):
+def run_bench(exe: str, jobs: int, mb: float, report_path: str):
     env = dict(os.environ)
     env["OMR_JOBS"] = str(jobs)
-    env["OMR_SIM_THREADS"] = str(sim_threads)
     env["OMR_MB"] = str(mb)
     env["OMR_REPORT_JSON"] = report_path
     t0 = time.monotonic()
@@ -129,9 +127,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--jobs", type=int, default=detect_host_cpus(),
                     help="parallel job count to compare against serial")
-    ap.add_argument("--sim-threads", type=int, default=1,
-                    help="OMR_SIM_THREADS for every run (the intra-run "
-                         "parallel engine; 1 = serial engine)")
     ap.add_argument("--mb", type=float, default=8.0,
                     help="tensor size in MB (OMR_MB) for the sweep benches")
     ap.add_argument("--bench", action="append", default=None,
@@ -172,9 +167,9 @@ def main() -> int:
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
             report_path = tmp.name
         serial_s, serial_out, serial_rep = run_bench(
-            exe, 1, args.mb, report_path, args.sim_threads)
+            exe, 1, args.mb, report_path)
         parallel_s, parallel_out, parallel_rep = run_bench(
-            exe, args.jobs, args.mb, report_path, args.sim_threads)
+            exe, args.jobs, args.mb, report_path)
         same = serial_out == parallel_out and serial_rep == parallel_rep
         identical = identical and same
         entry = {
@@ -200,7 +195,6 @@ def main() -> int:
     doc = {
         "schema": "omnireduce.bench_parallel.v2",
         "host_cpus": host_cpus,
-        "sim_threads": args.sim_threads,
         "omr_mb": args.mb,
         "results": results,
     }

@@ -95,9 +95,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
                     help="fast run (1k requests/client, 2^17 keys)")
-    ap.add_argument("--sim-threads", type=int, default=1,
-                    help="OMR_SIM_THREADS for the run (serving replays "
-                         "bit-identically across thread counts)")
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--skip-build", action="store_true")
     ap.add_argument("--out", default="BENCH_serving.json")
@@ -118,9 +115,7 @@ def main() -> int:
     cmd = [exe, "--out", bench_json]
     if args.smoke:
         cmd.append("--smoke")
-    env = dict(os.environ)
-    env["OMR_SIM_THREADS"] = str(args.sim_threads)
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     if proc.returncode != 0:
         sys.exit(f"{BENCH} failed:\n{proc.stderr}")
@@ -137,7 +132,6 @@ def main() -> int:
         "schema": "omnireduce.bench_serving_report.v1",
         "host_cpus": os.cpu_count() or 1,
         "platform": platform.platform(),
-        "sim_threads": args.sim_threads,
         "bench": bench_doc,
     }
     out_path = args.out

@@ -48,9 +48,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
                     help="fast run (profile tensors divided by 8)")
-    ap.add_argument("--sim-threads", type=int, default=1,
-                    help="OMR_SIM_THREADS for the run (the fabric replays "
-                         "bit-identically across thread counts)")
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--skip-build", action="store_true")
     ap.add_argument("--out", default="BENCH_tenancy.json")
@@ -71,9 +68,7 @@ def main() -> int:
     cmd = [exe, "--out", bench_json]
     if args.smoke:
         cmd.append("--smoke")
-    env = dict(os.environ)
-    env["OMR_SIM_THREADS"] = str(args.sim_threads)
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     if proc.returncode != 0:
         sys.exit(f"{BENCH} failed:\n{proc.stderr}")
@@ -85,7 +80,6 @@ def main() -> int:
         "schema": "omnireduce.bench_tenancy_report.v1",
         "host_cpus": os.cpu_count() or 1,
         "platform": platform.platform(),
-        "sim_threads": args.sim_threads,
         "bench": bench_doc,
     }
     out_path = args.out
