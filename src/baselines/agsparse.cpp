@@ -140,8 +140,7 @@ sim::Time detail::ring_allgather_bytes(
 BaselineStats detail::agsparse_allreduce(
     const std::vector<tensor::CooTensor>& inputs,
     std::vector<tensor::CooTensor>& outputs, const BaselineConfig& cfg,
-    AgStack stack, double reduce_mem_bandwidth_Bps, bool verify,
-    bool compress_indices) {
+    AgStack stack, double reduce_mem_bandwidth_Bps, bool compress_indices) {
   if (inputs.empty()) throw std::invalid_argument("no workers");
   const std::size_t n = inputs.size();
   // Communication: ring-allgather every worker's (keys, values) payload.
@@ -181,7 +180,6 @@ BaselineStats detail::agsparse_allreduce(
       sim::from_seconds(merge_bytes / reduce_mem_bandwidth_Bps);
 
   outputs.assign(n, merged);
-  stats.verified = verify;
   return stats;
 }
 

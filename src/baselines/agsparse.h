@@ -31,7 +31,6 @@ BaselineStats agsparse_allreduce(const std::vector<tensor::CooTensor>& inputs,
                                  const BaselineConfig& cfg,
                                  AgStack stack = AgStack::kNccl,
                                  double reduce_mem_bandwidth_Bps = 12e9,
-                                 bool verify = true,
                                  bool compress_indices = false);
 
 /// Variable-size ring AllGather of opaque byte payloads; returns the

@@ -35,8 +35,6 @@ sim::Time all_to_all_bytes(
 struct BaselineStats {
   sim::Time completion_time = 0;
   std::uint64_t total_tx_bytes = 0;  // wire bytes, all nodes
-  bool verified = false;
-  double max_error = 0.0;
 
   double completion_ms() const { return sim::to_milliseconds(completion_time); }
 };

@@ -21,8 +21,7 @@ namespace detail {
 /// servers share the worker NICs.
 BaselineStats ps_dense_allreduce(std::vector<tensor::DenseTensor>& tensors,
                                  const BaselineConfig& cfg,
-                                 std::size_t n_servers, bool colocated,
-                                 bool verify = true);
+                                 std::size_t n_servers, bool colocated);
 
 /// Sparse parameter-server AllReduce (the Parallax PS path): workers push
 /// COO entries split by server key range; servers merge and push the merged

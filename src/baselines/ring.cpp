@@ -153,11 +153,9 @@ class RingNode final : public net::Endpoint {
 }  // namespace
 
 BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
-                                     const BaselineConfig& cfg, bool verify) {
+                                     const BaselineConfig& cfg) {
   if (tensors.empty()) throw std::invalid_argument("no workers");
   const int n = static_cast<int>(tensors.size());
-  tensor::DenseTensor reference;
-  if (verify) reference = tensor::reference_sum(tensors);
 
   sim::Simulator simulator;
   net::Network network(simulator, cfg.one_way_latency, cfg.seed);
@@ -187,15 +185,6 @@ BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
         stats.completion_time, nodes[static_cast<size_t>(r)]->finish_time());
     stats.total_tx_bytes +=
         network.nic_stats(network.nic_of(eps[static_cast<size_t>(r)])).tx_bytes;
-  }
-  if (verify) {
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, tensor::max_abs_diff(t, reference));
-    }
-    stats.max_error = err;
-    stats.verified = err <= 1e-4 * n;
-    if (!stats.verified) throw std::logic_error("ring allreduce mismatch");
   }
   return stats;
 }
@@ -283,15 +272,12 @@ class RdNode final : public net::Endpoint {
 }  // namespace
 
 BaselineStats detail::recursive_doubling_allreduce(
-    std::vector<tensor::DenseTensor>& tensors, const BaselineConfig& cfg,
-    bool verify) {
+    std::vector<tensor::DenseTensor>& tensors, const BaselineConfig& cfg) {
   const int n = static_cast<int>(tensors.size());
   if (n == 0) throw std::invalid_argument("no workers");
   if ((n & (n - 1)) != 0) {
     throw std::invalid_argument("recursive doubling needs power-of-two N");
   }
-  tensor::DenseTensor reference;
-  if (verify) reference = tensor::reference_sum(tensors);
   sim::Simulator simulator;
   net::Network network(simulator, cfg.one_way_latency, cfg.seed);
   std::vector<std::unique_ptr<RdNode>> nodes;
@@ -316,15 +302,6 @@ BaselineStats detail::recursive_doubling_allreduce(
   }
   for (auto ep : eps) {
     stats.total_tx_bytes += network.nic_stats(network.nic_of(ep)).tx_bytes;
-  }
-  if (verify) {
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, tensor::max_abs_diff(t, reference));
-    }
-    stats.max_error = err;
-    stats.verified = err <= 1e-4 * n;
-    if (!stats.verified) throw std::logic_error("rd allreduce mismatch");
   }
   return stats;
 }

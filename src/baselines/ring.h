@@ -19,14 +19,13 @@ namespace detail {
 /// transmission pipelines inside a step. Completion time follows
 /// T_ring = 2(N-1)(alpha + S/(N*B)) (§3.4). Tensors are reduced in place.
 BaselineStats ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
-                             const BaselineConfig& cfg, bool verify = true);
+                             const BaselineConfig& cfg);
 
 /// Latency-optimal recursive-doubling AllReduce (dense): log2(N) exchange
 /// steps of the full vector. Used by SparCML's dispatch for small inputs.
 /// Requires a power-of-two worker count.
 BaselineStats recursive_doubling_allreduce(
-    std::vector<tensor::DenseTensor>& tensors, const BaselineConfig& cfg,
-    bool verify = true);
+    std::vector<tensor::DenseTensor>& tensors, const BaselineConfig& cfg);
 
 }  // namespace detail
 }  // namespace omr::baselines

@@ -101,7 +101,7 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
 
   // Sketches are linear, so the dense ring AllReduce merges them exactly;
   // occupancy sums to the contributing-worker count (> 0 == occupied).
-  BaselineStats ring = detail::ring_allreduce(packed, cfg, /*verify=*/false);
+  BaselineStats ring = detail::ring_allreduce(packed, cfg);
   out.stats.total_tx_bytes = ring.total_tx_bytes;
 
   // Recover every index inside an occupied block by the median-of-rows

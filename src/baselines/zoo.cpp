@@ -44,8 +44,6 @@ RunStats to_run_stats(const BaselineStats& bs, std::size_t n_workers) {
   rs.worker_finish.assign(n_workers, bs.completion_time);
   rs.worker_data_bytes.assign(
       n_workers, bs.total_tx_bytes / std::max<std::size_t>(1, n_workers));
-  rs.verified = bs.verified;
-  rs.max_error = bs.max_error;
   return rs;
 }
 
@@ -80,9 +78,9 @@ class RingAlgo final : public CollectiveAlgorithm {
   AlgoCapabilities capabilities() const override { return exact_flat(false); }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
-    return to_run_stats(detail::ring_allreduce(tensors, derive_config(cluster),
-                                               /*verify=*/false),
-                        tensors.size());
+    return to_run_stats(
+        detail::ring_allreduce(tensors, derive_config(cluster)),
+        tensors.size());
   }
 };
 
@@ -93,8 +91,7 @@ class RecursiveDoublingAlgo final : public CollectiveAlgorithm {
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     return to_run_stats(
-        detail::recursive_doubling_allreduce(tensors, derive_config(cluster),
-                                             /*verify=*/false),
+        detail::recursive_doubling_allreduce(tensors, derive_config(cluster)),
         tensors.size());
   }
 };
@@ -111,7 +108,7 @@ class AgSparseAlgo final : public CollectiveAlgorithm {
     std::vector<tensor::CooTensor> outputs;
     const BaselineStats bs = detail::agsparse_allreduce(
         coo, outputs, derive_config(cluster), stack_,
-        /*reduce_mem_bandwidth_Bps=*/12e9, /*verify=*/false, compress_);
+        /*reduce_mem_bandwidth_Bps=*/12e9, compress_);
     assign_result(tensors, outputs.front());
     return to_run_stats(bs, tensors.size());
   }
@@ -173,7 +170,7 @@ class PsDenseAlgo final : public CollectiveAlgorithm {
             tensors, derive_config(cluster),
             colocated ? tensors.size()
                       : std::max<std::size_t>(1, cluster.n_aggregator_nodes),
-            colocated, /*verify=*/false),
+            colocated),
         tensors.size());
   }
 };

@@ -1,7 +1,6 @@
 #include "core/algorithm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -10,6 +9,7 @@
 
 #include "core/bucketing.h"
 #include "core/hierarchical.h"
+#include "core/run_context.h"
 #include "core/sparse_kv.h"
 #include "tensor/coo.h"
 
@@ -283,29 +283,18 @@ RunStats run_collective(const std::string& name,
                         bool verify) {
   CollectiveAlgorithm& algo = CollectiveRegistry::global().at(name);
   validate_capabilities(algo.capabilities(), cfg, cluster, name);
-  tensor::DenseTensor reference;
-  if (verify) reference = reference_reduce(tensors, cfg);
-  double input_amax = 0.0;
-  if (verify && cfg.codec.enabled()) {
-    for (const auto& t : tensors) {
-      for (float v : t.values()) {
-        input_amax = std::max(input_amax, std::fabs(static_cast<double>(v)));
-      }
-    }
-  }
+  ReferenceCheck check;
+  if (verify) check = ReferenceCheck(tensors, cfg);
   RunStats stats = algo.run(tensors, cfg, cluster);
   if (verify && stats.completed()) {
-    double tol = algo.verify_tolerance(reference, tensors.size());
-    if (cfg.codec.enabled()) {
-      tol += compress::codec_verify_slack(cfg.codec.codec, input_amax,
-                                          tensors.size());
-    }
-    double err = 0.0;
-    for (const auto& t : tensors) {
-      err = std::max(err, algo.verify_error(t, reference));
-    }
-    stats.max_error = err;
-    stats.verified = err <= tol;
+    const ReferenceCheck::Outcome outcome = check.check(
+        tensors, algo.verify_tolerance(check.reference(), tensors.size()),
+        [&algo](const tensor::DenseTensor& result,
+                const tensor::DenseTensor& reference) {
+          return algo.verify_error(result, reference);
+        });
+    stats.max_error = outcome.max_error;
+    stats.verified = outcome.ok;
   }
   return stats;
 }

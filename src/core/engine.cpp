@@ -1,15 +1,9 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <memory>
-#include <stdexcept>
 #include <string>
 
-#include "core/fabric.h"
-#include "core/stream_layout.h"
-#include "core/wiring.h"
-#include "net/network.h"
+#include "core/run_context.h"
 #include "tensor/blocks.h"
 
 namespace omr::core {
@@ -48,313 +42,19 @@ tensor::DenseTensor reference_reduce(
   return out;
 }
 
-namespace {
-
-/// Shared body of run_allreduce / run_allreduce_report. With a null
-/// `tracer` this is byte-for-byte the seed engine path: telemetry attaches
-/// only recording hooks, never simulation behavior, so results and RunStats
-/// are bit-identical either way.
-RunStats run_allreduce_impl(std::vector<tensor::DenseTensor>& tensors,
-                            const Config& cfg, const ClusterSpec& cluster,
-                            bool verify, telemetry::Tracer* tracer,
-                            std::uint64_t* sim_events_out) {
-  const FabricConfig& fabric = cluster.fabric;
-  if (tensors.empty()) throw std::invalid_argument("no workers");
-  const std::size_t n_workers = tensors.size();
-  const std::size_t n = tensors.front().size();
-  for (const auto& t : tensors) {
-    if (t.size() != n) throw std::invalid_argument("tensor size mismatch");
-  }
-  std::size_t n_aggregator_nodes = cluster.n_aggregator_nodes;
-  if (cluster.deployment == Deployment::kColocated) {
-    n_aggregator_nodes = n_workers;
-  }
-  if (n_aggregator_nodes == 0) {
-    throw std::invalid_argument("need at least one aggregator node");
-  }
-
-  if (cfg.fixed_point && cfg.op != ReduceOp::kSum) {
-    throw std::invalid_argument("fixed-point slots support only sum");
-  }
-
-  const FaultSpec& fault_spec = cluster.faults;
-  const bool faults_on = fault_spec.enabled();
-  if (faults_on) {
-    if (fault_spec.watchdog <= 0) {
-      throw std::invalid_argument(
-          "fault injection requires a positive watchdog");
-    }
-    for (const CrashSpec& c : fault_spec.crashes) {
-      if (c.worker >= n_workers) {
-        throw std::invalid_argument("crash spec names an unknown worker");
-      }
-    }
-    for (const AggStallSpec& s : fault_spec.agg_stalls) {
-      if (s.aggregator >= n_aggregator_nodes) {
-        throw std::invalid_argument("stall spec names an unknown aggregator");
-      }
-    }
-    for (const NicFlapSpec& f : fault_spec.nic_flaps) {
-      const std::size_t bound =
-          f.on_aggregator ? n_aggregator_nodes : n_workers;
-      if (f.index >= bound) {
-        throw std::invalid_argument("NIC flap names an unknown node");
-      }
-    }
-    if (!fault_spec.link_flaps.empty()) {
-      if (!cluster.topology.two_tier()) {
-        throw std::invalid_argument("link flaps require a two-tier topology");
-      }
-      for (const LinkFlapSpec& f : fault_spec.link_flaps) {
-        if (f.rack >= cluster.topology.n_racks) {
-          throw std::invalid_argument("link flap names an unknown rack");
-        }
-      }
-    }
-  }
-
-  tensor::DenseTensor reference;
-  if (verify) reference = reference_reduce(tensors, cfg);
-  // Codec verification slack scales with the inputs' magnitude; capture it
-  // before the run mutates the tensors into the (quantized) result.
-  double input_amax = 0.0;
-  if (verify && cfg.codec.enabled()) {
-    for (const auto& t : tensors) {
-      for (float v : t.values()) {
-        input_amax = std::max(input_amax, std::fabs(static_cast<double>(v)));
-      }
-    }
-  }
-
-  Config run_cfg = cfg;
-  if (fabric.lossy() || cluster.topology.spine_lossy() ||
-      (faults_on && fault_spec.needs_recovery())) {
-    run_cfg.loss_recovery = true;
-  }
-
-  const std::size_t n_dedicated =
-      cluster.deployment == Deployment::kColocated ? 0 : n_aggregator_nodes;
-  sim::Simulator simulator;
-  net::Network network(simulator,
-                       make_topology(cluster, n_workers, n_dedicated),
-                       fabric.seed);
-  apply_fabric_loss(network, fabric);
-  network.set_tracer(tracer);
-
-  std::unique_ptr<FaultController> faults;
-  if (faults_on) {
-    faults = std::make_unique<FaultController>(
-        fault_spec, run_cfg.retransmit_timeout, tracer);
-  }
-
-  const StreamLayout layout = StreamLayout::build(n, run_cfg);
-
-  // --- topology -----------------------------------------------------------
-  std::vector<net::NicId> worker_nics(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    worker_nics[w] = network.add_nic({fabric.worker_bandwidth_bps,
-                                      fabric.worker_bandwidth_bps,
-                                      fabric.worker_rx_overhead_ns});
-    if (tracer != nullptr) {
-      tracer->map_nic(worker_nics[w], telemetry::worker_pid(w));
-      tracer->name_process(telemetry::worker_pid(w),
-                           "worker " + std::to_string(w));
-    }
-  }
-  std::vector<net::NicId> agg_nics(n_aggregator_nodes);
-  for (std::size_t a = 0; a < n_aggregator_nodes; ++a) {
-    agg_nics[a] = cluster.deployment == Deployment::kColocated
-                      ? worker_nics[a]
-                      : network.add_nic({fabric.aggregator_bandwidth_bps,
-                                         fabric.aggregator_bandwidth_bps,
-                                         fabric.aggregator_rx_overhead_ns});
-    if (tracer != nullptr) {
-      tracer->name_process(telemetry::aggregator_pid(a),
-                           "aggregator " + std::to_string(a));
-      if (cluster.deployment != Deployment::kColocated) {
-        tracer->map_nic(agg_nics[a], telemetry::aggregator_pid(a));
-      }
-    }
-  }
-
-  // Fault wiring that needs resolved NIC ids: outage windows on the
-  // fabric's NICs and (two-tier only) on per-rack spine links.
-  if (faults != nullptr) {
-    for (const NicFlapSpec& f : fault_spec.nic_flaps) {
-      const net::NicId nic =
-          f.on_aggregator ? agg_nics[f.index] : worker_nics[f.index];
-      network.add_nic_flap(nic, f.at, f.at + f.duration);
-    }
-    if (!fault_spec.link_flaps.empty()) {
-      network.topology().finalize();  // materialize the lazy link table
-      auto* two_tier = dynamic_cast<net::TwoTierFabric*>(&network.topology());
-      for (const LinkFlapSpec& f : fault_spec.link_flaps) {
-        const int rack = static_cast<int>(f.rack);
-        const net::LinkId id =
-            f.downlink ? two_tier->downlink(rack) : two_tier->uplink(rack);
-        network.topology().add_link_flap(id, f.at, f.at + f.duration);
-      }
-    }
-  }
-
-  // Per-job protocol wiring, split from the cluster construction above so
-  // the multi-tenant Fabric can wire several jobs onto one network.
-  ProtocolWiring wiring = wire_protocol(run_cfg, network, worker_nics,
-                                        agg_nics, {tracer, faults.get()});
-  std::vector<std::unique_ptr<Worker>>& workers = wiring.workers;
-  std::vector<std::unique_ptr<Aggregator>>& aggs = wiring.aggregators;
-  const std::vector<net::EndpointId> agg_of_stream =
-      shard_streams(layout, aggs, wiring.agg_eps);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    workers[w]->bind(wiring.worker_eps[w], agg_of_stream);
-  }
-
-  // --- run ------------------------------------------------------------------
-  if (!fabric.worker_start_offsets.empty() &&
-      fabric.worker_start_offsets.size() != n_workers) {
-    throw std::invalid_argument("start-offset count != worker count");
-  }
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    const sim::Time offset = fabric.worker_start_offsets.empty()
-                                 ? 0
-                                 : fabric.worker_start_offsets[w];
-    if (offset == 0) {
-      workers[w]->start(tensors[w], layout, cluster.device);
-    } else {
-      Worker* worker = workers[w].get();
-      tensor::DenseTensor* t = &tensors[w];
-      const device::DeviceModel* device = &cluster.device;
-      simulator.schedule_at(offset, [worker, t, &layout, device]() {
-        worker->start(*t, layout, *device);
-      });
-    }
-  }
-  if (faults != nullptr) {
-    for (const CrashSpec& c : fault_spec.crashes) {
-      Worker* worker = workers[c.worker].get();
-      simulator.schedule_at(c.at, [worker]() { worker->crash(); });
-      if (c.restart_after > 0) {
-        simulator.schedule_at(c.at + c.restart_after,
-                              [worker]() { worker->restart(); });
-      }
-    }
-    // Bounded simulated-time watchdog: whatever else goes wrong, an
-    // unfinished run turns into a structured verdict at this point and the
-    // event queue drains (post-abort, no handler schedules new work).
-    FaultController* fc = faults.get();
-    const sim::Time deadline = fault_spec.watchdog;
-    simulator.schedule_at(deadline, [fc, &workers, deadline]() {
-      if (fc->aborted()) return;
-      for (const auto& w : workers) {
-        if (!w->done()) {
-          fc->watchdog_fired(deadline);
-          return;
-        }
-      }
-    });
-  }
-  simulator.run();
-  if (sim_events_out != nullptr) *sim_events_out = simulator.events_executed();
-
-  RunStats stats;
-  const bool aborted = faults != nullptr && faults->aborted();
-  if (aborted) stats.failure = faults->failure();
-  for (const auto& w : workers) {
-    if (!w->done() && !aborted) {
-      throw std::logic_error("allreduce did not complete (protocol stall)");
-    }
-    stats.worker_finish.push_back(w->done() ? w->finish_time() : 0);
-    stats.worker_data_bytes.push_back(w->data_bytes_sent());
-    stats.retransmissions += w->retransmissions();
-    stats.acks += w->acks_sent();
-    if (w->done()) {
-      stats.completion_time =
-          std::max(stats.completion_time, w->finish_time());
-    }
-  }
-  if (aborted) stats.completion_time = stats.failure.at;
-  if (faults != nullptr) {
-    for (const auto& w : workers) {
-      stats.worker_retries.push_back(w->retransmissions());
-      stats.worker_fault_stall_ns.push_back(w->fault_stall());
-      stats.worker_crashes += w->crashes();
-      stats.resyncs += w->resyncs_sent();
-    }
-  }
-  for (std::size_t a = 0; a < n_aggregator_nodes; ++a) {
-    stats.rounds += aggs[a]->rounds_completed();
-    stats.duplicate_resends += aggs[a]->duplicate_resends();
-  }
-  if (run_cfg.codec.enabled()) {
-    stats.codec = compress::codec_name(run_cfg.codec.codec);
-    double residual_sq = 0.0;
-    for (const auto& w : workers) {
-      stats.codec_saved_bytes += w->codec_saved_bytes();
-      residual_sq += w->codec_residual_sq();
-    }
-    for (const auto& a : aggs) {
-      stats.codec_saved_bytes += a->codec_saved_bytes();
-      stats.codec_exact_folds += a->codec_exact_folds();
-      stats.codec_requant_folds += a->codec_requant_folds();
-    }
-    stats.codec_residual_l2 = std::sqrt(residual_sq);
-  }
-  for (net::NicId nic : worker_nics) {
-    stats.total_messages += network.nic_stats(nic).tx_messages;
-  }
-  stats.dropped_messages = network.total_dropped();
-  stats.links = collect_link_reports(network);
-
-  if (tracer != nullptr) {
-    tracer->collective_span(0, stats.completion_time, 0);
-  }
-
-  if (verify && !aborted) {
-    double max_err = 0.0;
-    for (const auto& t : tensors) {
-      max_err = std::max(max_err, tensor::max_abs_diff(t, reference));
-    }
-    stats.max_error = max_err;
-    // Float sums of <= n_workers addends in a different association order:
-    // tolerance grows mildly with worker count and value magnitude.
-    double tol = 1e-4 * static_cast<double>(n_workers);
-    if (run_cfg.codec.enabled()) {
-      tol += compress::codec_verify_slack(run_cfg.codec.codec, input_amax,
-                                          n_workers);
-    }
-    stats.verified = max_err <= tol;
-    if (!stats.verified) {
-      throw std::logic_error("allreduce result mismatch vs reference");
-    }
-  }
-  return stats;
-}
-
-}  // namespace
-
 RunStats run_allreduce(std::vector<tensor::DenseTensor>& tensors,
                        const Config& cfg, const ClusterSpec& cluster,
                        bool verify) {
-  return run_allreduce_impl(tensors, cfg, cluster, verify, /*tracer=*/nullptr,
-                            /*sim_events_out=*/nullptr);
+  RunContext ctx(cfg, tensors.size(), cluster, /*traced=*/false);
+  return ctx.run_collective(tensors, verify, "allreduce");
 }
 
 telemetry::RunReport run_allreduce_report(
     std::vector<tensor::DenseTensor>& tensors, const Config& cfg,
     const ClusterSpec& cluster, bool verify, const std::string& label) {
-  const std::size_t n_workers = tensors.size();
-  const std::size_t n_elements = tensors.empty() ? 0 : tensors.front().size();
-  telemetry::Tracer tracer(cluster.telemetry);
-  telemetry::Tracer* tracer_ptr =
-      cluster.telemetry.enabled ? &tracer : nullptr;
-  std::uint64_t sim_events = 0;
-  const RunStats stats = run_allreduce_impl(tensors, cfg, cluster, verify,
-                                            tracer_ptr, &sim_events);
-  telemetry::RunReport report = make_run_report(label, stats, cluster,
-                                                n_workers, n_elements,
-                                                tracer_ptr);
-  report.sim_events_executed = sim_events;
-  return report;
+  RunContext ctx(cfg, tensors.size(), cluster, /*traced=*/true);
+  const RunStats stats = ctx.run_collective(tensors, verify, label);
+  return ctx.report(label, stats, tensors.front().size());
 }
 
 telemetry::RunReport make_run_report(const std::string& label,
@@ -364,19 +64,8 @@ telemetry::RunReport make_run_report(const std::string& label,
                                      std::size_t n_elements,
                                      const telemetry::Tracer* tracer) {
   telemetry::RunReport report;
+  static_cast<telemetry::CollectiveStats&>(report) = stats;
   report.label = label;
-  report.completion_time = stats.completion_time;
-  report.worker_finish = stats.worker_finish;
-  report.worker_data_bytes = stats.worker_data_bytes;
-  report.total_messages = stats.total_messages;
-  report.retransmissions = stats.retransmissions;
-  report.dropped_messages = stats.dropped_messages;
-  report.rounds = stats.rounds;
-  report.acks = stats.acks;
-  report.duplicate_resends = stats.duplicate_resends;
-  report.verified = stats.verified;
-  report.max_error = stats.max_error;
-  report.links = stats.links;
   report.n_workers = n_workers;
   report.n_aggregators = cluster.deployment == Deployment::kColocated
                              ? n_workers
@@ -389,17 +78,6 @@ telemetry::RunReport make_run_report(const std::string& label,
     report.failed_peer_is_aggregator = stats.failure.peer_is_aggregator;
     report.failure_at = stats.failure.at;
     report.failure_detail = stats.failure.detail;
-    report.worker_retries = stats.worker_retries;
-    report.worker_fault_stall_ns = stats.worker_fault_stall_ns;
-    report.worker_crashes = stats.worker_crashes;
-    report.resyncs = stats.resyncs;
-  }
-  if (!stats.codec.empty()) {
-    report.codec = stats.codec;
-    report.codec_saved_bytes = stats.codec_saved_bytes;
-    report.codec_exact_folds = stats.codec_exact_folds;
-    report.codec_requant_folds = stats.codec_requant_folds;
-    report.codec_residual_l2 = stats.codec_residual_l2;
   }
   if (tracer != nullptr) {
     for (std::size_t w = 0; w < n_workers; ++w) {

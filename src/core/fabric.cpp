@@ -1,6 +1,7 @@
 #include "core/fabric.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace omr::core {
 
@@ -21,6 +22,9 @@ int aggregator_rack(const TopologySpec& topo, std::size_t a) {
 std::vector<int> resolve_nic_racks(const TopologySpec& topo,
                                    std::size_t n_workers,
                                    std::size_t n_dedicated_aggs) {
+  if (!topo.worker_racks.empty() && topo.worker_racks.size() != n_workers) {
+    throw std::invalid_argument("worker rack count != worker count");
+  }
   std::vector<int> racks;
   racks.reserve(n_workers + n_dedicated_aggs);
   for (std::size_t w = 0; w < n_workers; ++w) {
@@ -32,25 +36,19 @@ std::vector<int> resolve_nic_racks(const TopologySpec& topo,
   return racks;
 }
 
-std::unique_ptr<net::Topology> make_topology(const ClusterSpec& cluster,
-                                             std::size_t n_workers,
-                                             std::size_t n_dedicated_aggs) {
-  const TopologySpec& topo = cluster.topology;
+std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
+                                             sim::Time one_way_latency,
+                                             std::vector<int> rack_of_nic) {
   if (!topo.two_tier()) {
-    return std::make_unique<net::IdealSwitch>(
-        cluster.fabric.one_way_latency);
-  }
-  if (!topo.worker_racks.empty() && topo.worker_racks.size() != n_workers) {
-    throw std::invalid_argument("worker rack count != worker count");
+    return std::make_unique<net::IdealSwitch>(one_way_latency);
   }
   net::TwoTierFabric::Config cfg;
   cfg.n_racks = topo.n_racks;
   cfg.oversubscription = topo.oversubscription;
-  cfg.hop_latency = topo.hop_latency > 0
-                        ? topo.hop_latency
-                        : cluster.fabric.one_way_latency / 2;
+  cfg.hop_latency =
+      topo.hop_latency > 0 ? topo.hop_latency : one_way_latency / 2;
   cfg.uplink_bandwidth_bps = topo.uplink_bandwidth_bps;
-  cfg.rack_of_nic = resolve_nic_racks(topo, n_workers, n_dedicated_aggs);
+  cfg.rack_of_nic = std::move(rack_of_nic);
   if (topo.spine_burst_loss.enabled()) {
     cfg.spine_loss = net::LossProcess::gilbert_elliott(topo.spine_burst_loss);
   } else if (topo.spine_loss_rate > 0.0) {

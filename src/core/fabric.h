@@ -21,16 +21,18 @@ int aggregator_rack(const TopologySpec& topo, std::size_t a);
 
 /// Rack of every NIC in engine add order: the n_workers worker NICs first,
 /// then the dedicated aggregator NICs (colocated deployments add none).
+/// Throws when explicit worker racks do not cover exactly n_workers.
 std::vector<int> resolve_nic_racks(const TopologySpec& topo,
                                    std::size_t n_workers,
                                    std::size_t n_dedicated_aggs);
 
-/// Build the net::Topology a ClusterSpec describes. The default spec
-/// returns an IdealSwitch at fabric.one_way_latency — the seed fabric,
-/// bit-identical runs.
-std::unique_ptr<net::Topology> make_topology(const ClusterSpec& cluster,
-                                             std::size_t n_workers,
-                                             std::size_t n_dedicated_aggs);
+/// Build the net::Topology every run path runs on. The ideal switch (the
+/// default spec, bit-identical to the seed fabric) ignores the racks; a
+/// two-tier fabric puts the i-th NIC added in rack rack_of_nic[i] and
+/// derives its hop latency from `one_way_latency` unless the spec pins it.
+std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
+                                             sim::Time one_way_latency,
+                                             std::vector<int> rack_of_nic);
 
 /// Apply the fabric-level loss processes (legacy Bernoulli rate, optional
 /// Gilbert-Elliott bursts) to a freshly built network.

@@ -1,0 +1,122 @@
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "compress/wire_codec.h"
+#include "core/cluster.h"
+#include "core/config.h"
+#include "core/engine.h"
+#include "core/faults.h"
+#include "core/wiring.h"
+#include "net/network.h"
+#include "sim/event_queue.h"
+#include "telemetry/report.h"
+#include "tensor/dense.h"
+
+namespace omr::core {
+
+/// The one reference check behind every run path (one-shot runs, Session,
+/// the registry's run_collective and Fabric jobs): capture the expected
+/// result before the run overwrites its inputs, then compare the results
+/// against it with a caller-chosen base tolerance plus the codec slack.
+class ReferenceCheck {
+ public:
+  /// Per-result deviation from the reference; max-abs when left empty.
+  using ErrorFn = std::function<double(const tensor::DenseTensor& result,
+                                       const tensor::DenseTensor& reference)>;
+
+  struct Outcome {
+    double max_error = 0.0;
+    bool ok = false;
+  };
+
+  ReferenceCheck() = default;
+  /// Capture reference_reduce over the workers `active` marks (all of them
+  /// when empty) and, with a codec on, their largest |value|, which the
+  /// codec's error bound scales with.
+  ReferenceCheck(const std::vector<tensor::DenseTensor>& inputs,
+                 const Config& cfg, std::vector<std::uint8_t> active = {});
+
+  const tensor::DenseTensor& reference() const { return reference_; }
+
+  /// Largest `error` over the active results, and whether it is within
+  /// `base_tol` plus the codec slack for the contributing worker count.
+  Outcome check(const std::vector<tensor::DenseTensor>& results,
+                double base_tol, const ErrorFn& error = {}) const;
+
+ private:
+  tensor::DenseTensor reference_;
+  std::vector<std::uint8_t> active_;
+  std::size_t contributors_ = 0;
+  compress::WireCodec codec_ = compress::WireCodec::kNone;
+  double input_amax_ = 0.0;
+};
+
+/// The simulated run context every engine run path shares: it owns the
+/// sim::Simulator, the net::Network over one topology, the NICs, and the
+/// optional Tracer and FaultController. One-shot runs (run_allreduce,
+/// run_allreduce_report) build a fresh context per call, a Session keeps
+/// one for its lifetime, and the multi-tenant Fabric builds the bare
+/// substrate and wires its jobs onto it.
+class RunContext {
+ public:
+  /// Bare substrate: a simulator and a network over make_topology(topology,
+  /// one_way_latency, rack_of_nic); the caller adds NICs and endpoints.
+  RunContext(const TopologySpec& topology, sim::Time one_way_latency,
+             std::vector<int> rack_of_nic, std::uint64_t seed);
+
+  /// One job's cluster: the substrate `cluster` describes with its fabric
+  /// loss, n_workers worker NICs then the dedicated aggregator NICs, a
+  /// Tracer when `traced` and cluster.telemetry is enabled, a
+  /// FaultController when cluster.faults is (the spec is validated), and
+  /// the job's workers and aggregators wired once. Lossy fabrics and
+  /// recovering fault schedules switch config() to loss recovery.
+  RunContext(const Config& cfg, std::size_t n_workers,
+             const ClusterSpec& cluster, bool traced);
+
+  ~RunContext();
+  RunContext(const RunContext&) = delete;
+  RunContext& operator=(const RunContext&) = delete;
+
+  /// Run one collective on the wired job: reduce `tensors` (one per
+  /// worker, equal sizes) in place and return this collective's counters
+  /// as deltas, with times relative to its start. With `verify` the
+  /// result is checked against reference_reduce and a mismatch throws.
+  /// `ordinal` numbers the collective's trace span.
+  RunStats run_collective(std::vector<tensor::DenseTensor>& tensors,
+                          bool verify, const std::string& label,
+                          std::size_t ordinal = 0);
+
+  /// RunReport of `stats` plus the tracer's totals, histograms, timelines
+  /// and trace (cumulative over the context's lifetime).
+  telemetry::RunReport report(const std::string& label, const RunStats& stats,
+                              std::size_t n_elements) const;
+
+  sim::Simulator& simulator() { return simulator_; }
+  net::Network& network() { return network_; }
+  const Config& config() const { return cfg_; }
+  const ClusterSpec& cluster() const { return cluster_; }
+  std::size_t n_workers() const { return worker_nics_.size(); }
+  const telemetry::Tracer* tracer() const { return tracer_.get(); }
+
+ private:
+  Config cfg_;
+  ClusterSpec cluster_;
+  sim::Simulator simulator_;
+  // Declared before the network, which keeps a pointer to it.
+  std::unique_ptr<telemetry::Tracer> tracer_;
+  net::Network network_;
+  std::unique_ptr<FaultController> faults_;
+  std::vector<net::NicId> worker_nics_;
+  std::vector<net::NicId> agg_nics_;
+  // Workers and aggregators persist across collectives; per-tensor state
+  // is reset in Worker::start / Aggregator::begin_collective.
+  ProtocolWiring wiring_;
+};
+
+}  // namespace omr::core

@@ -1,19 +1,18 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "core/aggregator.h"
 #include "core/cluster.h"
 #include "core/config.h"
 #include "core/engine.h"
-#include "core/worker.h"
-#include "device/device_model.h"
-#include "net/network.h"
-#include "sim/event_queue.h"
+#include "sim/time.h"
 #include "telemetry/report.h"
 
 namespace omr::core {
+
+class RunContext;
 
 /// A persistent OmniReduce deployment: the cluster (simulator, fabric,
 /// worker and aggregator endpoints) is built once and reused for a
@@ -27,7 +26,9 @@ namespace omr::core {
 /// stream layout is rebuilt per call); the worker/aggregator topology and
 /// NIC state persist. When spec.telemetry.enabled, a Tracer lives for the
 /// whole session, so traces and counter totals span all collectives run
-/// through it.
+/// through it. The deployment is a RunContext — the same one a one-shot
+/// run_allreduce builds — so a fresh Session's first collective is
+/// byte-identical to the one-shot run on the same inputs.
 class Session {
  public:
   Session(const Config& cfg, std::size_t n_workers,
@@ -70,42 +71,26 @@ class Session {
   void set_algorithm(const std::string& name);
   const std::string& algorithm() const { return algorithm_; }
 
-  std::size_t n_workers() const { return n_workers_; }
+  std::size_t n_workers() const;
   /// Absolute virtual time consumed so far.
   sim::Time now() const;
   std::size_t collectives_run() const { return collectives_run_; }
 
-  const ClusterSpec& cluster() const { return spec_; }
+  const ClusterSpec& cluster() const;
   /// Telemetry report for the most recent collective run through this
   /// session. Stats and the label are per-call; tracer-derived totals,
   /// histograms and the trace are cumulative over the session's lifetime.
   /// Valid after the first collective.
   const telemetry::RunReport& last_report() const { return last_report_; }
   /// The session-lifetime tracer, or nullptr when telemetry is disabled.
-  const telemetry::Tracer* tracer() const { return tracer_.get(); }
+  const telemetry::Tracer* tracer() const;
 
  private:
-  void rebuild_endpoints();
-  RunStats run_collective(std::vector<tensor::DenseTensor>& tensors,
-                          bool verify, const char* label);
+  RunStats run_native(std::vector<tensor::DenseTensor>& tensors, bool verify,
+                      const char* label);
 
-  Config cfg_;
-  ClusterSpec spec_;
+  std::unique_ptr<RunContext> ctx_;
   std::string algorithm_ = "omnireduce";
-  std::size_t n_workers_;
-  std::size_t n_aggregators_;
-
-  std::unique_ptr<sim::Simulator> simulator_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<telemetry::Tracer> tracer_;
-  std::vector<net::NicId> worker_nics_;
-  std::vector<net::NicId> agg_nics_;
-  // Workers and aggregators persist across collectives; per-tensor state
-  // is reset in Worker::start / Aggregator::begin_collective.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::unique_ptr<Aggregator>> aggregators_;
-  std::vector<net::EndpointId> worker_eps_;
-  std::vector<net::EndpointId> agg_eps_;
   std::size_t collectives_run_ = 0;
   telemetry::RunReport last_report_;
 };

@@ -1,18 +1,15 @@
 #include "core/tenancy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "compress/wire_codec.h"
 #include "core/aggregator.h"
-#include "core/engine.h"
 #include "core/messages.h"
+#include "core/run_context.h"
 #include "core/stream_layout.h"
+#include "core/wiring.h"
 #include "core/worker.h"
-#include "net/topology.h"
-#include "tensor/blocks.h"
 
 namespace omr::core {
 
@@ -46,6 +43,7 @@ struct JobCtl final : net::Message {
 };
 
 std::vector<int> resolve_machine_racks(const TenantFabricSpec& spec) {
+  if (!spec.topology.two_tier()) return {};
   std::vector<int> racks(spec.n_machines, 0);
   if (!spec.machine_racks.empty()) {
     if (spec.machine_racks.size() != spec.n_machines) {
@@ -65,22 +63,6 @@ std::vector<int> resolve_machine_racks(const TenantFabricSpec& spec) {
   return racks;
 }
 
-std::unique_ptr<net::Topology> make_fabric_topology(
-    const TenantFabricSpec& spec) {
-  if (!spec.topology.two_tier()) {
-    return std::make_unique<net::IdealSwitch>(spec.one_way_latency);
-  }
-  net::TwoTierFabric::Config cfg;
-  cfg.n_racks = spec.topology.n_racks;
-  cfg.hop_latency = spec.topology.hop_latency > 0
-                        ? spec.topology.hop_latency
-                        : spec.one_way_latency / 2;
-  cfg.oversubscription = spec.topology.oversubscription;
-  cfg.uplink_bandwidth_bps = spec.topology.uplink_bandwidth_bps;
-  cfg.rack_of_nic = resolve_machine_racks(spec);
-  return std::make_unique<net::TwoTierFabric>(std::move(cfg));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -95,8 +77,7 @@ struct Fabric::JobState {
     std::vector<std::uint8_t> active;  // per job worker
     std::size_t active_count = 0;
     std::vector<std::size_t> joiners;  // workers joining before this step
-    tensor::DenseTensor reference;     // expected result (verify only)
-    double input_amax = 0.0;           // codec verification slack input
+    ReferenceCheck check;              // expected result (verify only)
   };
 
   JobSpec spec;
@@ -402,9 +383,7 @@ void Fabric::JobController::on_message(net::EndpointId /*from*/,
 // Fabric
 
 Fabric::Fabric(TenantFabricSpec spec)
-    : spec_(std::move(spec)),
-      simulator_(std::make_unique<sim::Simulator>()),
-      slot_pool_(spec_.switch_slots) {
+    : spec_(std::move(spec)), slot_pool_(spec_.switch_slots) {
   if (spec_.n_machines == 0) {
     throw std::invalid_argument("fabric needs at least one machine");
   }
@@ -414,17 +393,20 @@ Fabric::Fabric(TenantFabricSpec spec)
     throw std::invalid_argument(
         "multi-tenant fabric does not support a lossy spine");
   }
-  network_ = std::make_unique<net::Network>(
-      *simulator_, make_fabric_topology(spec_), spec_.seed);
+  ctx_ = std::make_unique<RunContext>(spec_.topology, spec_.one_way_latency,
+                                      resolve_machine_racks(spec_),
+                                      spec_.seed);
   machine_nics_.reserve(spec_.n_machines);
   for (std::size_t m = 0; m < spec_.n_machines; ++m) {
-    machine_nics_.push_back(network_->add_nic({spec_.machine_bandwidth_bps,
+    machine_nics_.push_back(network().add_nic({spec_.machine_bandwidth_bps,
                                                spec_.machine_bandwidth_bps,
                                                spec_.machine_rx_overhead_ns}));
   }
 }
 
 Fabric::~Fabric() = default;
+
+net::Network& Fabric::network() { return ctx_->network(); }
 
 int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
   if (ran_) throw std::logic_error("add_job after run");
@@ -461,7 +443,7 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
   job->index = index;
   job->tensors = &tensors;
   job->device = &spec_.device;
-  job->net = network_.get();
+  job->net = &network();
   job->controller_machine = spec.worker_machines.front();
 
   // --- membership schedule -> per-step active sets -------------------------
@@ -523,20 +505,7 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
     job->slot_demand = std::max(job->slot_demand, plan.layout.streams.size());
 
     if (spec.verify) {
-      std::vector<tensor::DenseTensor> inputs;
-      inputs.reserve(plan.active_count);
-      for (std::size_t w = 0; w < n_workers; ++w) {
-        if (active[w]) inputs.push_back(tensors[s][w]);
-      }
-      plan.reference = reference_reduce(inputs, spec.config);
-      if (spec.config.codec.enabled()) {
-        for (const auto& t : inputs) {
-          for (float v : t.values()) {
-            plan.input_amax = std::max(plan.input_amax,
-                                       std::fabs(static_cast<double>(v)));
-          }
-        }
-      }
+      plan.check = ReferenceCheck(tensors[s], spec.config, active);
     }
   }
 
@@ -556,30 +525,28 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
   }
 
   // --- wiring: protocol endpoints + control plane --------------------------
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    job->workers.push_back(std::make_unique<Worker>(
-        spec.config, *network_, static_cast<std::uint32_t>(w)));
-    job->worker_eps.push_back(network_->attach(
-        job->workers.back().get(), machine_nics_[spec.worker_machines[w]]));
+  std::vector<net::NicId> worker_nics;
+  for (std::size_t m : spec.worker_machines) {
+    worker_nics.push_back(machine_nics_[m]);
   }
-  for (std::size_t a = 0; a < n_aggs; ++a) {
-    job->aggregators.push_back(
-        std::make_unique<Aggregator>(spec.config, *network_, n_workers));
-    job->agg_eps.push_back(
-        network_->attach(job->aggregators.back().get(),
-                         machine_nics_[spec.aggregator_machines[a]]));
+  std::vector<net::NicId> agg_nics;
+  for (std::size_t m : spec.aggregator_machines) {
+    agg_nics.push_back(machine_nics_[m]);
   }
-  for (std::size_t a = 0; a < n_aggs; ++a) {
-    job->aggregators[a]->bind(job->agg_eps[a], job->worker_eps);
-  }
+  ProtocolWiring wiring =
+      wire_protocol(spec.config, network(), worker_nics, agg_nics);
+  job->workers = std::move(wiring.workers);
+  job->aggregators = std::move(wiring.aggregators);
+  job->worker_eps = std::move(wiring.worker_eps);
+  job->agg_eps = std::move(wiring.agg_eps);
   job->controller = std::make_unique<JobController>(*job);
-  job->controller_ep = network_->attach(job->controller.get(),
+  job->controller_ep = network().attach(job->controller.get(),
                                         machine_nics_[job->controller_machine]);
   job->controller->ep = job->controller_ep;
   for (std::size_t w = 0; w < n_workers; ++w) {
     job->worker_agents.push_back(std::make_unique<WorkerAgent>(*job, w));
     job->worker_agents.back()->ep =
-        network_->attach(job->worker_agents.back().get(),
+        network().attach(job->worker_agents.back().get(),
                          machine_nics_[spec.worker_machines[w]]);
     WorkerAgent* agent = job->worker_agents.back().get();
     job->workers[w]->set_on_done([agent](Worker&) { agent->worker_done(); });
@@ -587,7 +554,7 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
   for (std::size_t a = 0; a < n_aggs; ++a) {
     job->agg_agents.push_back(std::make_unique<AggAgent>(*job, a));
     job->agg_agents.back()->ep =
-        network_->attach(job->agg_agents.back().get(),
+        network().attach(job->agg_agents.back().get(),
                          machine_nics_[spec.aggregator_machines[a]]);
   }
 
@@ -614,7 +581,7 @@ int Fabric::add_custom_job(const CustomJobSpec& spec, FabricJob& job) {
     throw std::invalid_argument("job weight must be positive");
   }
   const int index = next_index_++;
-  job.attach(*network_, machine_nics_);
+  job.attach(network(), machine_nics_);
   CustomState state;
   state.spec = spec;
   state.index = index;
@@ -662,37 +629,37 @@ void Fabric::run() {
   for (const auto& c : custom_) {
     weights[static_cast<std::size_t>(c.index)] = c.spec.weight;
   }
-  network_->set_tenants(std::move(weights));
+  network().set_tenants(std::move(weights));
   for (const auto& c : custom_) {
     for (net::EndpointId e : c.job->endpoints()) {
-      network_->set_endpoint_tenant(e, c.index);
+      network().set_endpoint_tenant(e, c.index);
     }
   }
   for (const auto& job : jobs_) {
     if (!job->admitted) continue;
     for (net::EndpointId e : job->worker_eps) {
-      network_->set_endpoint_tenant(e, job->index);
+      network().set_endpoint_tenant(e, job->index);
     }
     for (net::EndpointId e : job->agg_eps) {
-      network_->set_endpoint_tenant(e, job->index);
+      network().set_endpoint_tenant(e, job->index);
     }
     for (const auto& agent : job->worker_agents) {
-      network_->set_endpoint_tenant(agent->ep, job->index);
+      network().set_endpoint_tenant(agent->ep, job->index);
     }
     for (const auto& agent : job->agg_agents) {
-      network_->set_endpoint_tenant(agent->ep, job->index);
+      network().set_endpoint_tenant(agent->ep, job->index);
     }
-    network_->set_endpoint_tenant(job->controller_ep, job->index);
+    network().set_endpoint_tenant(job->controller_ep, job->index);
   }
 
   for (const Kick& k : kickoff_order()) {
     if (k.start_at == 0) {
       k.fn();
     } else {
-      simulator_->schedule_at(k.start_at, k.fn);
+      ctx_->simulator().schedule_at(k.start_at, k.fn);
     }
   }
-  simulator_->run();
+  ctx_->simulator().run();
 
   for (const auto& job : jobs_) {
     if (!job->admitted) continue;
@@ -736,19 +703,9 @@ void Fabric::finish_job(JobState& job) {
                      !cfg.fixed_point;
   for (std::size_t s = 0; s < job.steps.size(); ++s) {
     const JobState::StepPlan& plan = job.steps[s];
-    double max_err = 0.0;
-    for (std::size_t w = 0; w < plan.active.size(); ++w) {
-      if (!plan.active[w]) continue;
-      max_err =
-          std::max(max_err, tensor::max_abs_diff((*job.tensors)[s][w],
-                                                 plan.reference));
-    }
-    double tol = exact ? 0.0 : 1e-4 * static_cast<double>(plan.active_count);
-    if (cfg.codec.enabled()) {
-      tol += compress::codec_verify_slack(cfg.codec.codec, plan.input_amax,
-                                          plan.active_count);
-    }
-    if (max_err > tol) {
+    const double base_tol =
+        exact ? 0.0 : 1e-4 * static_cast<double>(plan.active_count);
+    if (!plan.check.check((*job.tensors)[s], base_tol).ok) {
       throw std::logic_error("job \"" + job.spec.name + "\" step " +
                              std::to_string(s) +
                              " result mismatch vs reference");
@@ -758,8 +715,9 @@ void Fabric::finish_job(JobState& job) {
 }
 
 telemetry::FabricReport Fabric::report() const {
+  const net::Network& net = ctx_->network();
   telemetry::FabricReport out;
-  out.topology = network_->topology().kind();
+  out.topology = net.topology().kind();
   out.n_machines = spec_.n_machines;
   out.switch_slots = spec_.switch_slots;
   std::vector<std::pair<int, telemetry::FabricJobSummary>> rows;
@@ -821,7 +779,7 @@ telemetry::FabricReport Fabric::report() const {
             [](const TenantRow& a, const TenantRow& b) {
               return a.index < b.index;
             });
-  const net::Topology& topo = network_->topology();
+  const net::Topology& topo = net.topology();
   double best_total = 0.0;
   std::vector<double> best_shares;
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
@@ -829,7 +787,7 @@ telemetry::FabricReport Fabric::report() const {
     std::vector<double> shares;
     double total = 0.0;
     for (const TenantRow& tenant : tenants) {
-      const net::LinkStats& st = network_->tenant_link_stats(id, tenant.index);
+      const net::LinkStats& st = net.tenant_link_stats(id, tenant.index);
       if (st.tx_bytes == 0 && st.tx_messages == 0 &&
           st.dropped_messages == 0) {
         continue;

@@ -21,6 +21,7 @@ namespace omr::core {
 
 class Worker;
 class Aggregator;
+class RunContext;
 
 /// The shared physical substrate of a multi-tenant run: N machines (one
 /// NIC each) joined by a topology, plus the switch-slot budget jobs draw
@@ -119,10 +120,9 @@ struct CustomJobSpec {
   sim::Time start_at = 0;
 };
 
-/// Multi-tenant run context: one simulator + one network shared by N
-/// concurrent jobs. Replaces the engine's one-job-per-simulator assumption
-/// for concurrency studies; single-job paths (run_allreduce, Session) are
-/// untouched and byte-identical.
+/// Multi-tenant run: one RunContext substrate (simulator + network, built
+/// by the same topology builder as run_allreduce and Session) shared by N
+/// concurrent jobs, each wired with wire_protocol like a single-job run.
 ///
 /// Steps of a job are sequenced by a per-job control plane whose messages
 /// travel the simulated fabric itself (a JobController plus one agent per
@@ -174,7 +174,7 @@ class Fabric {
   /// weight-normalized bytes on the busiest shared link.
   telemetry::FabricReport report() const;
 
-  net::Network& network() { return *network_; }
+  net::Network& network();
 
  private:
   struct JobState;
@@ -200,8 +200,7 @@ class Fabric {
   void finish_job(JobState& job);  // post-run verify + counter sweep
 
   TenantFabricSpec spec_;
-  std::unique_ptr<sim::Simulator> simulator_;
-  std::unique_ptr<net::Network> network_;
+  std::unique_ptr<RunContext> ctx_;
   std::vector<net::NicId> machine_nics_;
   innet::SlotPool slot_pool_;
   std::vector<std::unique_ptr<JobState>> jobs_;

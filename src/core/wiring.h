@@ -38,8 +38,8 @@ struct ProtocolWiring {
 /// each bound to the worker endpoints and registered with the fault
 /// controller when one is given. Exactly the seed engine's wiring order,
 /// so endpoint ids (and therefore runs) are byte-identical to it.
-/// Stream routing is separate (see shard_streams): the engine wires once
-/// per run, a Session/Fabric re-shards per collective.
+/// Stream routing is separate (see shard_streams): a RunContext wires once
+/// and re-shards per collective; Fabric jobs re-shard per step.
 ProtocolWiring wire_protocol(const Config& cfg, net::Network& net,
                              const std::vector<net::NicId>& worker_nics,
                              const std::vector<net::NicId>& agg_nics,

@@ -93,7 +93,7 @@ void write_serve_report(std::ostream& os, const ServeReport& r) {
 
 }  // namespace
 
-double RunReport::mean_worker_data_bytes() const {
+double CollectiveStats::mean_worker_data_bytes() const {
   if (worker_data_bytes.empty()) return 0.0;
   double s = 0.0;
   for (auto b : worker_data_bytes) s += static_cast<double>(b);

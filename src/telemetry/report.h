@@ -20,29 +20,58 @@ struct LinkReport {
   std::uint64_t dropped_messages = 0;
 };
 
-/// Structured outcome of one collective (or a whole Session): a superset
-/// of core::RunStats — the flat stats fields are mirrored 1:1 so the
-/// report serializes without depending on core — plus telemetry-derived
-/// histograms, per-stream slot timelines, bytes-conservation totals and
-/// (when tracing was enabled) the full event timeline.
-///
-/// Serialized with write_json() as `omnireduce.run_report.v1`, consumed by
-/// tools/bench_to_csv.py and validated by tools/validate_telemetry.py.
-struct RunReport {
-  std::string label;
-
-  // --- mirrored core::RunStats --------------------------------------------
-  sim::Time completion_time = 0;
+/// Counters of one collective, shared by core::RunStats (what a run
+/// returns) and RunReport (what it serializes): both derive from this, so
+/// a report takes a run's stats in one assignment. Fault counters stay
+/// empty/zero unless ClusterSpec::faults is enabled, codec fields unless
+/// Config::codec is.
+struct CollectiveStats {
+  sim::Time completion_time = 0;  // max over workers (the paper's metric)
   std::vector<sim::Time> worker_finish;
-  std::vector<std::uint64_t> worker_data_bytes;
+  std::vector<std::uint64_t> worker_data_bytes;  // payload only
   std::uint64_t total_messages = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t dropped_messages = 0;
   std::uint64_t rounds = 0;
-  std::uint64_t acks = 0;
-  std::uint64_t duplicate_resends = 0;
+  std::uint64_t acks = 0;               // payload-less packets (Algorithm 2)
+  std::uint64_t duplicate_resends = 0;  // aggregator result retransmissions
   bool verified = false;
   double max_error = 0.0;
+  /// Per-fabric-link counters, one per interior link. Empty on the ideal
+  /// switch, where the report omits the "links" key, so ideal-switch
+  /// reports stay byte-identical to pre-topology runs.
+  std::vector<LinkReport> links;
+
+  // --- fault layer (ClusterSpec::faults) -----------------------------------
+  std::vector<std::uint64_t> worker_retries;
+  std::vector<sim::Time> worker_fault_stall_ns;
+  std::uint64_t worker_crashes = 0;
+  std::uint64_t resyncs = 0;
+
+  // --- wire-codec lane (Config::codec) -------------------------------------
+  /// Codec name ("fp8", "q8", ...). Empty when the codec is disabled; the
+  /// "codec" JSON section is serialized only when non-empty, so
+  /// uncompressed reports stay byte-identical.
+  std::string codec;
+  std::uint64_t codec_saved_bytes = 0;   // both legs, raw minus encoded
+  std::uint64_t codec_exact_folds = 0;   // quantized-domain column sums
+  std::uint64_t codec_requant_folds = 0; // dequant-fold-requant fallbacks
+  double codec_residual_l2 = 0.0;        // sqrt(sum sq quantization error)
+
+  double completion_ms() const { return sim::to_milliseconds(completion_time); }
+  /// Mean per-worker transmitted payload (Table 1's "OmniReduce comm.").
+  double mean_worker_data_bytes() const;
+};
+
+/// Structured outcome of one collective (or a whole Session): the
+/// collective's counters plus telemetry-derived histograms, per-stream
+/// slot timelines, bytes-conservation totals and (when tracing was
+/// enabled) the full event timeline.
+///
+/// Serialized with write_json() as `omnireduce.run_report.v1`, consumed by
+/// tools/bench_to_csv.py and validated by tools/validate_telemetry.py.
+struct RunReport : CollectiveStats {
+  std::string label;
 
   // --- run parameters worth replotting against ----------------------------
   std::size_t n_workers = 0;
@@ -52,16 +81,6 @@ struct RunReport {
   /// "oktopk", ...). Serialized only when non-empty, so reports from the
   /// native engine paths stay byte-identical to earlier schema consumers.
   std::string algorithm;
-
-  // --- wire-codec lane (Config::codec) -------------------------------------
-  /// Codec name ("fp8", "q8", ...). Empty when the codec is disabled; the
-  /// "codec" JSON section is serialized only when non-empty, so
-  /// uncompressed reports stay byte-identical.
-  std::string codec;
-  std::uint64_t codec_saved_bytes = 0;
-  std::uint64_t codec_exact_folds = 0;
-  std::uint64_t codec_requant_folds = 0;
-  double codec_residual_l2 = 0.0;
 
   // --- bytes-conservation totals (tracer rolling counters) ----------------
   /// Payload bytes observed leaving worker NICs in the trace; equals
@@ -77,11 +96,6 @@ struct RunReport {
   Histogram round_gap_ns;
   std::vector<StreamTimeline> streams;
 
-  /// Per-link fabric counters. Serialized only when non-empty, so reports
-  /// from the default IdealSwitch fabric stay byte-identical to
-  /// pre-topology runs.
-  std::vector<LinkReport> links;
-
   // --- fault-injection outcome (ClusterSpec::faults) -----------------------
   /// True when the run carried an active FaultSpec; the "fault" JSON
   /// section is serialized only then, so unfaulted reports stay
@@ -92,16 +106,9 @@ struct RunReport {
   bool failed_peer_is_aggregator = false;
   sim::Time failure_at = 0;
   std::string failure_detail;
-  std::vector<std::uint64_t> worker_retries;
-  std::vector<sim::Time> worker_fault_stall_ns;
-  std::uint64_t worker_crashes = 0;
-  std::uint64_t resyncs = 0;
 
   /// Full event timeline (empty unless TelemetryConfig::trace_events).
   Trace trace;
-
-  double completion_ms() const { return sim::to_milliseconds(completion_time); }
-  double mean_worker_data_bytes() const;
 
   /// Serialize as a single JSON object. `include_trace` additionally
   /// embeds the Chrome trace under "trace" (can be large).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -36,6 +37,17 @@ std::vector<DenseTensor> inputs(std::size_t n_workers, std::size_t n,
                                    tensor::OverlapMode::kRandom, rng);
 }
 
+// Every worker's in-place result matches the serial sum within the
+// float-reassociation tolerance the registry applies to exact algorithms.
+bool matches_sum(const std::vector<DenseTensor>& results,
+                 const DenseTensor& expect) {
+  double err = 0.0;
+  for (const auto& t : results) {
+    err = std::max(err, tensor::max_abs_diff(t, expect));
+  }
+  return err <= 1e-4 * static_cast<double>(results.size());
+}
+
 // ---------------------------------------------------------------------------
 // Ring AllReduce
 // ---------------------------------------------------------------------------
@@ -43,15 +55,17 @@ std::vector<DenseTensor> inputs(std::size_t n_workers, std::size_t n,
 TEST(Ring, CorrectAcrossWorkerCounts) {
   for (std::size_t n : {1u, 2u, 3u, 4u, 8u}) {
     auto ts = inputs(n, 4096, 0.5, n);
-    BaselineStats st = ring_allreduce(ts, fast_cfg());
-    EXPECT_TRUE(n == 1 || st.verified) << n << " workers";
+    const DenseTensor expect = tensor::reference_sum(ts);
+    ring_allreduce(ts, fast_cfg());
+    EXPECT_TRUE(n == 1 || matches_sum(ts, expect)) << n << " workers";
   }
 }
 
 TEST(Ring, TensorSmallerThanWorkers) {
   auto ts = inputs(8, 4, 0.0, 3);
-  BaselineStats st = ring_allreduce(ts, fast_cfg());
-  EXPECT_TRUE(st.verified);
+  const DenseTensor expect = tensor::reference_sum(ts);
+  ring_allreduce(ts, fast_cfg());
+  EXPECT_TRUE(matches_sum(ts, expect));
 }
 
 TEST(Ring, TimeMatchesAnalyticModel) {
@@ -93,8 +107,9 @@ TEST(Ring, WireBytesMatchTheory) {
 TEST(RecursiveDoubling, Correct) {
   for (std::size_t n : {2u, 4u, 8u}) {
     auto ts = inputs(n, 2048, 0.3, 7);
-    BaselineStats st = recursive_doubling_allreduce(ts, fast_cfg());
-    EXPECT_TRUE(st.verified);
+    const DenseTensor expect = tensor::reference_sum(ts);
+    recursive_doubling_allreduce(ts, fast_cfg());
+    EXPECT_TRUE(matches_sum(ts, expect)) << n << " workers";
   }
 }
 
@@ -225,8 +240,10 @@ TEST(Sparcml, DispatchPicksRdForTinyInputs) {
 TEST(PsDense, CorrectDedicatedAndColocated) {
   for (bool colocated : {false, true}) {
     auto ts = inputs(4, 8192, 0.3, 16);
-    BaselineStats st = ps_dense_allreduce(ts, fast_cfg(), 4, colocated);
-    EXPECT_TRUE(st.verified) << (colocated ? "colocated" : "dedicated");
+    const DenseTensor expect = tensor::reference_sum(ts);
+    ps_dense_allreduce(ts, fast_cfg(), 4, colocated);
+    EXPECT_TRUE(matches_sum(ts, expect))
+        << (colocated ? "colocated" : "dedicated");
   }
 }
 
@@ -267,14 +284,14 @@ TEST(Parallax, PicksCheaperPath) {
   tensor::CooTensor r;
   const auto ps = ps_sparse_allreduce(coo, r, fast_cfg(), 4, false);
   auto ring_copy = sparse;
-  const auto ring = ring_allreduce(ring_copy, fast_cfg(), false);
+  const auto ring = ring_allreduce(ring_copy, fast_cfg());
   const auto oracle = parallax_allreduce(sparse, fast_cfg());
   EXPECT_EQ(oracle.completion_time,
             std::min(ps.completion_time, ring.completion_time));
   // Dense input: ring must win.
   auto dense = inputs(4, 1 << 18, 0.0, 20);
   auto ring_copy2 = dense;
-  const auto ring2 = ring_allreduce(ring_copy2, fast_cfg(), false);
+  const auto ring2 = ring_allreduce(ring_copy2, fast_cfg());
   const auto oracle2 = parallax_allreduce(dense, fast_cfg());
   EXPECT_EQ(oracle2.completion_time, ring2.completion_time);
 }

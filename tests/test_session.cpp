@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/collectives.h"
 #include "core/session.h"
 #include "sim/rng.h"
@@ -294,6 +297,55 @@ TEST(Session, MixedCollectivesShareOneDeployment) {
   EXPECT_TRUE(session.broadcast(gathered, 0, outputs).verified);
   EXPECT_EQ(session.collectives_run(), 3u);
   EXPECT_EQ(session.last_report().label, "broadcast");
+}
+
+// One run path: the first collective of a fresh Session and a one-shot
+// run_allreduce_report over the same inputs are the same run, so they must
+// serialize to the same report bytes (trace included) and leave the same
+// results, with telemetry off and on.
+TEST(Session, FirstCollectiveMatchesOneShotReport) {
+  struct Case {
+    std::string name;
+    Config cfg;
+    ClusterSpec cluster;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {"dedicated", cfg16(), ClusterSpec::dedicated(2, fab(), gdr())});
+  cases.push_back(
+      {"colocated", cfg16(), ClusterSpec::colocated(fab(), gdr())});
+  ClusterSpec two_tier = ClusterSpec::dedicated(2, fab());
+  two_tier.topology = TopologySpec::two_tier_racks(2, 4.0);
+  cases.push_back({"two_tier_4to1", cfg16(), two_tier});
+  Config lossy_cfg = cfg16();
+  lossy_cfg.retransmit_timeout = sim::microseconds(150);
+  cases.push_back(
+      {"lossy_1pct", lossy_cfg, ClusterSpec::dedicated(2, fab(0.01), gdr())});
+  Config q8 = cfg16();
+  q8.codec.codec = compress::WireCodec::kQ8;
+  cases.push_back({"q8", q8, ClusterSpec::dedicated(2, fab(), gdr())});
+
+  for (const Case& c : cases) {
+    for (bool telemetry : {false, true}) {
+      ClusterSpec cluster = c.cluster;
+      cluster.telemetry.enabled = telemetry;
+      sim::Rng rng(11);
+      auto one_shot = tensor::make_multi_worker(
+          4, 16 * 256, 16, 0.7, tensor::OverlapMode::kRandom, rng);
+      auto in_session = one_shot;
+
+      std::ostringstream expect;
+      run_allreduce_report(one_shot, c.cfg, cluster).write_json(expect, true);
+      Session session(c.cfg, 4, cluster);
+      session.allreduce(in_session);
+      std::ostringstream got;
+      session.last_report().write_json(got, true);
+
+      EXPECT_EQ(got.str(), expect.str())
+          << c.name << " telemetry=" << telemetry;
+      EXPECT_EQ(in_session, one_shot) << c.name << " telemetry=" << telemetry;
+    }
+  }
 }
 
 }  // namespace
