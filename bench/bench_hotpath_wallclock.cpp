@@ -11,6 +11,8 @@
 //
 // --smoke shrinks workloads to CI scale (the `perf_smoke` ctest label).
 // --only runs a single benchmark (useful under a profiler).
+// The zoo_* rows are sweep_zoo / fig06 cells (8 workers, 1M elements)
+// reduced by the sparse-sweep baselines through the registry.
 // Simulated results (completion_time, rounds, messages) are recorded next
 // to each wall-clock number: a perf PR must leave them bit-identical.
 #include <algorithm>
@@ -22,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/zoo.h"
+#include "core/algorithm.h"
 #include "core/cluster.h"
 #include "core/engine.h"
 #include "core/sparse_kv.h"
@@ -305,6 +309,46 @@ Result bench_e2e_allreduce(const char* name, omr::core::Transport transport,
   return res;
 }
 
+// --- sparse-sweep baselines through the registry ---------------------------
+
+/// One sweep_zoo / fig06 cell: 8 colocated workers at 10 Gbps, random
+/// block overlap, reduced by a registered baseline.
+Result bench_zoo(const char* name, const char* algo, double sparsity,
+                 bool smoke, int repeats) {
+  omr::baselines::register_zoo();
+  const std::size_t n = smoke ? (1u << 16) : (1u << 20);
+  const std::size_t kWorkers = 8;
+  const auto cfg =
+      omr::core::Config::for_transport(omr::core::Transport::kRdma);
+  auto cluster = omr::core::ClusterSpec::colocated();
+  cluster.fabric.worker_bandwidth_bps = 10e9;
+  omr::sim::Rng rng(42);
+  const auto inputs = omr::tensor::make_multi_worker(
+      kWorkers, n, cfg.block_size, sparsity,
+      omr::tensor::OverlapMode::kRandom, rng);
+  std::vector<double> times;
+  omr::core::RunStats stats;
+  for (int r = 0; r < repeats; ++r) {
+    auto tensors = inputs;
+    const auto t0 = Clock::now();
+    stats = omr::core::run_collective(algo, tensors, cfg, cluster,
+                                      /*verify=*/false);
+    times.push_back(ms_since(t0));
+  }
+  Result res;
+  res.name = name;
+  res.kind = "e2e";
+  res.wall_ms = median(times);
+  res.work_units = static_cast<double>(n * kWorkers);
+  res.unit = "elements";
+  res.has_sim = true;
+  res.sim_completion_ns = static_cast<std::uint64_t>(stats.completion_time);
+  res.sim_total_messages = stats.total_messages;
+  res.sim_rounds = stats.rounds;
+  res.sim_retransmissions = stats.retransmissions;
+  return res;
+}
+
 void write_json(const std::vector<Result>& results, const std::string& label,
                 bool smoke, const std::string& path) {
   std::ofstream out(path);
@@ -394,6 +438,30 @@ int main(int argc, char** argv) {
        [](bool s, int r) {
          return bench_e2e_allreduce("e2e_dpdk_lossy",
                                     omr::core::Transport::kDpdk, 0.001, s, r);
+       }},
+      {"zoo_ring_s50",
+       [](bool s, int r) {
+         return bench_zoo("zoo_ring_s50", "ring", 0.5, s, r);
+       }},
+      {"zoo_sketch_s50",
+       [](bool s, int r) {
+         return bench_zoo("zoo_sketch_s50", "sketch", 0.5, s, r);
+       }},
+      {"zoo_ps_sparse_s50",
+       [](bool s, int r) {
+         return bench_zoo("zoo_ps_sparse_s50", "ps_sparse", 0.5, s, r);
+       }},
+      {"zoo_oktopk_s50",
+       [](bool s, int r) {
+         return bench_zoo("zoo_oktopk_s50", "oktopk", 0.5, s, r);
+       }},
+      {"zoo_sparcml_s90",
+       [](bool s, int r) {
+         return bench_zoo("zoo_sparcml_s90", "sparcml", 0.9, s, r);
+       }},
+      {"zoo_agsparse_s90",
+       [](bool s, int r) {
+         return bench_zoo("zoo_agsparse_s90", "agsparse", 0.9, s, r);
        }},
   };
 

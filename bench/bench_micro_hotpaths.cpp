@@ -1,10 +1,13 @@
 // google-benchmark microbenchmarks of the protocol hot paths: bitmap scan,
 // next-non-zero column scan, slot reduction, block-fusion packet assembly,
-// COO conversion, and compression selection.
+// COO conversion, the sparse-baseline merge and count sketch, and
+// compression selection.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
+#include "baselines/sketch_reducer.h"
 #include "compress/compressors.h"
 #include "core/reduce_kernels.h"
 #include "sim/event_queue.h"
@@ -71,15 +74,39 @@ void BM_DenseToCoo(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseToCoo);
 
-void BM_CooMergeAdd(benchmark::State& state) {
-  const auto a = tensor::dense_to_coo(make_input(1 << 20, 0.95));
-  const auto b = tensor::dense_to_coo(make_input(1 << 20, 0.95));
+std::vector<tensor::DenseTensor> make_workers(double sparsity) {
+  sim::Rng rng(42);
+  return tensor::make_multi_worker(8, 1 << 20, 256, sparsity,
+                                   tensor::OverlapMode::kRandom, rng);
+}
+
+// The sparse baselines' merge: 8 workers' COO tensors summed over the
+// whole key range in worker order.
+void BM_SparseRangeAccumulate(benchmark::State& state) {
+  std::vector<tensor::CooTensor> coo;
+  for (const auto& t : make_workers(0.95)) {
+    coo.push_back(tensor::dense_to_coo(t));
+  }
+  tensor::SparseRangeAccumulator acc(0, 1 << 20);
   for (auto _ : state) {
-    auto s = tensor::coo_add(a, b);
-    benchmark::DoNotOptimize(s.nnz());
+    for (const auto& t : coo) acc.add(t);
+    tensor::CooTensor merged;
+    acc.emit(merged);
+    benchmark::DoNotOptimize(merged.nnz());
   }
 }
-BENCHMARK(BM_CooMergeAdd);
+BENCHMARK(BM_SparseRangeAccumulate);
+
+// Count-sketch AllReduce of 8 workers' 1M-element tensors at half density:
+// build, ring-order merge, simulated ring and median recovery.
+void BM_SketchAllreduce(benchmark::State& state) {
+  const auto workers = make_workers(0.5);
+  for (auto _ : state) {
+    auto r = baselines::sketch_allreduce(workers, {});
+    benchmark::DoNotOptimize(r.result.values().data());
+  }
+}
+BENCHMARK(BM_SketchAllreduce)->Unit(benchmark::kMillisecond);
 
 void BM_BlockTopK(benchmark::State& state) {
   sim::Rng rng(1);

@@ -20,26 +20,25 @@ namespace detail {
 /// AllGather-based sparse AllReduce (PyTorch's strawman, §2.1): every
 /// worker ring-allgathers all (key, value) pairs, then reduces locally.
 /// Memory and time scale with N * nnz — no overlap elimination. Inputs are
-/// COO; `outputs[w]` receives the reduced sparse tensor. The optional
-/// local-reduction cost is charged at memory bandwidth.
+/// COO; `result` receives the reduced sparse tensor (identical on every
+/// worker). The optional local-reduction cost is charged at memory
+/// bandwidth.
 /// With `compress_indices`, each worker's index list is sent in the
 /// cheaper of raw-key or bitmask form (tensor/index_codec.h) — the [60]
 /// optimization; it shrinks payloads at moderate sparsity but cannot fix
 /// AGsparse's N-fold gather volume.
 BaselineStats agsparse_allreduce(const std::vector<tensor::CooTensor>& inputs,
-                                 std::vector<tensor::CooTensor>& outputs,
+                                 tensor::CooTensor& result,
                                  const BaselineConfig& cfg,
                                  AgStack stack = AgStack::kNccl,
                                  double reduce_mem_bandwidth_Bps = 12e9,
                                  bool compress_indices = false);
 
-/// Variable-size ring AllGather of opaque byte payloads; returns the
-/// completion time. Building block for AGsparse and SparCML phase 2.
-/// `payload_bytes[w]` is worker w's contribution size; every worker ends
-/// holding all contributions.
-sim::Time ring_allgather_bytes(const std::vector<std::size_t>& payload_bytes,
-                               const BaselineConfig& cfg,
-                               std::uint64_t* total_tx_bytes = nullptr);
+/// The sum of sorted COO `inputs` (all of dim inputs.front().dim), adding
+/// per key in worker order: the reduced tensor every sparse baseline
+/// produces. Keys whose contributions cancel stay, with a zero sum.
+tensor::CooTensor merge_in_worker_order(
+    const std::vector<tensor::CooTensor>& inputs);
 
 }  // namespace detail
 }  // namespace omr::baselines

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "baselines/agsparse.h"
+#include "baselines/ring.h"
 
 namespace omr::baselines {
 
@@ -21,7 +21,6 @@ bool power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
 tensor::CooTensor filter_by_magnitude(const tensor::CooTensor& t,
                                       double threshold) {
-  if (threshold <= 0.0) return t;
   tensor::CooTensor out;
   out.dim = t.dim;
   for (std::size_t i = 0; i < t.nnz(); ++i) {
@@ -30,18 +29,6 @@ tensor::CooTensor filter_by_magnitude(const tensor::CooTensor& t,
       out.values.push_back(t.values[i]);
     }
   }
-  return out;
-}
-
-tensor::CooTensor slice_keys(const tensor::CooTensor& t, std::int32_t lo,
-                             std::int32_t hi) {
-  tensor::CooTensor out;
-  out.dim = t.dim;
-  const auto begin = std::lower_bound(t.keys.begin(), t.keys.end(), lo);
-  const auto end = std::lower_bound(t.keys.begin(), t.keys.end(), hi);
-  out.keys.assign(begin, end);
-  out.values.assign(t.values.begin() + (begin - t.keys.begin()),
-                    t.values.begin() + (end - t.keys.begin()));
   return out;
 }
 
@@ -72,10 +59,15 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
                      std::greater<double>());
     out.threshold = mags[opts.k - 1];
   }
-  std::vector<tensor::CooTensor> kept(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    kept[w] = filter_by_magnitude(inputs[w], out.threshold);
+  // With no threshold every entry survives and the inputs are used as is.
+  std::vector<tensor::CooTensor> filtered;
+  if (out.threshold > 0.0) {
+    for (const auto& t : inputs) {
+      filtered.push_back(filter_by_magnitude(t, out.threshold));
+    }
   }
+  const std::vector<tensor::CooTensor>& kept =
+      out.threshold > 0.0 ? filtered : inputs;
 
   sim::Time t = 0;
   // Threshold-estimation round: log2(N) recursive-doubling exchanges of a
@@ -95,46 +87,54 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
                          opts.reduce_mem_bandwidth_Bps);
 
   // ---- Balanced partitioning: equal survivor counts per owner ------------
-  // Boundaries derive from the sorted multiset of surviving keys, so each
-  // owner receives ~total/N pairs regardless of where the non-zeros
-  // cluster. A boundary never splits one key across owners.
-  std::vector<std::int32_t> all_keys;
+  // Boundaries derive from the survivors' key histogram, so each owner
+  // receives ~total/N pairs regardless of where the non-zeros cluster.
+  // Bound p is the smallest surviving key whose run (its copies in the
+  // sorted multiset of survivors) starts at or after total*p/N, so a
+  // boundary never splits one key across owners.
+  std::vector<std::uint32_t> key_count(dim, 0);
+  std::size_t total = 0;
   for (const auto& kt : kept) {
-    all_keys.insert(all_keys.end(), kt.keys.begin(), kt.keys.end());
+    for (std::int32_t k : kt.keys) ++key_count[static_cast<std::size_t>(k)];
+    total += kt.nnz();
   }
-  std::sort(all_keys.begin(), all_keys.end());
-  std::vector<std::int32_t> bounds(n + 1);
+  std::vector<std::int32_t> bounds(n + 1, static_cast<std::int32_t>(dim));
   bounds[0] = 0;
-  bounds[n] = static_cast<std::int32_t>(dim);
-  for (std::size_t p = 1; p < n; ++p) {
-    std::size_t cut = all_keys.size() * p / n;
-    while (cut > 0 && cut < all_keys.size() &&
-           all_keys[cut] == all_keys[cut - 1]) {
-      ++cut;
+  {
+    std::size_t p = 1;
+    std::size_t run_start = 0;
+    for (std::size_t k = 0; k < dim && p < n; ++k) {
+      if (key_count[k] == 0) continue;
+      while (p < n && run_start >= total * p / n) {
+        bounds[p++] = static_cast<std::int32_t>(k);
+      }
+      run_start += key_count[k];
     }
-    const std::int32_t key = cut < all_keys.size()
-                                 ? all_keys[cut]
-                                 : static_cast<std::int32_t>(dim);
-    bounds[p] = std::max(bounds[p - 1], key);
   }
 
   // ---- All-to-all: route each partition's survivors to its owner ---------
+  // Owners merge their partition in worker order; the partitions are
+  // disjoint and ascending, so the gathered result is their concatenation.
   std::vector<std::vector<std::size_t>> bytes(n,
                                               std::vector<std::size_t>(n, 0));
-  std::vector<tensor::CooTensor> reduced(n);
+  std::vector<std::size_t> payload(n);
+  out.result.dim = dim;
   out.partition_pairs.assign(n, 0);
   std::size_t merge_pairs_max = 0;
+  tensor::SparseRangeAccumulator acc;
   for (std::size_t p = 0; p < n; ++p) {
-    tensor::CooTensor acc;
-    acc.dim = dim;
+    acc.reset(bounds[p], bounds[p + 1]);
     std::size_t merge_pairs = 0;
     for (std::size_t w = 0; w < n; ++w) {
-      tensor::CooTensor part = slice_keys(kept[w], bounds[p], bounds[p + 1]);
-      merge_pairs += part.nnz();
-      if (w != p) bytes[w][p] = part.wire_bytes();
-      acc = tensor::coo_add(acc, part);
+      const auto [begin, end] =
+          tensor::coo_key_range(kept[w], bounds[p], bounds[p + 1]);
+      merge_pairs += end - begin;
+      if (w != p) bytes[w][p] = (end - begin) * 8;
+      acc.add(kept[w].keys.data() + begin, kept[w].values.data() + begin,
+              end - begin);
     }
-    reduced[p] = std::move(acc);
+    payload[p] = acc.size() * 8;
+    acc.emit(out.result);
     out.partition_pairs[p] = merge_pairs;
     merge_pairs_max = std::max(merge_pairs_max, merge_pairs);
   }
@@ -148,8 +148,6 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
   // ---- Allgather of the reduced partitions -------------------------------
   // Latency-optimal recursive doubling when N is a power of two (payloads
   // double each step, log2(N) alpha terms); ring allgather otherwise.
-  std::vector<std::size_t> payload(n);
-  for (std::size_t p = 0; p < n; ++p) payload[p] = reduced[p].wire_bytes();
   if (power_of_two(n) && n > 1) {
     std::vector<std::size_t> held = payload;
     for (std::size_t d = 1; d < n; d *= 2) {
@@ -173,16 +171,6 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
     out.stats.total_tx_bytes += tx2;
   }
 
-  // Partitions are disjoint, so the gathered result is a concatenation.
-  tensor::CooTensor result;
-  result.dim = dim;
-  for (std::size_t p = 0; p < n; ++p) {
-    result.keys.insert(result.keys.end(), reduced[p].keys.begin(),
-                       reduced[p].keys.end());
-    result.values.insert(result.values.end(), reduced[p].values.begin(),
-                         reduced[p].values.end());
-  }
-  out.result = std::move(result);
   out.stats.completion_time = t;
   return out;
 }

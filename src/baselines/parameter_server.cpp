@@ -1,7 +1,6 @@
 #include "baselines/parameter_server.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <stdexcept>
 
@@ -37,10 +36,15 @@ struct PullMsg final : net::Message {
   }
 };
 
+/// Sums its shard [lo, hi) chunk by chunk: chunk c covers
+/// [lo + c*chunk_elements, ...), and is pushed back once all N workers'
+/// copies have been added (in arrival order).
 class PsServer final : public net::Endpoint {
  public:
-  PsServer(net::Network& net, const BaselineConfig& cfg, std::size_t n_workers)
-      : net_(net), cfg_(cfg), n_workers_(n_workers) {}
+  PsServer(net::Network& net, const BaselineConfig& cfg, std::size_t n_workers,
+           std::size_t lo, std::size_t hi)
+      : net_(net), cfg_(cfg), n_workers_(n_workers), lo_(lo),
+        chunks_((hi - lo + cfg.chunk_elements - 1) / cfg.chunk_elements) {}
   void bind(net::EndpointId self, std::vector<net::EndpointId> workers) {
     self_ = self;
     workers_ = std::move(workers);
@@ -49,7 +53,7 @@ class PsServer final : public net::Endpoint {
                   const net::MessagePtr& msg) override {
     const auto* p = dynamic_cast<const PushMsg*>(msg.get());
     if (p == nullptr) throw std::logic_error("unexpected PS message");
-    Chunk& c = chunks_[p->offset];
+    Chunk& c = chunks_[(p->offset - lo_) / cfg_.chunk_elements];
     if (c.acc.empty()) c.acc.assign(p->data.size(), 0.0f);
     for (std::size_t i = 0; i < p->data.size(); ++i) c.acc[i] += p->data[i];
     if (++c.count == n_workers_) {
@@ -59,7 +63,6 @@ class PsServer final : public net::Endpoint {
       r->header_bytes = cfg_.header_bytes;
       net::MessagePtr shared = r;
       for (net::EndpointId w : workers_) net_.send(self_, w, shared);
-      chunks_.erase(p->offset);
     }
   }
 
@@ -73,7 +76,8 @@ class PsServer final : public net::Endpoint {
   std::size_t n_workers_;
   net::EndpointId self_ = -1;
   std::vector<net::EndpointId> workers_;
-  std::map<std::size_t, Chunk> chunks_;
+  std::size_t lo_;
+  std::vector<Chunk> chunks_;
 };
 
 class PsWorker final : public net::Endpoint {
@@ -149,6 +153,10 @@ BaselineStats detail::ps_dense_allreduce(
   if (tensors.empty()) throw std::invalid_argument("no workers");
   if (n_servers == 0) throw std::invalid_argument("need a server");
   const std::size_t n = tensors.size();
+  const std::size_t size = tensors.front().size();
+  for (const auto& t : tensors) {
+    if (t.size() != size) throw std::invalid_argument("tensor size mismatch");
+  }
 
   sim::Simulator simulator;
   net::Network network(simulator, cfg.one_way_latency, cfg.seed);
@@ -168,7 +176,8 @@ BaselineStats detail::ps_dense_allreduce(
   std::vector<std::unique_ptr<PsServer>> servers;
   std::vector<net::EndpointId> server_eps;
   for (std::size_t s = 0; s < n_servers; ++s) {
-    servers.push_back(std::make_unique<PsServer>(network, cfg, n));
+    servers.push_back(std::make_unique<PsServer>(
+        network, cfg, n, size * s / n_servers, size * (s + 1) / n_servers));
     const net::NicId nic = colocated
                                ? worker_nics[s % n]
                                : network.add_nic({cfg.bandwidth_bps,
@@ -199,90 +208,79 @@ BaselineStats detail::ps_dense_allreduce(
 
 namespace {
 
+/// A chunk of one worker's (key, value) entries for one server. The entries
+/// stay in the worker's input; the message points at them.
 struct SparsePush final : net::Message {
-  std::uint32_t wid = 0;
   bool last_of_flow = false;
-  std::vector<std::int32_t> keys;
-  std::vector<float> values;
+  const std::int32_t* keys = nullptr;
+  const float* values = nullptr;
+  std::size_t count = 0;
   std::size_t header_bytes = 64;
-  std::size_t wire_bytes() const override {
-    return header_bytes + keys.size() * 8;
-  }
+  std::size_t wire_bytes() const override { return header_bytes + count * 8; }
 };
 
+/// A chunk of a server's merged range on its way back: only its size
+/// travels (the merged run stays with the server).
 struct SparsePull final : net::Message {
   bool last_of_flow = false;
-  std::vector<std::int32_t> keys;
-  std::vector<float> values;
+  std::size_t count = 0;
   std::size_t header_bytes = 64;
-  std::size_t wire_bytes() const override {
-    return header_bytes + keys.size() * 8;
-  }
+  std::size_t wire_bytes() const override { return header_bytes + count * 8; }
 };
 
+/// Owns the key range [lo, hi): sums pushed entries in arrival order, and
+/// once every worker's flow has ended pushes the sorted merged range back
+/// to every worker, chunked.
 class SparsePsServer final : public net::Endpoint {
  public:
   SparsePsServer(net::Network& net, const BaselineConfig& cfg,
-                 std::size_t n_workers)
-      : net_(net), cfg_(cfg), n_workers_(n_workers) {}
+                 std::size_t n_workers, std::int64_t lo, std::int64_t hi)
+      : net_(net), cfg_(cfg), n_workers_(n_workers), acc_(lo, hi) {}
   void bind(net::EndpointId self, std::vector<net::EndpointId> workers) {
     self_ = self;
     workers_ = std::move(workers);
   }
+  const tensor::CooTensor& merged() const { return merged_; }
+
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
     const auto* p = dynamic_cast<const SparsePush*>(msg.get());
     if (p == nullptr) throw std::logic_error("unexpected sparse PS message");
-    for (std::size_t i = 0; i < p->keys.size(); ++i) {
-      acc_[p->keys[i]] += p->values[i];
-    }
+    acc_.add(p->keys, p->values, p->count);
     if (p->last_of_flow && ++flows_done_ == n_workers_) {
-      // Push the merged range back to every worker, chunked.
-      std::vector<std::int32_t> keys;
-      std::vector<float> values;
-      keys.reserve(acc_.size());
-      values.reserve(acc_.size());
-      for (const auto& [k, v] : acc_) {
-        keys.push_back(k);
-        values.push_back(v);
-      }
-      const std::size_t chunk = cfg_.chunk_elements;
+      acc_.emit(merged_);
+      const std::size_t total = merged_.nnz();
       std::size_t off = 0;
       do {
-        const std::size_t end = std::min(off + chunk, keys.size());
+        const std::size_t end = std::min(off + cfg_.chunk_elements, total);
         auto r = std::make_shared<SparsePull>();
         r->header_bytes = cfg_.header_bytes;
-        r->keys.assign(keys.begin() + static_cast<std::ptrdiff_t>(off),
-                       keys.begin() + static_cast<std::ptrdiff_t>(end));
-        r->values.assign(values.begin() + static_cast<std::ptrdiff_t>(off),
-                         values.begin() + static_cast<std::ptrdiff_t>(end));
-        r->last_of_flow = end >= keys.size();
+        r->count = end - off;
+        r->last_of_flow = end >= total;
         net::MessagePtr shared = r;
         for (net::EndpointId w : workers_) net_.send(self_, w, shared);
         off = end;
-      } while (off < keys.size());
+      } while (off < total);
     }
   }
 
  private:
   net::Network& net_;
-  BaselineConfig cfg_;
+  const BaselineConfig& cfg_;
   std::size_t n_workers_;
   net::EndpointId self_ = -1;
   std::vector<net::EndpointId> workers_;
-  std::map<std::int32_t, float> acc_;
+  tensor::SparseRangeAccumulator acc_;
+  tensor::CooTensor merged_;
   std::size_t flows_done_ = 0;
 };
 
 class SparsePsWorker final : public net::Endpoint {
  public:
   SparsePsWorker(net::Network& net, const BaselineConfig& cfg,
-                 std::uint32_t wid, const tensor::CooTensor& input,
-                 std::size_t dim)
-      : net_(net), sim_(net.simulator()), cfg_(cfg), wid_(wid), input_(input),
-        dim_(dim) {
-    result_.dim = dim;
-  }
+                 const tensor::CooTensor& input, std::size_t dim)
+      : net_(net), sim_(net.simulator()), cfg_(cfg), input_(input),
+        dim_(dim) {}
   void bind(net::EndpointId self, std::vector<net::EndpointId> servers) {
     self_ = self;
     servers_ = std::move(servers);
@@ -291,25 +289,17 @@ class SparsePsWorker final : public net::Endpoint {
   void start() {
     const std::size_t k = servers_.size();
     for (std::size_t s = 0; s < k; ++s) {
-      const auto lo = static_cast<std::int32_t>(dim_ * s / k);
-      const auto hi = static_cast<std::int32_t>(dim_ * (s + 1) / k);
-      const auto begin = std::lower_bound(input_.keys.begin(),
-                                          input_.keys.end(), lo);
-      const auto end = std::lower_bound(input_.keys.begin(),
-                                        input_.keys.end(), hi);
-      const std::size_t b = static_cast<std::size_t>(begin - input_.keys.begin());
-      const std::size_t e = static_cast<std::size_t>(end - input_.keys.begin());
+      const auto [b, e] = tensor::coo_key_range(
+          input_, static_cast<std::int32_t>(dim_ * s / k),
+          static_cast<std::int32_t>(dim_ * (s + 1) / k));
       std::size_t off = b;
       do {
         const std::size_t stop = std::min(off + cfg_.chunk_elements, e);
         auto m = std::make_shared<SparsePush>();
-        m->wid = wid_;
         m->header_bytes = cfg_.header_bytes;
-        m->keys.assign(input_.keys.begin() + static_cast<std::ptrdiff_t>(off),
-                       input_.keys.begin() + static_cast<std::ptrdiff_t>(stop));
-        m->values.assign(
-            input_.values.begin() + static_cast<std::ptrdiff_t>(off),
-            input_.values.begin() + static_cast<std::ptrdiff_t>(stop));
+        m->keys = input_.keys.data() + off;
+        m->values = input_.values.data() + off;
+        m->count = stop - off;
         m->last_of_flow = stop >= e;
         net_.send(self_, servers_[s], std::move(m));
         off = stop;
@@ -318,29 +308,23 @@ class SparsePsWorker final : public net::Endpoint {
   }
   bool done() const { return flows_remaining_ == 0; }
   sim::Time finish_time() const { return finish_; }
-  const tensor::CooTensor& result() const { return result_; }
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
     const auto* r = dynamic_cast<const SparsePull*>(msg.get());
     if (r == nullptr) throw std::logic_error("unexpected sparse PS message");
-    result_.keys.insert(result_.keys.end(), r->keys.begin(), r->keys.end());
-    result_.values.insert(result_.values.end(), r->values.begin(),
-                          r->values.end());
     if (r->last_of_flow && --flows_remaining_ == 0) finish_ = sim_.now();
   }
 
  private:
   net::Network& net_;
   sim::Simulator& sim_;
-  BaselineConfig cfg_;
-  std::uint32_t wid_;
+  const BaselineConfig& cfg_;
   const tensor::CooTensor& input_;
   std::size_t dim_;
   net::EndpointId self_ = -1;
   std::vector<net::EndpointId> servers_;
   std::size_t flows_remaining_ = 0;
-  tensor::CooTensor result_;
   sim::Time finish_ = 0;
 };
 
@@ -365,15 +349,17 @@ BaselineStats detail::ps_sparse_allreduce(
   std::vector<std::unique_ptr<SparsePsWorker>> workers;
   std::vector<net::EndpointId> worker_eps;
   for (std::size_t w = 0; w < n; ++w) {
-    workers.push_back(std::make_unique<SparsePsWorker>(
-        network, cfg, static_cast<std::uint32_t>(w), inputs[w], dim));
+    workers.push_back(
+        std::make_unique<SparsePsWorker>(network, cfg, inputs[w], dim));
     worker_eps.push_back(network.attach(workers.back().get(),
                                         worker_nics[w]));
   }
   std::vector<std::unique_ptr<SparsePsServer>> servers;
   std::vector<net::EndpointId> server_eps;
   for (std::size_t s = 0; s < n_servers; ++s) {
-    servers.push_back(std::make_unique<SparsePsServer>(network, cfg, n));
+    servers.push_back(std::make_unique<SparsePsServer>(
+        network, cfg, n, static_cast<std::int32_t>(dim * s / n_servers),
+        static_cast<std::int32_t>(dim * (s + 1) / n_servers)));
     const net::NicId nic = colocated
                                ? worker_nics[s % n]
                                : network.add_nic({cfg.bandwidth_bps,
@@ -395,21 +381,16 @@ BaselineStats detail::ps_sparse_allreduce(
   for (net::NicId nic : worker_nics) {
     stats.total_tx_bytes += network.nic_stats(nic).tx_bytes;
   }
-  // Worker results collect per-server ranges in arrival order; normalize.
-  const tensor::CooTensor& r0 = workers[0]->result();
-  std::vector<std::pair<std::int32_t, float>> pairs;
-  pairs.reserve(r0.nnz());
-  for (std::size_t i = 0; i < r0.nnz(); ++i) {
-    pairs.emplace_back(r0.keys[i], r0.values[i]);
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Every worker received each server's merged range; the ranges are
+  // disjoint and ascending, so the result is their concatenation.
   result.dim = dim;
   result.keys.clear();
   result.values.clear();
-  for (const auto& [k, v] : pairs) {
-    result.keys.push_back(k);
-    result.values.push_back(v);
+  for (const auto& server : servers) {
+    const tensor::CooTensor& run = server->merged();
+    result.keys.insert(result.keys.end(), run.keys.begin(), run.keys.end());
+    result.values.insert(result.values.end(), run.values.begin(),
+                         run.values.end());
   }
   return stats;
 }

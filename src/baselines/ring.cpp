@@ -13,23 +13,43 @@ namespace omr::baselines {
 
 namespace {
 
-/// A chunk of a tensor segment travelling around the ring.
-struct ChunkMsg final : net::Message {
-  int step = 0;
-  std::size_t offset = 0;  // element offset into the tensor
-  std::vector<float> data;
-  std::size_t header_bytes = 64;
-  std::size_t wire_bytes() const override {
-    return header_bytes + data.size() * 4;
-  }
+/// A ring schedule over N ranks and N units: at step s rank r sends unit
+/// (r - s) mod N to rank r + 1 in chunks of `chunk_elements * 4` bytes and
+/// waits for unit (r - 1 - s) mod N. Only byte counts travel.
+struct RingSchedule {
+  std::vector<std::size_t> unit_bytes;  // one per rank
+  int steps = 0;
+  /// Send one empty message for an empty unit (allgather) instead of none
+  /// (allreduce segments).
+  bool send_empty = false;
+  /// Added to a rank's finish when its last step ends on a received chunk.
+  sim::Time rx_finish_extra = 0;
 };
 
+/// One chunk of a ring step. Only its size travels: ring_allreduce folds
+/// the data after the simulation, in the order the ring would have.
+struct RingChunk final : net::Message {
+  std::size_t bytes = 0;
+  std::size_t header_bytes = 64;
+  std::size_t wire_bytes() const override { return header_bytes + bytes; }
+};
+
+/// One rank of a ring schedule over N units (allreduce segments or
+/// allgather payloads): at step s, rank r sends unit (r - s) mod N to its
+/// successor in chunks and waits for unit (r - 1 - s) mod N from its
+/// predecessor. Allreduce runs 2(N-1) steps over its segments
+/// (reduce-scatter, then allgather, whose step-s segment is the same
+/// (r - s) mod N); allgather runs N-1 steps over the owners' payloads.
 class RingNode final : public net::Endpoint {
  public:
-  RingNode(net::Network& net, const BaselineConfig& cfg, int rank, int n,
-           tensor::DenseTensor& tensor)
-      : net_(net), sim_(net.simulator()), cfg_(cfg), rank_(rank), n_(n),
-        tensor_(tensor) {}
+  RingNode(net::Network& net, const BaselineConfig& cfg, int rank,
+           const RingSchedule& schedule)
+      : net_(net), sim_(net.simulator()), cfg_(cfg), rank_(rank),
+        n_(static_cast<int>(schedule.unit_bytes.size())),
+        schedule_(schedule),
+        all_empty_(std::all_of(schedule.unit_bytes.begin(),
+                               schedule.unit_bytes.end(),
+                               [](std::size_t b) { return b == 0; })) {}
 
   void bind(net::EndpointId self, net::EndpointId successor) {
     self_ = self;
@@ -37,7 +57,7 @@ class RingNode final : public net::Endpoint {
   }
 
   void start() {
-    if (n_ == 1) {
+    if (schedule_.steps == 0) {
       done_ = true;
       finish_ = sim_.now();
       return;
@@ -50,21 +70,20 @@ class RingNode final : public net::Endpoint {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* c = dynamic_cast<const ChunkMsg*>(msg.get());
+    const auto* c = dynamic_cast<const RingChunk*>(msg.get());
     if (c == nullptr) throw std::logic_error("unexpected ring message");
-    const bool reduce_phase = c->step < n_ - 1;
-    float* dst = tensor_.values().data() + c->offset;
-    if (reduce_phase) {
-      for (std::size_t i = 0; i < c->data.size(); ++i) dst[i] += c->data[i];
-    } else {
-      std::copy(c->data.begin(), c->data.end(), dst);
-    }
-    recv_remaining_ -= c->data.size();
+    // An empty allgather step completes on send, so its empty message can
+    // arrive after the rank's last step. The schedule then steps on past
+    // its end: those extra sends reach the wire and count in tx bytes, but
+    // never move a finish time. With every unit empty that would never
+    // end, so there the late message is dropped.
+    if (done_ && all_empty_) return;
+    recv_remaining_ -= c->bytes;
     if (recv_remaining_ == 0) {
       step_ += 1;
-      if (step_ == 2 * (n_ - 1)) {
+      if (step_ == schedule_.steps) {
         done_ = true;
-        finish_ = host_cost_adjusted_now(c->wire_bytes());
+        finish_ = sim_.now() + schedule_.rx_finish_extra;
         return;
       }
       send_step(step_);
@@ -72,62 +91,29 @@ class RingNode final : public net::Endpoint {
   }
 
  private:
-  /// Gloo-style CPU stacks pay a host copy per received byte; RDMA-style
-  /// stacks do not. Charged as a completion-time adjustment at the end of
-  /// the final step (receive path is the critical path).
-  sim::Time host_cost_adjusted_now(std::size_t /*bytes*/) const {
-    if (cfg_.host_copy_bandwidth_Bps <= 0) return sim_.now();
-    const double total_rx =
-        static_cast<double>(tensor_.size()) * 4.0 * 2.0 *
-        (static_cast<double>(n_ - 1) / n_);
-    return sim_.now() +
-           sim::from_seconds(total_rx / cfg_.host_copy_bandwidth_Bps * 0.5);
-  }
-
-  std::pair<std::size_t, std::size_t> segment_range(int seg) const {
-    const std::size_t n = tensor_.size();
-    const auto u = static_cast<std::size_t>(n_);
-    const auto s = static_cast<std::size_t>(seg);
-    return {n * s / u, n * (s + 1) / u};
+  std::size_t unit(int offset) const {
+    return schedule_.unit_bytes[static_cast<std::size_t>(
+        ((rank_ - offset) % n_ + n_) % n_)];
   }
 
   void send_step(int step) {
-    // Reduce-scatter step s sends segment (rank - s) mod N; allgather step
-    // s (s >= N-1) sends segment (rank + 1 - (s - (N-1))) mod N, which is
-    // the segment received (fully reduced) in the previous step.
-    int seg;
-    if (step < n_ - 1) {
-      seg = ((rank_ - step) % n_ + n_) % n_;
-    } else {
-      seg = ((rank_ + 1 - (step - (n_ - 1))) % n_ + n_) % n_;
-    }
-    auto [lo, hi] = segment_range(seg);
-    // Track what the successor must receive to finish this step.
-    recv_remaining_ = 0;
-    {
-      int rseg;
-      if (step < n_ - 1) {
-        rseg = ((rank_ - step - 1) % n_ + n_) % n_;
-      } else {
-        rseg = ((rank_ - (step - (n_ - 1))) % n_ + n_) % n_;
-      }
-      auto [rlo, rhi] = segment_range(rseg);
-      recv_remaining_ = rhi - rlo;
-    }
-    for (std::size_t off = lo; off < hi; off += cfg_.chunk_elements) {
-      const std::size_t end = std::min(off + cfg_.chunk_elements, hi);
-      auto m = std::make_shared<ChunkMsg>();
-      m->step = step;
-      m->offset = off;
-      m->header_bytes = cfg_.header_bytes;
-      m->data.assign(tensor_.values().begin() + static_cast<std::ptrdiff_t>(off),
-                     tensor_.values().begin() + static_cast<std::ptrdiff_t>(end));
-      net_.send(self_, succ_, std::move(m));
+    recv_remaining_ = unit(step + 1);
+    const std::size_t total = unit(step);
+    if (total > 0 || schedule_.send_empty) {
+      const std::size_t chunk = cfg_.chunk_elements * 4;
+      std::size_t sent = 0;
+      do {
+        auto m = std::make_shared<RingChunk>();
+        m->bytes = std::min(chunk, total - sent);
+        m->header_bytes = cfg_.header_bytes;
+        sent += m->bytes;
+        net_.send(self_, succ_, std::move(m));
+      } while (sent < total);
     }
     if (recv_remaining_ == 0) {
-      // Degenerate empty segment: advance immediately.
+      // Nothing to receive this step: advance immediately.
       step_ += 1;
-      if (step_ == 2 * (n_ - 1)) {
+      if (step_ == schedule_.steps) {
         done_ = true;
         finish_ = sim_.now();
       } else {
@@ -138,10 +124,11 @@ class RingNode final : public net::Endpoint {
 
   net::Network& net_;
   sim::Simulator& sim_;
-  BaselineConfig cfg_;
+  const BaselineConfig& cfg_;
   int rank_;
   int n_;
-  tensor::DenseTensor& tensor_;
+  const RingSchedule& schedule_;
+  bool all_empty_;
   net::EndpointId self_ = -1;
   net::EndpointId succ_ = -1;
   int step_ = 0;
@@ -150,20 +137,24 @@ class RingNode final : public net::Endpoint {
   sim::Time finish_ = 0;
 };
 
-}  // namespace
+/// Segment g of an `elements`-long buffer split over `n` ring ranks.
+std::size_t segment_begin(std::size_t elements, std::size_t n,
+                          std::size_t g) {
+  return elements * g / n;
+}
 
-BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
-                                     const BaselineConfig& cfg) {
-  if (tensors.empty()) throw std::invalid_argument("no workers");
-  const int n = static_cast<int>(tensors.size());
-
+/// Simulate `schedule` over one NIC per rank; returns the latest finish
+/// and the total transmitted bytes.
+BaselineStats run_ring_schedule(const RingSchedule& schedule,
+                                const BaselineConfig& cfg) {
+  const int n = static_cast<int>(schedule.unit_bytes.size());
+  if (n == 0) throw std::invalid_argument("no workers");
   sim::Simulator simulator;
   net::Network network(simulator, cfg.one_way_latency, cfg.seed);
   std::vector<std::unique_ptr<RingNode>> nodes;
   std::vector<net::EndpointId> eps;
   for (int r = 0; r < n; ++r) {
-    nodes.push_back(std::make_unique<RingNode>(network, cfg, r, n,
-                                               tensors[static_cast<size_t>(r)]));
+    nodes.push_back(std::make_unique<RingNode>(network, cfg, r, schedule));
     eps.push_back(network.attach(nodes.back().get(),
                                  network.add_nic({cfg.bandwidth_bps,
                                                   cfg.bandwidth_bps})));
@@ -179,7 +170,7 @@ BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
   BaselineStats stats;
   for (int r = 0; r < n; ++r) {
     if (!nodes[static_cast<size_t>(r)]->done()) {
-      throw std::logic_error("ring allreduce stalled");
+      throw std::logic_error("ring schedule stalled");
     }
     stats.completion_time = std::max(
         stats.completion_time, nodes[static_cast<size_t>(r)]->finish_time());
@@ -187,6 +178,80 @@ BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
         network.nic_stats(network.nic_of(eps[static_cast<size_t>(r)])).tx_bytes;
   }
   return stats;
+}
+
+}  // namespace
+
+BaselineStats detail::ring_allreduce_schedule(std::size_t elements,
+                                              std::size_t n,
+                                              const BaselineConfig& cfg) {
+  if (n == 0) throw std::invalid_argument("no workers");
+  RingSchedule schedule;
+  schedule.unit_bytes.resize(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    schedule.unit_bytes[g] = (segment_begin(elements, n, g + 1) -
+                              segment_begin(elements, n, g)) * 4;
+  }
+  schedule.steps = 2 * (static_cast<int>(n) - 1);
+  // Gloo-style CPU stacks pay a host copy per received byte; RDMA-style
+  // stacks do not. Charged when the final step's last chunk arrives (the
+  // receive path is the critical path).
+  if (cfg.host_copy_bandwidth_Bps > 0) {
+    const double total_rx = static_cast<double>(elements) * 4.0 * 2.0 *
+                            (static_cast<double>(n - 1) / n);
+    schedule.rx_finish_extra =
+        sim::from_seconds(total_rx / cfg.host_copy_bandwidth_Bps * 0.5);
+  }
+  return run_ring_schedule(schedule, cfg);
+}
+
+BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
+                                     const BaselineConfig& cfg) {
+  if (tensors.empty()) throw std::invalid_argument("no workers");
+  const std::size_t n = tensors.size();
+  const std::size_t size = tensors.front().size();
+  for (const auto& t : tensors) {
+    if (t.size() != size) throw std::invalid_argument("tensor size mismatch");
+  }
+  const BaselineStats stats = ring_allreduce_schedule(size, n, cfg);
+  if (n == 1) return stats;
+
+  // The ring reduces segment g as it travels from rank g around to rank
+  // g - 1: the left fold t_g + t_{g+1} + ... + t_{g+N-1} (indices mod N).
+  // The allgather then copies that fold to every rank. Compute it directly,
+  // tile by tile, in that order.
+  constexpr std::size_t kTile = 4096;
+  std::vector<float> acc(kTile);
+  for (std::size_t g = 0; g < n; ++g) {
+    const std::size_t hi = segment_begin(size, n, g + 1);
+    for (std::size_t lo = segment_begin(size, n, g); lo < hi; lo += kTile) {
+      const std::size_t len = std::min(kTile, hi - lo);
+      const float* first = tensors[g].values().data() + lo;
+      std::copy(first, first + len, acc.begin());
+      for (std::size_t k = 1; k < n; ++k) {
+        const float* src = tensors[(g + k) % n].values().data() + lo;
+        for (std::size_t j = 0; j < len; ++j) acc[j] += src[j];
+      }
+      for (auto& t : tensors) {
+        std::copy(acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(len),
+                  t.values().begin() + static_cast<std::ptrdiff_t>(lo));
+      }
+    }
+  }
+  return stats;
+}
+
+sim::Time detail::ring_allgather_bytes(
+    const std::vector<std::size_t>& payload_bytes, const BaselineConfig& cfg,
+    std::uint64_t* total_tx_bytes) {
+  RingSchedule schedule;
+  schedule.unit_bytes = payload_bytes;
+  schedule.steps = static_cast<int>(payload_bytes.size()) - 1;
+  // Every step sends at least one (possibly empty) message.
+  schedule.send_empty = true;
+  const BaselineStats stats = run_ring_schedule(schedule, cfg);
+  if (total_tx_bytes != nullptr) *total_tx_bytes = stats.total_tx_bytes;
+  return stats.completion_time;
 }
 
 namespace {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "baselines/common.h"
@@ -13,6 +15,12 @@ namespace omr::baselines {
 /// intended remaining callers.
 namespace detail {
 
+/// The simulated cost of ring_allreduce over `n` ranks' `elements`-long
+/// buffers, without the data: the same messages, completion time and wire
+/// bytes. Segment g is [elements * g / n, elements * (g + 1) / n).
+BaselineStats ring_allreduce_schedule(std::size_t elements, std::size_t n,
+                                      const BaselineConfig& cfg);
+
 /// Bandwidth-optimal ring AllReduce (Patarasuk & Yuan), the algorithm NCCL
 /// and Gloo default to and the paper's primary baseline. Two phases of N-1
 /// steps each (reduce-scatter then allgather); segments are chunked so
@@ -20,6 +28,14 @@ namespace detail {
 /// T_ring = 2(N-1)(alpha + S/(N*B)) (§3.4). Tensors are reduced in place.
 BaselineStats ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
                              const BaselineConfig& cfg);
+
+/// Variable-size ring AllGather of opaque byte payloads; returns the
+/// completion time. Building block for AGsparse, SparCML phase 2 and
+/// Ok-Topk. `payload_bytes[w]` is worker w's contribution size; every worker
+/// ends holding all contributions.
+sim::Time ring_allgather_bytes(const std::vector<std::size_t>& payload_bytes,
+                               const BaselineConfig& cfg,
+                               std::uint64_t* total_tx_bytes = nullptr);
 
 /// Latency-optimal recursive-doubling AllReduce (dense): log2(N) exchange
 /// steps of the full vector. Used by SparCML's dispatch for small inputs.

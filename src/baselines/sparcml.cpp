@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "baselines/agsparse.h"
+#include "baselines/ring.h"
 #include "net/message.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
@@ -81,21 +82,6 @@ class ExchangeNode final : public net::Endpoint {
   sim::Time finish_ = 0;
 };
 
-/// Extract the entries of `t` with keys in [lo, hi).
-tensor::CooTensor slice_range(const tensor::CooTensor& t, std::int64_t lo,
-                              std::int64_t hi) {
-  tensor::CooTensor out;
-  out.dim = t.dim;
-  const auto begin = std::lower_bound(t.keys.begin(), t.keys.end(),
-                                      static_cast<std::int32_t>(lo));
-  const auto end = std::lower_bound(t.keys.begin(), t.keys.end(),
-                                    static_cast<std::int32_t>(hi));
-  out.keys.assign(begin, end);
-  out.values.assign(t.values.begin() + (begin - t.keys.begin()),
-                    t.values.begin() + (end - t.keys.begin()));
-  return out;
-}
-
 }  // namespace
 
 sim::Time detail::all_to_all_bytes(
@@ -161,60 +147,66 @@ BaselineStats detail::sparcml_allreduce(
 
   // The reduced result (identical across workers): computed once for
   // verification and payload sizing.
-  result = inputs.front();
-  for (std::size_t w = 1; w < n; ++w) result = tensor::coo_add(result, inputs[w]);
+  result = merge_in_worker_order(inputs);
 
   if (variant == SparcmlVariant::kSsarRecursiveDoubling) {
     // log2(N) exchange-and-merge steps; payload grows toward the union.
+    // Before the step with distance d, rank r holds the merge of the
+    // aligned group of d ranks containing it; only its size matters.
     if ((n & (n - 1)) != 0) {
       throw std::invalid_argument("recursive doubling needs power-of-two N");
     }
     std::size_t merge_pairs = 0;
-    std::vector<tensor::CooTensor> state = inputs;
+    std::vector<std::size_t> held(n);
+    for (std::size_t r = 0; r < n; ++r) held[r] = inputs[r].nnz();
+    tensor::SparseRangeAccumulator group;
     sim::Time t = 0;
     for (std::size_t d = 1; d < n; d *= 2) {
       // All pairs exchange concurrently; the step's time is set by the
       // largest payload in flight.
       std::size_t max_bytes = 0;
-      for (const auto& s : state) {
-        max_bytes = std::max(max_bytes, s.wire_bytes());
-        stats.total_tx_bytes += s.wire_bytes() + cfg.header_bytes;
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t bytes = held[r] * 8;
+        max_bytes = std::max(max_bytes, bytes);
+        stats.total_tx_bytes += bytes + cfg.header_bytes;
       }
       t += cfg.one_way_latency +
            sim::from_seconds(static_cast<double>(max_bytes + cfg.header_bytes) *
                              8.0 / cfg.bandwidth_bps) *
                2;  // TX + RX store-and-forward
-      std::vector<tensor::CooTensor> next(n);
-      for (std::size_t r = 0; r < n; ++r) {
-        const std::size_t partner = r ^ d;
-        next[r] = tensor::coo_add(state[r], state[partner]);
-        merge_pairs += state[r].nnz() + state[partner].nnz();
+      for (std::size_t r = 0; r < n; ++r) merge_pairs += held[r] + held[r ^ d];
+      for (std::size_t first = 0; first < n; first += 2 * d) {
+        group.reset(0, static_cast<std::int64_t>(dim));
+        for (std::size_t r = first; r < first + 2 * d; ++r) {
+          group.add(inputs[r]);
+        }
+        for (std::size_t r = first; r < first + 2 * d; ++r) {
+          held[r] = group.size();
+        }
       }
-      state = std::move(next);
     }
     stats.completion_time =
         t + sim::from_seconds(static_cast<double>(merge_pairs / n) * 8.0 /
                               reduce_mem_bandwidth_Bps);
-      return stats;
+    return stats;
   }
 
   // ---- Phase 1: split + all-to-all to partition owners -------------------
+  // Owner p reduces partition [dim*p/N, dim*(p+1)/N): the result's slice.
   std::vector<std::vector<std::size_t>> bytes(n, std::vector<std::size_t>(n, 0));
-  std::vector<tensor::CooTensor> reduced(n);  // per-owner reduced partition
+  std::vector<std::size_t> reduced_nnz(n);
   std::size_t merge_pairs_max = 0;
   for (std::size_t p = 0; p < n; ++p) {
     const std::int64_t lo = static_cast<std::int64_t>(dim * p / n);
     const std::int64_t hi = static_cast<std::int64_t>(dim * (p + 1) / n);
     std::size_t merge_pairs = 0;
-    tensor::CooTensor acc;
-    acc.dim = dim;
     for (std::size_t w = 0; w < n; ++w) {
-      tensor::CooTensor part = slice_range(inputs[w], lo, hi);
-      merge_pairs += part.nnz();
-      if (w != p) bytes[w][p] = part.wire_bytes();
-      acc = tensor::coo_add(acc, part);
+      const auto [begin, end] = tensor::coo_key_range(inputs[w], lo, hi);
+      merge_pairs += end - begin;
+      if (w != p) bytes[w][p] = (end - begin) * 8;
     }
-    reduced[p] = std::move(acc);
+    const auto [begin, end] = tensor::coo_key_range(result, lo, hi);
+    reduced_nnz[p] = end - begin;
     merge_pairs_max = std::max(merge_pairs_max, merge_pairs);
   }
   stats.completion_time =
@@ -229,9 +221,9 @@ BaselineStats detail::sparcml_allreduce(
   for (std::size_t p = 0; p < n; ++p) {
     const std::size_t range =
         dim * (p + 1) / n - dim * p / n;
-    const std::size_t sparse_bytes = reduced[p].wire_bytes();
+    const std::size_t sparse_bytes = reduced_nnz[p] * 8;
     if (variant == SparcmlVariant::kDsarSplitAllgather &&
-        reduced[p].nnz() > range / 2) {
+        reduced_nnz[p] > range / 2) {
       phase2[p] = range * 4;  // switched to dense representation
     } else {
       phase2[p] = sparse_bytes;

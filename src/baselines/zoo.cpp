@@ -105,11 +105,11 @@ class AgSparseAlgo final : public CollectiveAlgorithm {
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     const auto coo = to_coo(tensors);
-    std::vector<tensor::CooTensor> outputs;
+    tensor::CooTensor result;
     const BaselineStats bs = detail::agsparse_allreduce(
-        coo, outputs, derive_config(cluster), stack_,
+        coo, result, derive_config(cluster), stack_,
         /*reduce_mem_bandwidth_Bps=*/12e9, compress_);
-    assign_result(tensors, outputs.front());
+    assign_result(tensors, result);
     return to_run_stats(bs, tensors.size());
   }
 

@@ -283,6 +283,14 @@ RunStats run_collective(const std::string& name,
                         bool verify) {
   CollectiveAlgorithm& algo = CollectiveRegistry::global().at(name);
   validate_capabilities(algo.capabilities(), cfg, cluster, name);
+  if (tensors.empty()) {
+    throw std::invalid_argument(name + ": no worker tensors");
+  }
+  for (const auto& t : tensors) {
+    if (t.size() != tensors.front().size()) {
+      throw std::invalid_argument(name + ": worker tensors differ in size");
+    }
+  }
   ReferenceCheck check;
   if (verify) check = ReferenceCheck(tensors, cfg);
   RunStats stats = algo.run(tensors, cfg, cluster);

@@ -116,7 +116,8 @@ void validate_capabilities(const AlgoCapabilities& caps, const Config& cfg,
 bool capabilities_allow(const AlgoCapabilities& caps, const Config& cfg,
                         const ClusterSpec& cluster);
 
-/// Look up `name` in the global registry, validate capabilities, run, and
+/// Look up `name` in the global registry, validate capabilities and the
+/// tensors (std::invalid_argument for no workers or unequal sizes), run, and
 /// (with `verify`) check the in-place result of every worker against
 /// reference_reduce using the algorithm's tolerance — filling
 /// stats.verified / stats.max_error. Verification is skipped when a

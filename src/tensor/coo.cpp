@@ -1,5 +1,7 @@
 #include "tensor/coo.h"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace omr::tensor {
@@ -24,38 +26,47 @@ DenseTensor coo_to_dense(const CooTensor& t) {
   return out;
 }
 
-CooTensor coo_add(const CooTensor& a, const CooTensor& b) {
-  if (a.dim != b.dim) throw std::invalid_argument("dim mismatch");
-  CooTensor out;
-  out.dim = a.dim;
-  out.keys.reserve(a.nnz() + b.nnz());
-  out.values.reserve(a.nnz() + b.nnz());
-  std::size_t i = 0, j = 0;
-  while (i < a.nnz() && j < b.nnz()) {
-    if (a.keys[i] < b.keys[j]) {
-      out.keys.push_back(a.keys[i]);
-      out.values.push_back(a.values[i]);
-      ++i;
-    } else if (a.keys[i] > b.keys[j]) {
-      out.keys.push_back(b.keys[j]);
-      out.values.push_back(b.values[j]);
-      ++j;
-    } else {
-      out.keys.push_back(a.keys[i]);
-      out.values.push_back(a.values[i] + b.values[j]);
-      ++i;
-      ++j;
+void SparseRangeAccumulator::reset(std::int64_t lo, std::int64_t hi) {
+  if (hi < lo) throw std::invalid_argument("accumulator range hi < lo");
+  lo_ = lo;
+  hi_ = hi;
+  const auto range = static_cast<std::size_t>(hi - lo);
+  sums_.resize(range);
+  touched_.assign((range + 63) / 64, 0);
+  size_ = 0;
+}
+
+void SparseRangeAccumulator::add(const CooTensor& t) {
+  const auto [begin, end] = coo_key_range(t, lo_, hi_);
+  add(t.keys.data() + begin, t.values.data() + begin, end - begin);
+}
+
+void SparseRangeAccumulator::emit(CooTensor& out) {
+  out.keys.reserve(out.keys.size() + size_);
+  out.values.reserve(out.values.size() + size_);
+  for (std::size_t w = 0; w < touched_.size(); ++w) {
+    for (std::uint64_t word = touched_[w]; word != 0; word &= word - 1) {
+      const std::size_t i =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      out.keys.push_back(
+          static_cast<std::int32_t>(lo_ + static_cast<std::int64_t>(i)));
+      out.values.push_back(sums_[i]);
     }
+    touched_[w] = 0;
   }
-  for (; i < a.nnz(); ++i) {
-    out.keys.push_back(a.keys[i]);
-    out.values.push_back(a.values[i]);
-  }
-  for (; j < b.nnz(); ++j) {
-    out.keys.push_back(b.keys[j]);
-    out.values.push_back(b.values[j]);
-  }
-  return out;
+  size_ = 0;
+}
+
+std::pair<std::size_t, std::size_t> coo_key_range(const CooTensor& t,
+                                                  std::int64_t lo,
+                                                  std::int64_t hi) {
+  const auto key_at_least = [&t](std::int64_t k) {
+    return static_cast<std::size_t>(
+        std::lower_bound(t.keys.begin(), t.keys.end(), k,
+                         [](std::int32_t a, std::int64_t b) { return a < b; }) -
+        t.keys.begin());
+  };
+  return {key_at_least(lo), key_at_least(hi)};
 }
 
 sim::Time conversion_cost(std::size_t dense_elements, std::size_t nnz,

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -27,9 +29,65 @@ CooTensor dense_to_coo(const DenseTensor& t);
 /// Convert COO -> dense.
 DenseTensor coo_to_dense(const CooTensor& t);
 
-/// Merge-add two sorted COO tensors (the local reduction AGsparse/SparCML
-/// perform after gathering).
-CooTensor coo_add(const CooTensor& a, const CooTensor& b);
+/// Sums sparse (key, value) contributions over the key range [lo, hi) on a
+/// dense slab: the first contribution to a key stores its value, later ones
+/// add to it in call order. emit() appends the sorted union of the touched
+/// keys, zero sums included. Per key this performs exactly the additions of
+/// a chain of pairwise sorted merges, or of a std::map<key, float>
+/// accumulator fed in the same order, so the sums are bit-identical to
+/// either; the cost is O(contributions) plus an O(range / 64) emit scan.
+/// This is the sparse-merge kernel behind AGsparse, SparCML, Ok-Topk and the
+/// sparse parameter server.
+class SparseRangeAccumulator {
+ public:
+  SparseRangeAccumulator() = default;
+  SparseRangeAccumulator(std::int64_t lo, std::int64_t hi) { reset(lo, hi); }
+
+  /// Re-targets the accumulator to [lo, hi), empty.
+  void reset(std::int64_t lo, std::int64_t hi);
+
+  /// Adds one contribution; `key` must lie in [lo, hi).
+  void add(std::int32_t key, float value) {
+    const auto i = static_cast<std::size_t>(key - lo_);
+    std::uint64_t& word = touched_[i >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    if ((word & bit) != 0) {
+      sums_[i] += value;
+    } else {
+      word |= bit;
+      sums_[i] = value;
+      ++size_;
+    }
+  }
+
+  /// Adds `n` contributions, keys in [lo, hi), in order.
+  void add(const std::int32_t* keys, const float* values, std::size_t n) {
+    for (std::size_t j = 0; j < n; ++j) add(keys[j], values[j]);
+  }
+
+  /// Adds every entry of `t` whose key lies in [lo, hi), in key order.
+  void add(const CooTensor& t);
+
+  /// Distinct keys touched since the last reset or emit.
+  std::size_t size() const { return size_; }
+
+  /// Appends the touched keys in ascending order, with their sums, to `out`
+  /// and leaves the accumulator empty over the same range.
+  void emit(CooTensor& out);
+
+ private:
+  std::int64_t lo_ = 0;
+  std::int64_t hi_ = 0;
+  std::vector<float> sums_;
+  std::vector<std::uint64_t> touched_;
+  std::size_t size_ = 0;
+};
+
+/// Half-open index range [begin, end) of the entries of sorted `t` whose
+/// keys lie in [lo, hi).
+std::pair<std::size_t, std::size_t> coo_key_range(const CooTensor& t,
+                                                  std::int64_t lo,
+                                                  std::int64_t hi);
 
 /// Cost model for format conversion on a worker (Fig. 8): the converter
 /// scans the dense tensor and packs (or unpacks) the sparse representation.

@@ -2,13 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "baselines/agsparse.h"
+#include "baselines/oktopk.h"
 #include "baselines/parameter_server.h"
 #include "baselines/ring.h"
+#include "baselines/sketch_reducer.h"
 #include "baselines/sparcml.h"
 #include "baselines/switchml.h"
+#include "baselines/zoo.h"
+#include "core/algorithm.h"
 #include "sim/rng.h"
 #include "tensor/coo.h"
 #include "tensor/generators.h"
@@ -136,10 +143,10 @@ TEST(AgSparse, ReducesCorrectly) {
   auto dense = inputs(4, 4096, 0.9, 10);
   std::vector<tensor::CooTensor> coo;
   for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
-  std::vector<tensor::CooTensor> outs;
-  BaselineStats st = agsparse_allreduce(coo, outs, fast_cfg());
+  tensor::CooTensor out;
+  BaselineStats st = agsparse_allreduce(coo, out, fast_cfg());
   DenseTensor expect = tensor::reference_sum(dense);
-  EXPECT_LE(tensor::max_abs_diff(tensor::coo_to_dense(outs[0]), expect), 1e-4);
+  EXPECT_LE(tensor::max_abs_diff(tensor::coo_to_dense(out), expect), 1e-4);
   EXPECT_GT(st.completion_time, 0);
 }
 
@@ -147,7 +154,7 @@ TEST(AgSparse, GlooSlowerThanNccl) {
   auto dense = inputs(8, 1 << 18, 0.9, 11);
   std::vector<tensor::CooTensor> coo;
   for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
-  std::vector<tensor::CooTensor> o1, o2;
+  tensor::CooTensor o1, o2;
   const auto nccl = agsparse_allreduce(coo, o1, fast_cfg(), AgStack::kNccl);
   const auto gloo = agsparse_allreduce(coo, o2, fast_cfg(), AgStack::kGloo);
   EXPECT_GT(gloo.completion_time, nccl.completion_time);
@@ -160,8 +167,8 @@ TEST(AgSparse, TimeGrowsWithWorkers) {
     auto dense = inputs(n, 1 << 18, 0.9, 12);
     std::vector<tensor::CooTensor> coo;
     for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
-    std::vector<tensor::CooTensor> outs;
-    const auto st = agsparse_allreduce(coo, outs, fast_cfg());
+    tensor::CooTensor out;
+    const auto st = agsparse_allreduce(coo, out, fast_cfg());
     EXPECT_GT(st.completion_time, prev);
     prev = st.completion_time;
   }
@@ -310,6 +317,240 @@ TEST(SwitchMl, DenseStreamingCorrect) {
   EXPECT_TRUE(st.verified);
   // Dense mode: full tensor transmitted regardless of sparsity.
   EXPECT_EQ(st.worker_data_bytes[0], 16384u * 4u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Registry dispatch: worker tensors
+// ---------------------------------------------------------------------------
+
+TEST(RunCollective, RejectsNoWorkersAndUnequalSizesAcrossTheRegistry) {
+  register_zoo();
+  for (const std::string& name : core::CollectiveRegistry::global().names()) {
+    std::vector<DenseTensor> ragged = inputs(4, 4096, 0.5, 40);
+    ragged[1] = DenseTensor(1024);
+    try {
+      core::run_collective(name, ragged, {}, core::ClusterSpec{});
+      ADD_FAILURE() << name << " accepted unequal tensor sizes";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("differ in size"),
+                std::string::npos)
+          << name << ": " << e.what();
+    }
+    std::vector<DenseTensor> none;
+    EXPECT_THROW(core::run_collective(name, none, {}, core::ClusterSpec{}),
+                 std::invalid_argument)
+        << name;
+  }
+}
+
+TEST(RunCollective, AllZeroInputsComplete) {
+  // Every worker empty: sparse payloads, partitions and allgather steps are
+  // all empty, and every algorithm still completes with a zero result.
+  register_zoo();
+  for (const std::string& name : core::CollectiveRegistry::global().names()) {
+    std::vector<DenseTensor> ts(4, DenseTensor(4096));
+    const core::RunStats st =
+        core::run_collective(name, ts, {}, core::ClusterSpec{});
+    EXPECT_TRUE(st.completed()) << name;
+    EXPECT_TRUE(st.verified) << name;
+    for (const auto& t : ts) EXPECT_EQ(t.nnz(), 0u) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pins: every zoo algorithm through the registry
+// ---------------------------------------------------------------------------
+//
+// Recorded from the original per-message ring, map-based sparse PS,
+// pairwise COO merges and per-worker dense sketches. Any rewrite of the
+// baseline kernels must reproduce every simulated output bit for bit: the
+// result tensors, the completion time and the per-worker wire bytes. Never
+// re-record these values.
+
+/// FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv_tensor(std::uint64_t h, const DenseTensor& t) {
+  return fnv(h, t.values().data(), t.size() * sizeof(float));
+}
+
+std::uint64_t fnv_coo(std::uint64_t h, const tensor::CooTensor& t) {
+  h = fnv(h, t.keys.data(), t.keys.size() * sizeof(std::int32_t));
+  return fnv(h, t.values.data(), t.values.size() * sizeof(float));
+}
+
+template <typename T>
+std::uint64_t fnv_value(std::uint64_t h, const T& v) {
+  return fnv(h, &v, sizeof(v));
+}
+
+struct PinCase {
+  std::size_t workers;
+  std::size_t dim;
+  double sparsity;
+  bool zero_worker;  // the last worker contributes nothing
+};
+
+/// The pinned shapes: N in {1, 3, 5, 8}; a dimension that is not a
+/// multiple of the 256-element block; a tensor smaller than N; one large
+/// enough that ring segments and sketch payloads span several chunks (and
+/// that 99% block sparsity still leaves non-zero blocks); each with and
+/// without an all-zero worker.
+std::vector<PinCase> pin_cases() {
+  std::vector<PinCase> cases;
+  for (std::size_t n : {1u, 3u, 5u, 8u}) {
+    for (bool z : {false, true}) {
+      cases.push_back({n, 4099, 0.5, z});
+      cases.push_back({n, 4099, 0.9, z});
+      cases.push_back({n, 3, 0.5, z});
+      cases.push_back({n, 40009, 0.99, z});
+    }
+    cases.push_back({n, 40009, 0.5, false});
+  }
+  return cases;
+}
+
+std::vector<DenseTensor> pin_inputs(const PinCase& c) {
+  sim::Rng rng(1000003 * c.workers + 7 * c.dim +
+               static_cast<std::uint64_t>(c.sparsity * 100) +
+               (c.zero_worker ? 5 : 0));
+  auto ts = tensor::make_multi_worker(c.workers, c.dim, 256, c.sparsity,
+                                      tensor::OverlapMode::kRandom, rng);
+  if (c.zero_worker) ts.back() = DenseTensor(c.dim);
+  return ts;
+}
+
+struct AlgoPin {
+  const char* algo;
+  std::uint64_t result;  // FNV-1a of every case's result bits
+  std::uint64_t time;    // FNV-1a of every case's completion_time
+  std::uint64_t bytes;   // FNV-1a of every case's worker_data_bytes
+};
+
+constexpr AlgoPin kAlgoPins[] = {
+    {"agsparse", 0x2c836c7565909bedULL, 0xb6595f1791f07911ULL,
+     0x1dcbaa5dbe17b105ULL},
+    {"agsparse_compressed", 0x2c836c7565909bedULL, 0x2d6e8bfcb2c549c5ULL,
+     0x34727f117fb81475ULL},
+    {"agsparse_gloo", 0x2c836c7565909bedULL, 0x9e1911a79054482dULL,
+     0x1dcbaa5dbe17b105ULL},
+    {"oktopk", 0x2c836c7565909bedULL, 0x5be04a6c97ec5641ULL,
+     0x7d27ebe86d3d0771ULL},
+    {"parallax", 0x2c836c7565909bedULL, 0xee99eb2da0f73421ULL,
+     0x9b93167c89b78835ULL},
+    {"ps", 0x2c836c7565909bedULL, 0x3b3b120acc674730ULL,
+     0xeae859dc2aa31a8eULL},
+    {"ps_sparse", 0x2c836c7565909bedULL, 0x5bfaa4b43c64b5d8ULL,
+     0xc5648aad181e5cb6ULL},
+    {"recursive_doubling", 0xdb3755ab80ac104dULL, 0x62304ad18aa405adULL,
+     0xc3289c5f25c820a5ULL},
+    {"ring", 0x79bcdf1171a3ce61ULL, 0xca17f42f8631bf45ULL,
+     0xea9b3d34256b4abdULL},
+    {"sketch", 0xe7f76740b91262b5ULL, 0xd93514f76ebc8379ULL,
+     0xfdb5f781bd9d1005ULL},
+    {"sparcml", 0x2c836c7565909bedULL, 0xa746f075b2457515ULL,
+     0xb591d9e52a3c8e31ULL},
+    {"sparcml_dsar", 0x2c836c7565909bedULL, 0xd575499d8bc9471dULL,
+     0xe064bb19ff7882a9ULL},
+    {"sparcml_ssar", 0x2c836c7565909bedULL, 0x448deeaf61325d61ULL,
+     0xf88ccdb8efdc73e5ULL},
+};
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llxULL",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(BaselinePins, EveryZooAlgorithmBitIdentical) {
+  register_zoo();
+  const std::vector<PinCase> cases = pin_cases();
+  const std::vector<core::ClusterSpec> clusters = {
+      core::ClusterSpec::dedicated(3), core::ClusterSpec::colocated()};
+  for (const AlgoPin& pin : kAlgoPins) {
+    const std::string algo = pin.algo;
+    std::uint64_t result = kFnvBasis, time = kFnvBasis, bytes = kFnvBasis;
+    for (const core::ClusterSpec& cluster : clusters) {
+      for (const PinCase& c : cases) {
+        auto ts = pin_inputs(c);
+        const bool pow2 = (c.workers & (c.workers - 1)) == 0;
+        if (algo == "recursive_doubling" && !pow2) {
+          EXPECT_THROW(core::run_collective(algo, ts, {}, cluster),
+                       std::invalid_argument);
+          continue;
+        }
+        const core::RunStats st = core::run_collective(algo, ts, {}, cluster);
+        EXPECT_TRUE(st.verified) << algo << " N=" << c.workers
+                                 << " dim=" << c.dim;
+        for (const auto& t : ts) result = fnv_tensor(result, t);
+        time = fnv_value(time, st.completion_time);
+        bytes = fnv(bytes, st.worker_data_bytes.data(),
+                    st.worker_data_bytes.size() * sizeof(std::uint64_t));
+      }
+    }
+    EXPECT_EQ(result, pin.result) << algo << " result";
+    EXPECT_EQ(time, pin.time) << algo << " completion_time";
+    EXPECT_EQ(bytes, pin.bytes) << algo << " worker_data_bytes";
+    if (result != pin.result || time != pin.time || bytes != pin.bytes) {
+      std::printf("    {\"%s\", %s, %s, %s},\n", pin.algo, hex(result).c_str(),
+                  hex(time).c_str(), hex(bytes).c_str());
+    }
+  }
+}
+
+TEST(BaselinePins, OkTopkThresholdAndPartitions) {
+  // k > 0 sparsifies: the threshold and the balanced partition loads are
+  // outputs of their own.
+  for (std::size_t n : {5u, 8u}) {
+    const auto dense = pin_inputs({n, 4099, 0.5, true});
+    std::vector<tensor::CooTensor> coo;
+    for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
+    OkTopkOptions opts;
+    opts.k = 1500;
+    const OkTopkResult r = oktopk_allreduce(coo, fast_cfg(), opts);
+    std::uint64_t h = fnv_coo(kFnvBasis, r.result);
+    h = fnv_value(h, r.threshold);
+    h = fnv(h, r.partition_pairs.data(),
+            r.partition_pairs.size() * sizeof(std::size_t));
+    h = fnv_value(h, r.stats.completion_time);
+    h = fnv_value(h, r.stats.total_tx_bytes);
+    const std::uint64_t expect = n == 5 ? 0x5c524150cc4e2c19ULL
+                                           : 0x385fc62e5c8aa137ULL;
+    EXPECT_EQ(h, expect) << "N=" << n << " actual " << hex(h);
+  }
+}
+
+TEST(BaselinePins, SketchWidthAndPayload) {
+  struct Expect {
+    std::size_t n, dim, width, payload;
+    std::uint64_t digest;
+  };
+  const Expect expects[] = {
+      {3, 4099, 15372, 46133, 0x7c6bfe51e1ebc393ULL},
+      {8, 40009, 157988, 474121, 0x5ee6e26b8eed2b33ULL},
+  };
+  for (const Expect& e : expects) {
+    const auto dense = pin_inputs({e.n, e.dim, 0.5, true});
+    SketchOptions opts;
+    opts.seed = 7;
+    const SketchResult r = sketch_allreduce(dense, fast_cfg(), opts);
+    EXPECT_EQ(r.sketch_width, e.width) << "N=" << e.n;
+    EXPECT_EQ(r.payload_elements, e.payload) << "N=" << e.n;
+    std::uint64_t h = fnv_tensor(kFnvBasis, r.result);
+    h = fnv_value(h, r.stats.completion_time);
+    h = fnv_value(h, r.stats.total_tx_bytes);
+    EXPECT_EQ(h, e.digest) << "N=" << e.n << " width " << r.sketch_width
+                           << " payload " << r.payload_elements << " actual "
+                           << hex(h);
+  }
 }
 
 }  // namespace

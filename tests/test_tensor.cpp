@@ -65,14 +65,56 @@ TEST(Coo, RoundTrip) {
   EXPECT_EQ(back, t);
 }
 
-TEST(Coo, MergeAdd) {
+TEST(SparseRangeAccumulator, MergesSortedUnion) {
   CooTensor a{8, {1, 3, 5}, {1.f, 1.f, 1.f}};
   CooTensor b{8, {0, 3, 7}, {2.f, 2.f, 2.f}};
-  CooTensor s = coo_add(a, b);
+  SparseRangeAccumulator acc(0, 8);
+  acc.add(a);
+  acc.add(b);
+  EXPECT_EQ(acc.size(), 5u);
+  CooTensor s;
+  acc.emit(s);
   EXPECT_EQ(s.keys, (std::vector<std::int32_t>{0, 1, 3, 5, 7}));
-  EXPECT_FLOAT_EQ(s.values[2], 3.0f);
-  CooTensor mismatch{4, {}, {}};
-  EXPECT_THROW(coo_add(a, mismatch), std::invalid_argument);
+  EXPECT_EQ(s.values, (std::vector<float>{2.f, 1.f, 3.f, 1.f, 2.f}));
+  EXPECT_EQ(acc.size(), 0u);
+}
+
+TEST(SparseRangeAccumulator, AddsInCallOrderAndKeepsZeroSums) {
+  // (1e8 + 1) - 1e8 == 0 in float but 1e8 - 1e8 + 1 == 1: the order of
+  // the calls is the order of the additions.
+  SparseRangeAccumulator acc(100, 104);
+  acc.add(101, 1e8f);
+  acc.add(101, 1.0f);
+  acc.add(101, -1e8f);
+  acc.add(103, -1e8f);
+  acc.add(103, 1e8f);
+  acc.add(103, 1.0f);
+  acc.add(102, 2.5f);
+  acc.add(102, -2.5f);
+  CooTensor s;
+  acc.emit(s);
+  EXPECT_EQ(s.keys, (std::vector<std::int32_t>{101, 102, 103}));
+  EXPECT_EQ(s.values, (std::vector<float>{0.0f, 0.0f, 1.0f}));
+}
+
+TEST(SparseRangeAccumulator, SlicesInputsToItsRangeAndIsReusable) {
+  CooTensor t{200, {3, 64, 65, 127, 128, 190}, {1, 2, 3, 4, 5, 6}};
+  SparseRangeAccumulator acc(64, 128);
+  acc.add(t);
+  CooTensor s;
+  acc.emit(s);
+  EXPECT_EQ(s.keys, (std::vector<std::int32_t>{64, 65, 127}));
+  // Emitting appends and leaves the accumulator empty for the next round.
+  acc.add(t);
+  acc.emit(s);
+  EXPECT_EQ(s.nnz(), 6u);
+  acc.reset(128, 200);
+  acc.add(t);
+  acc.emit(s);
+  EXPECT_EQ(s.keys.back(), 190);
+  EXPECT_EQ(coo_key_range(t, 64, 128),
+            (std::pair<std::size_t, std::size_t>{1, 4}));
+  EXPECT_THROW(acc.reset(5, 4), std::invalid_argument);
 }
 
 TEST(Coo, ConversionCostScalesWithSize) {
