@@ -23,7 +23,7 @@ std::vector<tensor::DenseTensor> make(std::size_t workers, std::size_t n,
 }
 
 /// Registry dispatch on fresh tensors: generation seed = workers (matching
-/// the old serial loop), fabric at the BaselineConfig default seed 1.
+/// the old serial loop), cluster seed 1 (the engine's fabric seed).
 double registry_s(const char* algo, std::size_t workers, std::size_t n,
                   double s) {
   auto ts = make(workers, n, s, workers);

@@ -10,10 +10,11 @@
 
 namespace omr::bench {
 
-/// Flat ideal-switch cluster whose derived BaselineConfig matches the
-/// (bandwidth, seed) tuples the benches have always passed to the direct
-/// baseline calls — dispatching through the registry reproduces the
-/// historical numbers exactly.
+/// Flat ideal-switch cluster at `bandwidth_bps` whose derived
+/// BaselineConfig matches what the benches have always passed to the
+/// direct baseline calls, so dispatching through the registry reproduces
+/// the historical numbers exactly. Among the baselines only the sketch
+/// reads `seed` (its hash seed); the baseline fabric is lossless.
 inline core::ClusterSpec flat_cluster(double bandwidth_bps,
                                       std::uint64_t seed) {
   core::ClusterSpec spec;

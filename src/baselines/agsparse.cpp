@@ -20,8 +20,7 @@ tensor::CooTensor detail::merge_in_worker_order(
 
 BaselineStats detail::agsparse_allreduce(
     const std::vector<tensor::CooTensor>& inputs, tensor::CooTensor& result,
-    const BaselineConfig& cfg,
-    AgStack stack, double reduce_mem_bandwidth_Bps, bool compress_indices) {
+    const BaselineConfig& cfg, AgStack stack, bool compress_indices) {
   if (inputs.empty()) throw std::invalid_argument("no workers");
   const std::size_t n = inputs.size();
   // Communication: ring-allgather every worker's (keys, values) payload.
@@ -34,20 +33,16 @@ BaselineStats detail::agsparse_allreduce(
                            : t.wire_bytes());
     total_pairs += t.nnz();
   }
-  BaselineStats stats;
-  stats.completion_time =
-      ring_allgather_bytes(payloads, cfg, &stats.total_tx_bytes);
+  BaselineStats stats = ring_allgather_bytes(payloads, cfg);
 
-  // Gloo (TCP) copies every received byte through the host once more.
+  // Gloo (TCP) copies every received byte through the host once more, at
+  // 6 GB/s.
   if (stack == AgStack::kGloo) {
     std::size_t total_bytes = 0;
     for (std::size_t b : payloads) total_bytes += b;
     const double rx_per_node =
         static_cast<double>(total_bytes) * (static_cast<double>(n - 1) / n);
-    stats.completion_time += sim::from_seconds(
-        rx_per_node / (cfg.host_copy_bandwidth_Bps > 0
-                           ? cfg.host_copy_bandwidth_Bps
-                           : 6e9));
+    stats.completion_time += sim::from_seconds(rx_per_node / 6e9);
   }
 
   // Local reduction: merge N sorted COO lists (read everything once, write
@@ -57,7 +52,7 @@ BaselineStats detail::agsparse_allreduce(
   const double merge_bytes =
       static_cast<double>(total_pairs + result.nnz()) * 8.0;
   stats.completion_time +=
-      sim::from_seconds(merge_bytes / reduce_mem_bandwidth_Bps);
+      sim::from_seconds(merge_bytes / kReduceBandwidthBps);
   return stats;
 }
 

@@ -21,8 +21,8 @@ namespace detail {
 /// worker ring-allgathers all (key, value) pairs, then reduces locally.
 /// Memory and time scale with N * nnz — no overlap elimination. Inputs are
 /// COO; `result` receives the reduced sparse tensor (identical on every
-/// worker). The optional local-reduction cost is charged at memory
-/// bandwidth.
+/// worker). The local reduction is charged at detail::kReduceBandwidthBps
+/// and Gloo's extra host copy at 6 GB/s.
 /// With `compress_indices`, each worker's index list is sent in the
 /// cheaper of raw-key or bitmask form (tensor/index_codec.h) — the [60]
 /// optimization; it shrinks payloads at moderate sparsity but cannot fix
@@ -31,7 +31,6 @@ BaselineStats agsparse_allreduce(const std::vector<tensor::CooTensor>& inputs,
                                  tensor::CooTensor& result,
                                  const BaselineConfig& cfg,
                                  AgStack stack = AgStack::kNccl,
-                                 double reduce_mem_bandwidth_Bps = 12e9,
                                  bool compress_indices = false);
 
 /// The sum of sorted COO `inputs` (all of dim inputs.front().dim), adding

@@ -69,22 +69,19 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
   const std::vector<tensor::CooTensor>& kept =
       out.threshold > 0.0 ? filtered : inputs;
 
-  sim::Time t = 0;
+  BaselineStats& stats = out.stats;
   // Threshold-estimation round: log2(N) recursive-doubling exchanges of a
   // fixed 256-bin magnitude histogram (the paper's sampled estimation; the
   // threshold itself is idealized to the exact order statistic above).
-  const std::size_t hist_bytes = 256 * 8 + cfg.header_bytes;
+  const std::size_t hist_bytes = 256 * 8;
   const std::size_t est_rounds = ceil_log2(n);
-  t += static_cast<sim::Time>(est_rounds) *
-       (cfg.one_way_latency +
-        sim::from_seconds(static_cast<double>(hist_bytes) * 8.0 /
-                          cfg.bandwidth_bps) *
-            2);
-  out.stats.total_tx_bytes +=
-      static_cast<std::uint64_t>(n) * est_rounds * hist_bytes;
+  stats.completion_time = static_cast<sim::Time>(est_rounds) *
+                          detail::exchange_step_time(hist_bytes, cfg);
+  stats.total_tx_bytes = static_cast<std::uint64_t>(n) * est_rounds *
+                         (hist_bytes + detail::kHeaderBytes);
   // Local selection scan (one magnitude pass over the candidate entries).
-  t += sim::from_seconds(static_cast<double>(max_nnz) * 4.0 /
-                         opts.reduce_mem_bandwidth_Bps);
+  stats.completion_time += sim::from_seconds(
+      static_cast<double>(max_nnz) * 4.0 / detail::kReduceBandwidthBps);
 
   // ---- Balanced partitioning: equal survivor counts per owner ------------
   // Boundaries derive from the survivors' key histogram, so each owner
@@ -138,12 +135,11 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
     out.partition_pairs[p] = merge_pairs;
     merge_pairs_max = std::max(merge_pairs_max, merge_pairs);
   }
-  std::uint64_t tx = 0;
-  t += detail::all_to_all_bytes(bytes, cfg, &tx);
-  out.stats.total_tx_bytes += tx;
+  stats += detail::all_to_all_bytes(bytes, cfg);
   // Owners merge their received contributions (same rate as SparCML).
-  t += sim::from_seconds(static_cast<double>(merge_pairs_max) * 8.0 * 2.0 /
-                         opts.reduce_mem_bandwidth_Bps);
+  stats.completion_time +=
+      sim::from_seconds(static_cast<double>(merge_pairs_max) * 8.0 * 2.0 /
+                        detail::kReduceBandwidthBps);
 
   // ---- Allgather of the reduced partitions -------------------------------
   // Latency-optimal recursive doubling when N is a power of two (payloads
@@ -154,24 +150,16 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
       std::size_t max_held = 0;
       for (std::size_t r = 0; r < n; ++r) {
         max_held = std::max(max_held, held[r]);
-        out.stats.total_tx_bytes += held[r] + cfg.header_bytes;
+        stats.total_tx_bytes += held[r] + detail::kHeaderBytes;
       }
-      t += cfg.one_way_latency +
-           sim::from_seconds(
-               static_cast<double>(max_held + cfg.header_bytes) * 8.0 /
-               cfg.bandwidth_bps) *
-               2;
+      stats.completion_time += detail::exchange_step_time(max_held, cfg);
       std::vector<std::size_t> next(n);
       for (std::size_t r = 0; r < n; ++r) next[r] = held[r] + held[r ^ d];
       held = std::move(next);
     }
   } else if (n > 1) {
-    std::uint64_t tx2 = 0;
-    t += detail::ring_allgather_bytes(payload, cfg, &tx2);
-    out.stats.total_tx_bytes += tx2;
+    stats += detail::ring_allgather_bytes(payload, cfg);
   }
-
-  out.stats.completion_time = t;
   return out;
 }
 

@@ -21,8 +21,6 @@ struct OkTopkOptions {
   /// across all workers. 0 keeps every non-zero entry — the schedule is
   /// then exact and verifiable against reference_reduce.
   std::size_t k = 0;
-  /// Owner-side merge rate, matching the SparCML reduction constant.
-  double reduce_mem_bandwidth_Bps = 12e9;
 };
 
 struct OkTopkResult {

@@ -5,62 +5,76 @@
 #include <stdexcept>
 
 #include "baselines/ring.h"
-#include "net/message.h"
-#include "net/network.h"
-#include "sim/event_queue.h"
 
 namespace omr::baselines {
 
 namespace {
 
+using detail::FlatFabric;
+using detail::FlatNode;
+
+/// Wire a parameter server onto `fabric` and run it: workers on NICs of
+/// their own, server s on worker s % N's NIC when colocated and on a NIC of
+/// its own otherwise. Only the workers finish, and only their NICs count
+/// toward the wire bytes.
+template <typename Worker, typename Server>
+BaselineStats run_ps(FlatFabric& fabric,
+                     const std::vector<std::unique_ptr<Worker>>& workers,
+                     const std::vector<std::unique_ptr<Server>>& servers,
+                     bool colocated, const std::string& what) {
+  std::vector<net::EndpointId> worker_eps;
+  for (const auto& w : workers) worker_eps.push_back(fabric.attach(*w));
+  std::vector<net::EndpointId> server_eps;
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    server_eps.push_back(
+        colocated ? fabric.attach(*servers[s],
+                                  fabric.network().nic_of(
+                                      worker_eps[s % workers.size()]))
+                  : fabric.attach(*servers[s]));
+    servers[s]->bind(worker_eps);
+  }
+  for (const auto& w : workers) w->start(server_eps);
+  return fabric.run(workers, what);
+}
+
 // ---------------------------------------------------------------------------
 // Dense PS
 // ---------------------------------------------------------------------------
 
-struct PushMsg final : net::Message {
-  std::size_t offset = 0;
-  std::uint32_t wid = 0;
-  std::vector<float> data;
-  std::size_t header_bytes = 64;
-  std::size_t wire_bytes() const override {
-    return header_bytes + data.size() * 4;
-  }
-};
-
-struct PullMsg final : net::Message {
+/// A chunk of dense values at `offset`: a worker's push or a server's
+/// reduced pull.
+struct DenseChunk final : net::Message {
   std::size_t offset = 0;
   std::vector<float> data;
-  std::size_t header_bytes = 64;
   std::size_t wire_bytes() const override {
-    return header_bytes + data.size() * 4;
+    return detail::kHeaderBytes + data.size() * 4;
   }
 };
 
 /// Sums its shard [lo, hi) chunk by chunk: chunk c covers
 /// [lo + c*chunk_elements, ...), and is pushed back once all N workers'
 /// copies have been added (in arrival order).
-class PsServer final : public net::Endpoint {
+class PsServer final : public FlatNode {
  public:
   PsServer(net::Network& net, const BaselineConfig& cfg, std::size_t n_workers,
            std::size_t lo, std::size_t hi)
-      : net_(net), cfg_(cfg), n_workers_(n_workers), lo_(lo),
-        chunks_((hi - lo + cfg.chunk_elements - 1) / cfg.chunk_elements) {}
-  void bind(net::EndpointId self, std::vector<net::EndpointId> workers) {
-    self_ = self;
+      : FlatNode(net), chunk_elements_(cfg.chunk_elements),
+        n_workers_(n_workers), lo_(lo),
+        chunks_((hi - lo + chunk_elements_ - 1) / chunk_elements_) {}
+  void bind(std::vector<net::EndpointId> workers) {
     workers_ = std::move(workers);
   }
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* p = dynamic_cast<const PushMsg*>(msg.get());
+    const auto* p = dynamic_cast<const DenseChunk*>(msg.get());
     if (p == nullptr) throw std::logic_error("unexpected PS message");
-    Chunk& c = chunks_[(p->offset - lo_) / cfg_.chunk_elements];
+    Chunk& c = chunks_[(p->offset - lo_) / chunk_elements_];
     if (c.acc.empty()) c.acc.assign(p->data.size(), 0.0f);
     for (std::size_t i = 0; i < p->data.size(); ++i) c.acc[i] += p->data[i];
     if (++c.count == n_workers_) {
-      auto r = std::make_shared<PullMsg>();
+      auto r = std::make_shared<DenseChunk>();
       r->offset = p->offset;
       r->data = std::move(c.acc);
-      r->header_bytes = cfg_.header_bytes;
       net::MessagePtr shared = r;
       for (net::EndpointId w : workers_) net_.send(self_, w, shared);
     }
@@ -71,85 +85,60 @@ class PsServer final : public net::Endpoint {
     std::vector<float> acc;
     std::size_t count = 0;
   };
-  net::Network& net_;
-  BaselineConfig cfg_;
+  std::size_t chunk_elements_;
   std::size_t n_workers_;
-  net::EndpointId self_ = -1;
   std::vector<net::EndpointId> workers_;
   std::size_t lo_;
   std::vector<Chunk> chunks_;
 };
 
-class PsWorker final : public net::Endpoint {
+class PsWorker final : public FlatNode {
  public:
-  PsWorker(net::Network& net, const BaselineConfig& cfg, std::uint32_t wid,
+  PsWorker(net::Network& net, const BaselineConfig& cfg,
            tensor::DenseTensor& tensor)
-      : net_(net), sim_(net.simulator()), cfg_(cfg), wid_(wid),
-        tensor_(tensor) {}
-  void bind(net::EndpointId self, std::vector<net::EndpointId> servers) {
-    self_ = self;
-    servers_ = std::move(servers);
-  }
-  void start() {
+      : FlatNode(net), chunk_elements_(cfg.chunk_elements), tensor_(tensor) {}
+  void start(const std::vector<net::EndpointId>& servers) {
     const std::size_t n = tensor_.size();
-    const std::size_t k = servers_.size();
+    const std::size_t k = servers.size();
     remaining_ = n;
     for (std::size_t s = 0; s < k; ++s) {
       const std::size_t lo = n * s / k;
       const std::size_t hi = n * (s + 1) / k;
-      for (std::size_t off = lo; off < hi; off += cfg_.chunk_elements) {
-        const std::size_t end = std::min(off + cfg_.chunk_elements, hi);
-        auto m = std::make_shared<PushMsg>();
+      for (std::size_t off = lo; off < hi; off += chunk_elements_) {
+        const std::size_t end = std::min(off + chunk_elements_, hi);
+        auto m = std::make_shared<DenseChunk>();
         m->offset = off;
-        m->wid = wid_;
-        m->header_bytes = cfg_.header_bytes;
         m->data.assign(
             tensor_.values().begin() + static_cast<std::ptrdiff_t>(off),
             tensor_.values().begin() + static_cast<std::ptrdiff_t>(end));
-        net_.send(self_, servers_[s], std::move(m));
+        net_.send(self_, servers[s], std::move(m));
       }
     }
-    if (remaining_ == 0) {
-      done_ = true;
-      finish_ = sim_.now();
-    }
+    if (remaining_ == 0) finish();
   }
-  bool done() const { return done_; }
-  sim::Time finish_time() const { return finish_; }
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* r = dynamic_cast<const PullMsg*>(msg.get());
+    const auto* r = dynamic_cast<const DenseChunk*>(msg.get());
     if (r == nullptr) throw std::logic_error("unexpected PS message");
     std::copy(r->data.begin(), r->data.end(),
               tensor_.values().begin() +
                   static_cast<std::ptrdiff_t>(r->offset));
     remaining_ -= r->data.size();
-    if (remaining_ == 0) {
-      done_ = true;
-      finish_ = sim_.now();
-    }
+    if (remaining_ == 0) finish();
   }
 
  private:
-  net::Network& net_;
-  sim::Simulator& sim_;
-  BaselineConfig cfg_;
-  std::uint32_t wid_;
+  std::size_t chunk_elements_;
   tensor::DenseTensor& tensor_;
-  net::EndpointId self_ = -1;
-  std::vector<net::EndpointId> servers_;
   std::size_t remaining_ = 0;
-  bool done_ = false;
-  sim::Time finish_ = 0;
 };
 
 }  // namespace
 
 BaselineStats detail::ps_dense_allreduce(
-    std::vector<tensor::DenseTensor>& tensors,
-                                 const BaselineConfig& cfg,
-                                 std::size_t n_servers, bool colocated) {
+    std::vector<tensor::DenseTensor>& tensors, const BaselineConfig& cfg,
+    std::size_t n_servers, bool colocated) {
   if (tensors.empty()) throw std::invalid_argument("no workers");
   if (n_servers == 0) throw std::invalid_argument("need a server");
   const std::size_t n = tensors.size();
@@ -157,49 +146,18 @@ BaselineStats detail::ps_dense_allreduce(
   for (const auto& t : tensors) {
     if (t.size() != size) throw std::invalid_argument("tensor size mismatch");
   }
-
-  sim::Simulator simulator;
-  net::Network network(simulator, cfg.one_way_latency, cfg.seed);
-  std::vector<net::NicId> worker_nics;
-  for (std::size_t w = 0; w < n; ++w) {
-    worker_nics.push_back(network.add_nic({cfg.bandwidth_bps,
-                                           cfg.bandwidth_bps}));
-  }
+  FlatFabric fabric(cfg);
   std::vector<std::unique_ptr<PsWorker>> workers;
-  std::vector<net::EndpointId> worker_eps;
-  for (std::size_t w = 0; w < n; ++w) {
-    workers.push_back(std::make_unique<PsWorker>(
-        network, cfg, static_cast<std::uint32_t>(w), tensors[w]));
-    worker_eps.push_back(network.attach(workers.back().get(),
-                                        worker_nics[w]));
+  for (auto& t : tensors) {
+    workers.push_back(std::make_unique<PsWorker>(fabric.network(), cfg, t));
   }
   std::vector<std::unique_ptr<PsServer>> servers;
-  std::vector<net::EndpointId> server_eps;
   for (std::size_t s = 0; s < n_servers; ++s) {
     servers.push_back(std::make_unique<PsServer>(
-        network, cfg, n, size * s / n_servers, size * (s + 1) / n_servers));
-    const net::NicId nic = colocated
-                               ? worker_nics[s % n]
-                               : network.add_nic({cfg.bandwidth_bps,
-                                                  cfg.bandwidth_bps});
-    server_eps.push_back(network.attach(servers.back().get(), nic));
-    servers.back()->bind(server_eps.back(), worker_eps);
+        fabric.network(), cfg, n, size * s / n_servers,
+        size * (s + 1) / n_servers));
   }
-  for (std::size_t w = 0; w < n; ++w) {
-    workers[w]->bind(worker_eps[w], server_eps);
-    workers[w]->start();
-  }
-  simulator.run();
-
-  BaselineStats stats;
-  for (auto& w : workers) {
-    if (!w->done()) throw std::logic_error("PS allreduce stalled");
-    stats.completion_time = std::max(stats.completion_time, w->finish_time());
-  }
-  for (net::NicId nic : worker_nics) {
-    stats.total_tx_bytes += network.nic_stats(nic).tx_bytes;
-  }
-  return stats;
+  return run_ps(fabric, workers, servers, colocated, "PS allreduce");
 }
 
 // ---------------------------------------------------------------------------
@@ -215,8 +173,9 @@ struct SparsePush final : net::Message {
   const std::int32_t* keys = nullptr;
   const float* values = nullptr;
   std::size_t count = 0;
-  std::size_t header_bytes = 64;
-  std::size_t wire_bytes() const override { return header_bytes + count * 8; }
+  std::size_t wire_bytes() const override {
+    return detail::kHeaderBytes + count * 8;
+  }
 };
 
 /// A chunk of a server's merged range on its way back: only its size
@@ -224,20 +183,21 @@ struct SparsePush final : net::Message {
 struct SparsePull final : net::Message {
   bool last_of_flow = false;
   std::size_t count = 0;
-  std::size_t header_bytes = 64;
-  std::size_t wire_bytes() const override { return header_bytes + count * 8; }
+  std::size_t wire_bytes() const override {
+    return detail::kHeaderBytes + count * 8;
+  }
 };
 
 /// Owns the key range [lo, hi): sums pushed entries in arrival order, and
 /// once every worker's flow has ended pushes the sorted merged range back
 /// to every worker, chunked.
-class SparsePsServer final : public net::Endpoint {
+class SparsePsServer final : public FlatNode {
  public:
   SparsePsServer(net::Network& net, const BaselineConfig& cfg,
                  std::size_t n_workers, std::int64_t lo, std::int64_t hi)
-      : net_(net), cfg_(cfg), n_workers_(n_workers), acc_(lo, hi) {}
-  void bind(net::EndpointId self, std::vector<net::EndpointId> workers) {
-    self_ = self;
+      : FlatNode(net), chunk_elements_(cfg.chunk_elements),
+        n_workers_(n_workers), acc_(lo, hi) {}
+  void bind(std::vector<net::EndpointId> workers) {
     workers_ = std::move(workers);
   }
   const tensor::CooTensor& merged() const { return merged_; }
@@ -252,9 +212,8 @@ class SparsePsServer final : public net::Endpoint {
       const std::size_t total = merged_.nnz();
       std::size_t off = 0;
       do {
-        const std::size_t end = std::min(off + cfg_.chunk_elements, total);
+        const std::size_t end = std::min(off + chunk_elements_, total);
         auto r = std::make_shared<SparsePull>();
-        r->header_bytes = cfg_.header_bytes;
         r->count = end - off;
         r->last_of_flow = end >= total;
         net::MessagePtr shared = r;
@@ -265,122 +224,79 @@ class SparsePsServer final : public net::Endpoint {
   }
 
  private:
-  net::Network& net_;
-  const BaselineConfig& cfg_;
+  std::size_t chunk_elements_;
   std::size_t n_workers_;
-  net::EndpointId self_ = -1;
   std::vector<net::EndpointId> workers_;
   tensor::SparseRangeAccumulator acc_;
   tensor::CooTensor merged_;
   std::size_t flows_done_ = 0;
 };
 
-class SparsePsWorker final : public net::Endpoint {
+class SparsePsWorker final : public FlatNode {
  public:
   SparsePsWorker(net::Network& net, const BaselineConfig& cfg,
                  const tensor::CooTensor& input, std::size_t dim)
-      : net_(net), sim_(net.simulator()), cfg_(cfg), input_(input),
+      : FlatNode(net), chunk_elements_(cfg.chunk_elements), input_(input),
         dim_(dim) {}
-  void bind(net::EndpointId self, std::vector<net::EndpointId> servers) {
-    self_ = self;
-    servers_ = std::move(servers);
-    flows_remaining_ = servers_.size();
-  }
-  void start() {
-    const std::size_t k = servers_.size();
+  void start(const std::vector<net::EndpointId>& servers) {
+    const std::size_t k = servers.size();
+    flows_remaining_ = k;
     for (std::size_t s = 0; s < k; ++s) {
       const auto [b, e] = tensor::coo_key_range(
           input_, static_cast<std::int32_t>(dim_ * s / k),
           static_cast<std::int32_t>(dim_ * (s + 1) / k));
       std::size_t off = b;
       do {
-        const std::size_t stop = std::min(off + cfg_.chunk_elements, e);
+        const std::size_t stop = std::min(off + chunk_elements_, e);
         auto m = std::make_shared<SparsePush>();
-        m->header_bytes = cfg_.header_bytes;
         m->keys = input_.keys.data() + off;
         m->values = input_.values.data() + off;
         m->count = stop - off;
         m->last_of_flow = stop >= e;
-        net_.send(self_, servers_[s], std::move(m));
+        net_.send(self_, servers[s], std::move(m));
         off = stop;
       } while (off < e);
     }
   }
-  bool done() const { return flows_remaining_ == 0; }
-  sim::Time finish_time() const { return finish_; }
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
     const auto* r = dynamic_cast<const SparsePull*>(msg.get());
     if (r == nullptr) throw std::logic_error("unexpected sparse PS message");
-    if (r->last_of_flow && --flows_remaining_ == 0) finish_ = sim_.now();
+    if (r->last_of_flow && --flows_remaining_ == 0) finish();
   }
 
  private:
-  net::Network& net_;
-  sim::Simulator& sim_;
-  const BaselineConfig& cfg_;
+  std::size_t chunk_elements_;
   const tensor::CooTensor& input_;
   std::size_t dim_;
-  net::EndpointId self_ = -1;
-  std::vector<net::EndpointId> servers_;
   std::size_t flows_remaining_ = 0;
-  sim::Time finish_ = 0;
 };
 
 }  // namespace
 
 BaselineStats detail::ps_sparse_allreduce(
-    const std::vector<tensor::CooTensor>& inputs,
-                                  tensor::CooTensor& result,
-                                  const BaselineConfig& cfg,
-                                  std::size_t n_servers, bool colocated) {
+    const std::vector<tensor::CooTensor>& inputs, tensor::CooTensor& result,
+    const BaselineConfig& cfg, std::size_t n_servers, bool colocated) {
   if (inputs.empty()) throw std::invalid_argument("no workers");
+  if (n_servers == 0) throw std::invalid_argument("need a server");
   const std::size_t n = inputs.size();
   const std::size_t dim = inputs.front().dim;
-
-  sim::Simulator simulator;
-  net::Network network(simulator, cfg.one_way_latency, cfg.seed);
-  std::vector<net::NicId> worker_nics;
-  for (std::size_t w = 0; w < n; ++w) {
-    worker_nics.push_back(network.add_nic({cfg.bandwidth_bps,
-                                           cfg.bandwidth_bps}));
-  }
+  FlatFabric fabric(cfg);
   std::vector<std::unique_ptr<SparsePsWorker>> workers;
-  std::vector<net::EndpointId> worker_eps;
-  for (std::size_t w = 0; w < n; ++w) {
+  for (const auto& input : inputs) {
     workers.push_back(
-        std::make_unique<SparsePsWorker>(network, cfg, inputs[w], dim));
-    worker_eps.push_back(network.attach(workers.back().get(),
-                                        worker_nics[w]));
+        std::make_unique<SparsePsWorker>(fabric.network(), cfg, input, dim));
   }
   std::vector<std::unique_ptr<SparsePsServer>> servers;
-  std::vector<net::EndpointId> server_eps;
   for (std::size_t s = 0; s < n_servers; ++s) {
     servers.push_back(std::make_unique<SparsePsServer>(
-        network, cfg, n, static_cast<std::int32_t>(dim * s / n_servers),
+        fabric.network(), cfg, n,
+        static_cast<std::int32_t>(dim * s / n_servers),
         static_cast<std::int32_t>(dim * (s + 1) / n_servers)));
-    const net::NicId nic = colocated
-                               ? worker_nics[s % n]
-                               : network.add_nic({cfg.bandwidth_bps,
-                                                  cfg.bandwidth_bps});
-    server_eps.push_back(network.attach(servers.back().get(), nic));
-    servers.back()->bind(server_eps.back(), worker_eps);
   }
-  for (std::size_t w = 0; w < n; ++w) {
-    workers[w]->bind(worker_eps[w], server_eps);
-    workers[w]->start();
-  }
-  simulator.run();
-
-  BaselineStats stats;
-  for (auto& w : workers) {
-    if (!w->done()) throw std::logic_error("sparse PS stalled");
-    stats.completion_time = std::max(stats.completion_time, w->finish_time());
-  }
-  for (net::NicId nic : worker_nics) {
-    stats.total_tx_bytes += network.nic_stats(nic).tx_bytes;
-  }
+  const BaselineStats stats =
+      run_ps(fabric, workers, servers, colocated, "sparse PS");
   // Every worker received each server's merged range; the ranges are
   // disjoint and ascending, so the result is their concatenation.
   result.dim = dim;

@@ -5,13 +5,12 @@
 #include <memory>
 #include <stdexcept>
 
-#include "net/message.h"
-#include "net/network.h"
-#include "sim/event_queue.h"
-
 namespace omr::baselines {
 
 namespace {
+
+using detail::FlatFabric;
+using detail::FlatNode;
 
 /// A ring schedule over N ranks and N units: at step s rank r sends unit
 /// (r - s) mod N to rank r + 1 in chunks of `chunk_elements * 4` bytes and
@@ -22,16 +21,6 @@ struct RingSchedule {
   /// Send one empty message for an empty unit (allgather) instead of none
   /// (allreduce segments).
   bool send_empty = false;
-  /// Added to a rank's finish when its last step ends on a received chunk.
-  sim::Time rx_finish_extra = 0;
-};
-
-/// One chunk of a ring step. Only its size travels: ring_allreduce folds
-/// the data after the simulation, in the order the ring would have.
-struct RingChunk final : net::Message {
-  std::size_t bytes = 0;
-  std::size_t header_bytes = 64;
-  std::size_t wire_bytes() const override { return header_bytes + bytes; }
 };
 
 /// One rank of a ring schedule over N units (allreduce segments or
@@ -40,54 +29,40 @@ struct RingChunk final : net::Message {
 /// predecessor. Allreduce runs 2(N-1) steps over its segments
 /// (reduce-scatter, then allgather, whose step-s segment is the same
 /// (r - s) mod N); allgather runs N-1 steps over the owners' payloads.
-class RingNode final : public net::Endpoint {
+/// Only chunk sizes travel: ring_allreduce folds the data after the
+/// simulation, in the order the ring would have.
+class RingNode final : public FlatNode {
  public:
   RingNode(net::Network& net, const BaselineConfig& cfg, int rank,
            const RingSchedule& schedule)
-      : net_(net), sim_(net.simulator()), cfg_(cfg), rank_(rank),
+      : FlatNode(net), cfg_(cfg), rank_(rank),
         n_(static_cast<int>(schedule.unit_bytes.size())),
         schedule_(schedule),
         all_empty_(std::all_of(schedule.unit_bytes.begin(),
                                schedule.unit_bytes.end(),
                                [](std::size_t b) { return b == 0; })) {}
 
-  void bind(net::EndpointId self, net::EndpointId successor) {
-    self_ = self;
+  void start(net::EndpointId successor) {
     succ_ = successor;
-  }
-
-  void start() {
     if (schedule_.steps == 0) {
-      done_ = true;
-      finish_ = sim_.now();
+      finish();
       return;
     }
     send_step(0);
   }
 
-  bool done() const { return done_; }
-  sim::Time finish_time() const { return finish_; }
-
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* c = dynamic_cast<const RingChunk*>(msg.get());
+    const auto* c = dynamic_cast<const detail::ByteChunk*>(msg.get());
     if (c == nullptr) throw std::logic_error("unexpected ring message");
     // An empty allgather step completes on send, so its empty message can
     // arrive after the rank's last step. The schedule then steps on past
     // its end: those extra sends reach the wire and count in tx bytes, but
     // never move a finish time. With every unit empty that would never
     // end, so there the late message is dropped.
-    if (done_ && all_empty_) return;
+    if (done() && all_empty_) return;
     recv_remaining_ -= c->bytes;
-    if (recv_remaining_ == 0) {
-      step_ += 1;
-      if (step_ == schedule_.steps) {
-        done_ = true;
-        finish_ = sim_.now() + schedule_.rx_finish_extra;
-        return;
-      }
-      send_step(step_);
-    }
+    if (recv_remaining_ == 0) advance();
   }
 
  private:
@@ -96,45 +71,33 @@ class RingNode final : public net::Endpoint {
         ((rank_ - offset) % n_ + n_) % n_)];
   }
 
+  void advance() {
+    step_ += 1;
+    if (step_ == schedule_.steps) {
+      finish();
+    } else {
+      send_step(step_);
+    }
+  }
+
   void send_step(int step) {
     recv_remaining_ = unit(step + 1);
     const std::size_t total = unit(step);
     if (total > 0 || schedule_.send_empty) {
-      const std::size_t chunk = cfg_.chunk_elements * 4;
-      std::size_t sent = 0;
-      do {
-        auto m = std::make_shared<RingChunk>();
-        m->bytes = std::min(chunk, total - sent);
-        m->header_bytes = cfg_.header_bytes;
-        sent += m->bytes;
-        net_.send(self_, succ_, std::move(m));
-      } while (sent < total);
+      detail::send_chunked(net_, self_, succ_, total, cfg_);
     }
-    if (recv_remaining_ == 0) {
-      // Nothing to receive this step: advance immediately.
-      step_ += 1;
-      if (step_ == schedule_.steps) {
-        done_ = true;
-        finish_ = sim_.now();
-      } else {
-        send_step(step_);
-      }
-    }
+    // Nothing to receive this step: advance immediately.
+    if (recv_remaining_ == 0) advance();
   }
 
-  net::Network& net_;
-  sim::Simulator& sim_;
   const BaselineConfig& cfg_;
   int rank_;
   int n_;
   const RingSchedule& schedule_;
   bool all_empty_;
-  net::EndpointId self_ = -1;
   net::EndpointId succ_ = -1;
   int step_ = 0;
   std::size_t recv_remaining_ = 0;
-  bool done_ = false;
-  sim::Time finish_ = 0;
 };
 
 /// Segment g of an `elements`-long buffer split over `n` ring ranks.
@@ -147,37 +110,18 @@ std::size_t segment_begin(std::size_t elements, std::size_t n,
 /// and the total transmitted bytes.
 BaselineStats run_ring_schedule(const RingSchedule& schedule,
                                 const BaselineConfig& cfg) {
-  const int n = static_cast<int>(schedule.unit_bytes.size());
+  const std::size_t n = schedule.unit_bytes.size();
   if (n == 0) throw std::invalid_argument("no workers");
-  sim::Simulator simulator;
-  net::Network network(simulator, cfg.one_way_latency, cfg.seed);
+  FlatFabric fabric(cfg);
   std::vector<std::unique_ptr<RingNode>> nodes;
   std::vector<net::EndpointId> eps;
-  for (int r = 0; r < n; ++r) {
-    nodes.push_back(std::make_unique<RingNode>(network, cfg, r, schedule));
-    eps.push_back(network.attach(nodes.back().get(),
-                                 network.add_nic({cfg.bandwidth_bps,
-                                                  cfg.bandwidth_bps})));
+  for (std::size_t r = 0; r < n; ++r) {
+    nodes.push_back(std::make_unique<RingNode>(
+        fabric.network(), cfg, static_cast<int>(r), schedule));
+    eps.push_back(fabric.attach(*nodes.back()));
   }
-  for (int r = 0; r < n; ++r) {
-    nodes[static_cast<size_t>(r)]->bind(
-        eps[static_cast<size_t>(r)],
-        eps[static_cast<size_t>((r + 1) % n)]);
-  }
-  for (auto& node : nodes) node->start();
-  simulator.run();
-
-  BaselineStats stats;
-  for (int r = 0; r < n; ++r) {
-    if (!nodes[static_cast<size_t>(r)]->done()) {
-      throw std::logic_error("ring schedule stalled");
-    }
-    stats.completion_time = std::max(
-        stats.completion_time, nodes[static_cast<size_t>(r)]->finish_time());
-    stats.total_tx_bytes +=
-        network.nic_stats(network.nic_of(eps[static_cast<size_t>(r)])).tx_bytes;
-  }
-  return stats;
+  for (std::size_t r = 0; r < n; ++r) nodes[r]->start(eps[(r + 1) % n]);
+  return fabric.run(nodes, "ring schedule");
 }
 
 }  // namespace
@@ -193,15 +137,6 @@ BaselineStats detail::ring_allreduce_schedule(std::size_t elements,
                               segment_begin(elements, n, g)) * 4;
   }
   schedule.steps = 2 * (static_cast<int>(n) - 1);
-  // Gloo-style CPU stacks pay a host copy per received byte; RDMA-style
-  // stacks do not. Charged when the final step's last chunk arrives (the
-  // receive path is the critical path).
-  if (cfg.host_copy_bandwidth_Bps > 0) {
-    const double total_rx = static_cast<double>(elements) * 4.0 * 2.0 *
-                            (static_cast<double>(n - 1) / n);
-    schedule.rx_finish_extra =
-        sim::from_seconds(total_rx / cfg.host_copy_bandwidth_Bps * 0.5);
-  }
   return run_ring_schedule(schedule, cfg);
 }
 
@@ -241,17 +176,14 @@ BaselineStats detail::ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
   return stats;
 }
 
-sim::Time detail::ring_allgather_bytes(
-    const std::vector<std::size_t>& payload_bytes, const BaselineConfig& cfg,
-    std::uint64_t* total_tx_bytes) {
+BaselineStats detail::ring_allgather_bytes(
+    const std::vector<std::size_t>& payload_bytes, const BaselineConfig& cfg) {
   RingSchedule schedule;
   schedule.unit_bytes = payload_bytes;
   schedule.steps = static_cast<int>(payload_bytes.size()) - 1;
   // Every step sends at least one (possibly empty) message.
   schedule.send_empty = true;
-  const BaselineStats stats = run_ring_schedule(schedule, cfg);
-  if (total_tx_bytes != nullptr) *total_tx_bytes = stats.total_tx_bytes;
-  return stats.completion_time;
+  return run_ring_schedule(schedule, cfg);
 }
 
 namespace {
@@ -259,31 +191,23 @@ namespace {
 struct RdMsg final : net::Message {
   int step = 0;
   std::vector<float> data;
-  std::size_t header_bytes = 64;
   std::size_t wire_bytes() const override {
-    return header_bytes + data.size() * 4;
+    return detail::kHeaderBytes + data.size() * 4;
   }
 };
 
-class RdNode final : public net::Endpoint {
+class RdNode final : public FlatNode {
  public:
-  RdNode(net::Network& net, const BaselineConfig& cfg, int rank, int n,
-         tensor::DenseTensor& tensor)
-      : net_(net), sim_(net.simulator()), cfg_(cfg), rank_(rank), n_(n),
-        tensor_(tensor) {}
-  void bind(net::EndpointId self, std::vector<net::EndpointId> all) {
-    self_ = self;
-    all_ = std::move(all);
-  }
-  void start() {
+  RdNode(net::Network& net, int rank, int n, tensor::DenseTensor& tensor)
+      : FlatNode(net), rank_(rank), n_(n), tensor_(tensor) {}
+  void start(const std::vector<net::EndpointId>& all) {
+    all_ = all;
     if (n_ == 1) {
-      done_ = true;
+      finish();
       return;
     }
     send_step();
   }
-  bool done() const { return done_; }
-  sim::Time finish_time() const { return finish_; }
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
@@ -304,8 +228,7 @@ class RdNode final : public net::Endpoint {
       pending_.erase(it);
       ++step_;
       if ((1 << step_) >= n_) {
-        done_ = true;
-        finish_ = sim_.now();
+        finish();
         return;
       }
       send_step();
@@ -315,23 +238,16 @@ class RdNode final : public net::Endpoint {
     const int partner = rank_ ^ (1 << step_);
     auto m = std::make_shared<RdMsg>();
     m->step = step_;
-    m->header_bytes = cfg_.header_bytes;
     m->data = tensor_.values();
     net_.send(self_, all_[static_cast<size_t>(partner)], std::move(m));
   }
 
-  net::Network& net_;
-  sim::Simulator& sim_;
-  BaselineConfig cfg_;
   int rank_;
   int n_;
   tensor::DenseTensor& tensor_;
-  net::EndpointId self_ = -1;
   std::vector<net::EndpointId> all_;
   int step_ = 0;
   std::map<int, std::vector<float>> pending_;
-  bool done_ = false;
-  sim::Time finish_ = 0;
 };
 
 }  // namespace
@@ -343,32 +259,16 @@ BaselineStats detail::recursive_doubling_allreduce(
   if ((n & (n - 1)) != 0) {
     throw std::invalid_argument("recursive doubling needs power-of-two N");
   }
-  sim::Simulator simulator;
-  net::Network network(simulator, cfg.one_way_latency, cfg.seed);
+  FlatFabric fabric(cfg);
   std::vector<std::unique_ptr<RdNode>> nodes;
   std::vector<net::EndpointId> eps;
   for (int r = 0; r < n; ++r) {
-    nodes.push_back(std::make_unique<RdNode>(network, cfg, r, n,
+    nodes.push_back(std::make_unique<RdNode>(fabric.network(), r, n,
                                              tensors[static_cast<size_t>(r)]));
-    eps.push_back(network.attach(nodes.back().get(),
-                                 network.add_nic({cfg.bandwidth_bps,
-                                                  cfg.bandwidth_bps})));
+    eps.push_back(fabric.attach(*nodes.back()));
   }
-  for (int r = 0; r < n; ++r) nodes[static_cast<size_t>(r)]->bind(
-      eps[static_cast<size_t>(r)], eps);
-  for (auto& node : nodes) node->start();
-  simulator.run();
-
-  BaselineStats stats;
-  for (auto& node : nodes) {
-    if (!node->done()) throw std::logic_error("rd allreduce stalled");
-    stats.completion_time = std::max(stats.completion_time,
-                                     node->finish_time());
-  }
-  for (auto ep : eps) {
-    stats.total_tx_bytes += network.nic_stats(network.nic_of(ep)).tx_bytes;
-  }
-  return stats;
+  for (auto& node : nodes) node->start(eps);
+  return fabric.run(nodes, "rd allreduce");
 }
 
 }  // namespace omr::baselines

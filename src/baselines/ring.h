@@ -29,13 +29,11 @@ BaselineStats ring_allreduce_schedule(std::size_t elements, std::size_t n,
 BaselineStats ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
                              const BaselineConfig& cfg);
 
-/// Variable-size ring AllGather of opaque byte payloads; returns the
-/// completion time. Building block for AGsparse, SparCML phase 2 and
-/// Ok-Topk. `payload_bytes[w]` is worker w's contribution size; every worker
-/// ends holding all contributions.
-sim::Time ring_allgather_bytes(const std::vector<std::size_t>& payload_bytes,
-                               const BaselineConfig& cfg,
-                               std::uint64_t* total_tx_bytes = nullptr);
+/// Variable-size ring AllGather of opaque byte payloads. Building block
+/// for AGsparse, SparCML phase 2 and Ok-Topk. `payload_bytes[w]` is worker
+/// w's contribution size; every worker ends holding all contributions.
+BaselineStats ring_allgather_bytes(
+    const std::vector<std::size_t>& payload_bytes, const BaselineConfig& cfg);
 
 /// Latency-optimal recursive-doubling AllReduce (dense): log2(N) exchange
 /// steps of the full vector. Used by SparCML's dispatch for small inputs.

@@ -301,7 +301,7 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
       static_cast<double>(rows) * 4.0;
   out.stats.completion_time =
       ring.completion_time +
-      sim::from_seconds(touch_bytes / opts.reduce_mem_bandwidth_Bps);
+      sim::from_seconds(touch_bytes / detail::kReduceBandwidthBps);
   return out;
 }
 

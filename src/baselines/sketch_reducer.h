@@ -36,8 +36,6 @@ struct SketchOptions {
   std::uint64_t seed = 1;
   /// Elements per occupancy block (matches the engine's block sparsity).
   std::size_t block_elements = 256;
-  /// Sketch build / recovery rate (memory-bandwidth bound).
-  double reduce_mem_bandwidth_Bps = 12e9;
 };
 
 struct SketchResult {

@@ -36,12 +36,12 @@ namespace detail {
 BaselineStats sparcml_allreduce(const std::vector<tensor::CooTensor>& inputs,
                                 tensor::CooTensor& result,
                                 const BaselineConfig& cfg,
-                                SparcmlVariant variant,
-                                double reduce_mem_bandwidth_Bps = 12e9);
+                                SparcmlVariant variant);
 
 /// SparCML's latency-bandwidth dispatch: recursive doubling for small
-/// inputs, split-allgather otherwise, DSAR when the expected reduced
-/// density exceeds the sparse-representation break-even.
+/// inputs (SSAR split-allgather when N is not a power of two, which
+/// recursive doubling needs), split-allgather otherwise, DSAR when the
+/// expected reduced density exceeds the sparse-representation break-even.
 SparcmlVariant sparcml_choose_variant(std::size_t dim, std::size_t max_nnz,
                                       std::size_t n_workers);
 

@@ -27,14 +27,13 @@ using core::Config;
 using core::RunStats;
 
 /// Baselines run over the same fabric parameters as the engine; the
-/// pipelining chunk and header default to the BaselineConfig values every
-/// bench has always used, so registry dispatch reproduces the historical
-/// numbers exactly.
+/// pipelining chunk defaults to the BaselineConfig value every bench has
+/// always used, so registry dispatch reproduces the historical numbers
+/// exactly.
 BaselineConfig derive_config(const ClusterSpec& cluster) {
   BaselineConfig b;
   b.bandwidth_bps = cluster.fabric.worker_bandwidth_bps;
   b.one_way_latency = cluster.fabric.one_way_latency;
-  b.seed = cluster.fabric.seed;
   return b;
 }
 
@@ -107,8 +106,7 @@ class AgSparseAlgo final : public CollectiveAlgorithm {
     const auto coo = to_coo(tensors);
     tensor::CooTensor result;
     const BaselineStats bs = detail::agsparse_allreduce(
-        coo, result, derive_config(cluster), stack_,
-        /*reduce_mem_bandwidth_Bps=*/12e9, compress_);
+        coo, result, derive_config(cluster), stack_, compress_);
     assign_result(tensors, result);
     return to_run_stats(bs, tensors.size());
   }
@@ -136,11 +134,6 @@ class SparcmlAlgo final : public CollectiveAlgorithm {
       for (const auto& t : coo) max_nnz = std::max(max_nnz, t.nnz());
       variant = detail::sparcml_choose_variant(coo.front().dim, max_nnz,
                                                coo.size());
-      const std::size_t n = coo.size();
-      if (variant == SparcmlVariant::kSsarRecursiveDoubling &&
-          (n & (n - 1)) != 0) {
-        variant = SparcmlVariant::kSsarSplitAllgather;
-      }
     }
     tensor::CooTensor result;
     const BaselineStats bs = detail::sparcml_allreduce(

@@ -29,7 +29,8 @@ std::string to_string(CommMethod m) {
 namespace {
 
 /// Flat registry cluster matching the E2EConfig fabric: the zoo adapters
-/// derive their BaselineConfig from exactly these fields, so dispatching
+/// derive their BaselineConfig (bandwidth and latency) from it, and the
+/// seed reaches only the engine and the sketch's hashes, so dispatching
 /// through the registry reproduces the direct-call numbers.
 core::ClusterSpec registry_cluster(const E2EConfig& cfg,
                                    std::size_t n_workers) {

@@ -176,17 +176,54 @@ TEST(AgSparse, TimeGrowsWithWorkers) {
 
 TEST(RingAllgatherBytes, HandlesUnevenPayloads) {
   const std::vector<std::size_t> payloads{1000, 0, 500000, 20};
-  std::uint64_t tx = 0;
-  const sim::Time t = ring_allgather_bytes(payloads, fast_cfg(), &tx);
-  EXPECT_GT(t, 0);
+  const BaselineStats st = ring_allgather_bytes(payloads, fast_cfg());
+  EXPECT_GT(st.completion_time, 0);
   // Every worker forwards every other worker's payload once: (N-1) * sum.
   std::size_t sum = 0;
   for (auto p : payloads) sum += p;
-  EXPECT_GE(tx, 3 * sum);
+  EXPECT_GE(st.total_tx_bytes, 3 * sum);
 }
 
 TEST(RingAllgatherBytes, SingleWorkerInstant) {
-  EXPECT_EQ(ring_allgather_bytes({12345}, fast_cfg()), 0);
+  EXPECT_EQ(ring_allgather_bytes({12345}, fast_cfg()).completion_time, 0);
+}
+
+/// Wire bytes of one flow of `bytes` payload bytes: max(1, ceil(bytes /
+/// chunk)) chunks, each with a 64-byte header.
+std::uint64_t flow_wire_bytes(std::size_t bytes) {
+  const std::size_t chunk = fast_cfg().chunk_elements * 4;
+  const std::size_t chunks =
+      std::max<std::size_t>(1, (bytes + chunk - 1) / chunk);
+  return chunks * 64 + bytes;
+}
+
+TEST(RingAllgatherBytes, ExactWireBytesWhenEveryPayloadIsNonEmpty) {
+  // Each payload travels N-1 hops as one chunked flow per hop.
+  const std::vector<std::size_t> payloads{1000, 4096, 500000, 20, 8193};
+  std::uint64_t expect = 0;
+  for (std::size_t b : payloads) {
+    expect += (payloads.size() - 1) * flow_wire_bytes(b);
+  }
+  EXPECT_EQ(ring_allgather_bytes(payloads, fast_cfg()).total_tx_bytes, expect);
+}
+
+TEST(AllToAllBytes, ExactWireBytesOnUnevenMatrix) {
+  // Every off-diagonal entry is one chunked flow, an empty one included.
+  const std::vector<std::vector<std::size_t>> matrix = {
+      {0, 1000, 0, 70000},
+      {4096, 0, 4097, 1},
+      {0, 0, 0, 123456},
+      {8, 16384, 9, 0},
+  };
+  std::uint64_t expect = 0;
+  for (std::size_t w = 0; w < matrix.size(); ++w) {
+    for (std::size_t p = 0; p < matrix.size(); ++p) {
+      if (p != w) expect += flow_wire_bytes(matrix[w][p]);
+    }
+  }
+  const BaselineStats st = all_to_all_bytes(matrix, fast_cfg());
+  EXPECT_EQ(st.total_tx_bytes, expect);
+  EXPECT_GT(st.completion_time, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,6 +275,20 @@ TEST(Sparcml, DispatchPicksRdForTinyInputs) {
             SparcmlVariant::kSsarSplitAllgather);
   EXPECT_EQ(sparcml_choose_variant(1 << 20, 1 << 19, 8),
             SparcmlVariant::kDsarSplitAllgather);
+  // Recursive doubling needs a power-of-two N: tiny inputs over 6 workers
+  // take sparse split-allgather, and the chosen variant runs.
+  EXPECT_EQ(sparcml_choose_variant(1 << 20, 100, 6),
+            SparcmlVariant::kSsarSplitAllgather);
+  auto dense = inputs(6, 4096, 0.99, 41);
+  std::vector<tensor::CooTensor> coo;
+  std::size_t max_nnz = 0;
+  for (const auto& t : dense) {
+    coo.push_back(tensor::dense_to_coo(t));
+    max_nnz = std::max(max_nnz, coo.back().nnz());
+  }
+  tensor::CooTensor result;
+  EXPECT_NO_THROW(sparcml_allreduce(
+      coo, result, fast_cfg(), sparcml_choose_variant(4096, max_nnz, 6)));
 }
 
 // ---------------------------------------------------------------------------

@@ -61,8 +61,8 @@ TEST(CrossAlgorithm, AllImplementationsAgree) {
     core::run_allreduce(ts, engine_cfg(), core::ClusterSpec::dedicated(2, engine_fabric(), gdr()));
     check(ts[0], "omnireduce");
   }
-  // Baselines dispatch through the registry; the default ClusterSpec fabric
-  // matches the historical BaselineConfig defaults exactly.
+  // Baselines dispatch through the registry; the default ClusterSpec
+  // fabric's bandwidth and latency match the BaselineConfig defaults.
   baselines::register_zoo();
   core::ClusterSpec flat;
   {

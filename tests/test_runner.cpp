@@ -1,16 +1,21 @@
 // Tests for the parallel sweep runner: pool lifecycle, ordered commits
 // under adversarial scheduling, exception propagation, and the headline
 // guarantee — a parallel sweep's RunReport array is bit-identical to the
-// serial one for a Fig. 4-shaped grid.
+// serial one for a Fig. 4-shaped grid, and every baseline collective gives
+// the same bits on any number of threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/zoo.h"
+#include "core/algorithm.h"
 #include "core/engine.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
@@ -254,6 +259,84 @@ TEST(ParallelForEach, Fig04ShapedGridIsBitIdenticalToSerial) {
   const std::string parallel = run_grid(8);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
+}
+
+// ---------------------------------------------------------------------------
+// Baselines across threads: every zoo algorithm, serial vs parallel
+// ---------------------------------------------------------------------------
+
+struct ZooOutcome {
+  std::vector<std::uint32_t> result_bits;  // every worker's tensor, in order
+  sim::Time completion_time = 0;
+  std::vector<std::uint64_t> worker_bytes;
+  bool verified = false;
+};
+
+ZooOutcome zoo_cell(const std::string& algo, std::size_t workers,
+                    double sparsity) {
+  sim::Rng rng(31 * workers + static_cast<std::uint64_t>(sparsity * 100));
+  auto tensors = tensor::make_multi_worker(workers, 4099, 256, sparsity,
+                                           tensor::OverlapMode::kRandom, rng);
+  const core::RunStats st = core::run_collective(
+      algo, tensors, {}, core::ClusterSpec::dedicated(2));
+  ZooOutcome out;
+  for (const auto& t : tensors) {
+    const std::size_t at = out.result_bits.size();
+    out.result_bits.resize(at + t.size());
+    std::memcpy(out.result_bits.data() + at, t.values().data(),
+                t.size() * sizeof(float));
+  }
+  out.completion_time = st.completion_time;
+  out.worker_bytes = st.worker_data_bytes;
+  out.verified = st.verified;
+  return out;
+}
+
+TEST(ParallelForEach, EveryZooAlgorithmIsBitIdenticalAcrossJobs) {
+  // Figure sweeps run the baselines on OMR_JOBS threads: each run must own
+  // all of its state, so the thread count never shows in an output.
+  baselines::register_zoo();
+  struct Cell {
+    std::string algo;
+    std::size_t workers;
+    double sparsity;
+  };
+  std::vector<Cell> grid;
+  for (const char* algo :
+       {"ring", "recursive_doubling", "agsparse", "agsparse_gloo",
+        "agsparse_compressed", "sparcml", "sparcml_ssar", "sparcml_dsar", "ps",
+        "ps_sparse", "parallax", "oktopk", "sketch"}) {
+    grid.push_back({algo, 4, 0.9});
+    grid.push_back({algo, 8, 0.5});
+  }
+
+  auto run_grid = [&grid](std::size_t jobs) {
+    std::vector<ZooOutcome> outcomes;
+    parallel_for_each<ZooOutcome>(
+        grid.size(),
+        [&grid](std::size_t i) {
+          return zoo_cell(grid[i].algo, grid[i].workers, grid[i].sparsity);
+        },
+        [&outcomes](std::size_t, ZooOutcome&& o) {
+          outcomes.push_back(std::move(o));
+        },
+        jobs);
+    return outcomes;
+  };
+
+  const std::vector<ZooOutcome> serial = run_grid(1);
+  const std::vector<ZooOutcome> parallel = run_grid(4);
+  ASSERT_EQ(serial.size(), grid.size());
+  ASSERT_EQ(parallel.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const std::string cell =
+        grid[i].algo + " N=" + std::to_string(grid[i].workers);
+    EXPECT_TRUE(serial[i].verified) << cell;
+    EXPECT_GT(serial[i].completion_time, 0) << cell;
+    EXPECT_EQ(serial[i].result_bits, parallel[i].result_bits) << cell;
+    EXPECT_EQ(serial[i].completion_time, parallel[i].completion_time) << cell;
+    EXPECT_EQ(serial[i].worker_bytes, parallel[i].worker_bytes) << cell;
+  }
 }
 
 }  // namespace
