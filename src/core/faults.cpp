@@ -14,9 +14,9 @@ const char* verdict_name(RunVerdict v) {
   return "unknown";
 }
 
-FaultController::FaultController(const FaultSpec& spec, sim::Time base_timeout,
+FaultController::FaultController(const FaultSpec& spec,
                                  telemetry::Tracer* tracer)
-    : spec_(spec), base_timeout_(base_timeout), tracer_(tracer) {
+    : spec_(spec), tracer_(tracer) {
   for (const AggStallSpec& s : spec_.agg_stalls) {
     const auto node = static_cast<std::size_t>(s.aggregator);
     if (node >= stall_windows_.size()) stall_windows_.resize(node + 1);
@@ -58,10 +58,11 @@ sim::Time FaultController::compute_delay(std::uint32_t wid) {
 }
 
 sim::Time FaultController::retransmit_timeout(std::uint32_t wid,
-                                              std::uint32_t attempt) {
+                                              std::uint32_t attempt,
+                                              sim::Time rto) {
   const RetryPolicy& r = spec_.retry;
-  const double base = static_cast<double>(
-      r.base_timeout > 0 ? r.base_timeout : base_timeout_);
+  const double base =
+      static_cast<double>(r.base_timeout > 0 ? r.base_timeout : rto);
   const double cap = r.max_timeout > 0 ? static_cast<double>(r.max_timeout)
                                        : 32.0 * base;
   double t = base;

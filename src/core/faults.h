@@ -49,7 +49,8 @@ struct FailureInfo {
 /// Deterministic: the exponential backoff jitter is drawn from per-worker
 /// seeded RNGs, so a fault schedule replays bit-identically.
 struct RetryPolicy {
-  /// Initial retransmission timeout; 0 = use Config::retransmit_timeout.
+  /// Initial retransmission timeout; 0 = the run's derived Algorithm 2
+  /// timeout (core::size_retransmit_timeout).
   sim::Time base_timeout = 0;
   /// Multiplier applied per consecutive timeout of the same packet.
   double backoff = 2.0;
@@ -163,8 +164,7 @@ struct FaultSpec {
 /// drains in bounded time.
 class FaultController {
  public:
-  FaultController(const FaultSpec& spec, sim::Time base_timeout,
-                  telemetry::Tracer* tracer);
+  FaultController(const FaultSpec& spec, telemetry::Tracer* tracer);
 
   const FaultSpec& spec() const { return spec_; }
   bool aborted() const { return failure_.failed(); }
@@ -181,7 +181,10 @@ class FaultController {
 
   /// Backoff schedule: timeout for `attempt` consecutive retries of one
   /// packet (attempt 0 = first transmission), with deterministic jitter.
-  sim::Time retransmit_timeout(std::uint32_t wid, std::uint32_t attempt);
+  /// The base is RetryPolicy::base_timeout, or `rto` (the worker's derived
+  /// Algorithm 2 timeout) when that is 0.
+  sim::Time retransmit_timeout(std::uint32_t wid, std::uint32_t attempt,
+                               sim::Time rto);
 
   /// Worker-side give-up test after `attempts` timeouts spanning `waited`.
   bool give_up(std::uint32_t attempts, sim::Time waited) const;
@@ -202,7 +205,6 @@ class FaultController {
   sim::Rng& worker_rng(std::uint32_t wid);
 
   FaultSpec spec_;
-  sim::Time base_timeout_;
   telemetry::Tracer* tracer_;
   std::vector<sim::Rng> worker_rngs_;  // grown lazily, seeded by worker id
   /// Per-aggregator-node stall windows, sorted by start.

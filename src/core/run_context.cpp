@@ -153,8 +153,7 @@ RunContext::RunContext(const Config& cfg, std::size_t n_workers,
     network_.set_tracer(tracer_.get());
   }
   if (fault_spec.enabled()) {
-    faults_ = std::make_unique<FaultController>(
-        fault_spec, cfg_.retransmit_timeout, tracer_.get());
+    faults_ = std::make_unique<FaultController>(fault_spec, tracer_.get());
   }
 
   const bool colocated = cluster_.deployment == Deployment::kColocated;
@@ -239,8 +238,11 @@ RunStats RunContext::run_collective(std::vector<tensor::DenseTensor>& tensors,
   for (auto& agg : aggs) agg->begin_collective();
   const std::vector<net::EndpointId> agg_of_stream =
       shard_streams(layout, aggs, wiring_.agg_eps);
+  const RetransmitTimeout rto = size_retransmit_timeout(
+      cfg_, layout, network_, worker_nics_, agg_nics_);
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers[w]->bind(wiring_.worker_eps[w], agg_of_stream);
+    workers[w]->set_retransmit_timeout(rto.rto);
   }
   const std::vector<sim::Time>& offsets = cluster_.fabric.worker_start_offsets;
   for (std::size_t w = 0; w < n_workers; ++w) {
@@ -285,6 +287,8 @@ RunStats RunContext::run_collective(std::vector<tensor::DenseTensor>& tensors,
   simulator_.run();
 
   RunStats stats;
+  stats.rto_ns = rto.rto;
+  stats.round_model_ns = rto.round_model;
   const bool aborted = faults_ != nullptr && faults_->aborted();
   if (aborted) stats.failure = faults_->failure();
   for (const auto& w : workers) {

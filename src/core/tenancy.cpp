@@ -78,6 +78,7 @@ struct Fabric::JobState {
     std::size_t active_count = 0;
     std::vector<std::size_t> joiners;  // workers joining before this step
     ReferenceCheck check;              // expected result (verify only)
+    sim::Time rto = 0;  // Algorithm 2 timeout (size_retransmit_timeout)
   };
 
   JobSpec spec;
@@ -213,6 +214,7 @@ void Fabric::WorkerAgent::on_message(net::EndpointId /*from*/,
       Worker& worker = *job_.workers[w_];
       worker.set_epoch(static_cast<std::uint8_t>(step_ & 0xff));
       worker.bind(job_.worker_eps[w_], plan.agg_of_stream);
+      worker.set_retransmit_timeout(plan.rto);
       worker.start((*job_.tensors)[step_][w_], plan.layout, *job_.device);
       return;
     }
@@ -559,12 +561,20 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
   }
 
   // Stream ownership is round-robin over the job's aggregator shards, as
-  // in the single-job engine.
+  // in the single-job engine; the step's timeout is sized for its active
+  // members.
   for (JobState::StepPlan& plan : job->steps) {
     plan.agg_of_stream.resize(plan.layout.streams.size());
     for (std::size_t s = 0; s < plan.layout.streams.size(); ++s) {
       plan.agg_of_stream[s] = job->agg_eps[s % n_aggs];
     }
+    std::vector<net::NicId> active_nics;
+    for (std::size_t w = 0; w < n_workers; ++w) {
+      if (plan.active[w]) active_nics.push_back(worker_nics[w]);
+    }
+    plan.rto = size_retransmit_timeout(spec.config, plan.layout, network(),
+                                       active_nics, agg_nics)
+                   .rto;
   }
 
   job->spec = std::move(spec);

@@ -1,6 +1,9 @@
 #include "core/wiring.h"
 
+#include <algorithm>
+
 #include "core/faults.h"
+#include "perfmodel/perfmodel.h"
 
 namespace omr::core {
 
@@ -45,6 +48,57 @@ std::vector<net::EndpointId> shard_streams(
                                layout.streams[s]);
   }
   return agg_of_stream;
+}
+
+RetransmitTimeout size_retransmit_timeout(
+    const Config& cfg, const StreamLayout& layout, net::Network& net,
+    const std::vector<net::NicId>& worker_nics,
+    const std::vector<net::NicId>& agg_nics) {
+  RetransmitTimeout out;
+  if (!cfg.loss_recovery) return out;
+  out.rto = cfg.retransmit_timeout;
+  const std::size_t n_streams = layout.streams.size();
+  if (n_streams == 0 || worker_nics.empty() || agg_nics.empty()) return out;
+
+  perfmodel::SlotRoundParams p;
+  p.n_workers = worker_nics.size();
+  p.header_bytes = static_cast<double>(
+      cfg.header_bytes + layout.width * cfg.per_block_meta_bytes);
+  p.payload_bytes =
+      static_cast<double>(layout.width * cfg.block_size * cfg.value_bytes);
+  p.dense = cfg.dense_mode;
+  p.multicast = cfg.switch_multicast;
+  net::Topology& topo = net.topology();
+  double worst = 0.0;
+  for (std::size_t a = 0; a < agg_nics.size(); ++a) {
+    const net::NicId nic = agg_nics[a];
+    p.streams_on_node = n_streams / agg_nics.size() +
+                        (a < n_streams % agg_nics.size() ? 1 : 0);
+    if (p.streams_on_node == 0) continue;
+    const net::NicConfig& nic_cfg = net.nic_config(nic);
+    p.nic_bandwidth_bps =
+        std::min(nic_cfg.tx_bandwidth_bps, nic_cfg.rx_bandwidth_bps);
+    std::size_t cross = 0;
+    sim::Time alpha = 0;
+    p.uplink_bandwidth_bps = 0.0;
+    for (net::NicId w : worker_nics) {
+      const net::Path& path = topo.route(nic, w);
+      sim::Time latency = path.ingress_latency;
+      for (net::LinkId l : path.links) latency += topo.link(l).cfg.latency;
+      alpha = std::max(alpha, latency);
+      if (path.links.empty()) continue;
+      ++cross;
+      p.uplink_bandwidth_bps = topo.link(path.links.front()).cfg.bandwidth_bps;
+    }
+    p.cross_rack_fraction =
+        static_cast<double>(cross) / static_cast<double>(p.n_workers);
+    p.alpha_s = sim::to_seconds(alpha);
+    worst = std::max(worst, perfmodel::slot_round(p).seconds());
+  }
+  out.round_model = sim::from_seconds(worst);
+  out.rto = std::max(cfg.retransmit_timeout,
+                     sim::from_seconds(perfmodel::kRtoPerRound * worst));
+  return out;
 }
 
 }  // namespace omr::core

@@ -8,6 +8,7 @@
 #include "core/stream_layout.h"
 #include "core/worker.h"
 #include "net/network.h"
+#include "sim/time.h"
 #include "telemetry/telemetry.h"
 
 namespace omr::core {
@@ -53,5 +54,24 @@ std::vector<net::EndpointId> shard_streams(
     const StreamLayout& layout,
     std::vector<std::unique_ptr<Aggregator>>& aggregators,
     const std::vector<net::EndpointId>& agg_eps);
+
+/// Algorithm 2's retransmission timeout for one collective and the slot
+/// round it was sized from. Both stay 0 for a run without loss recovery.
+struct RetransmitTimeout {
+  sim::Time rto = 0;
+  sim::Time round_model = 0;  // T_round of the slowest aggregator node
+};
+
+/// Size Algorithm 2's timer for one collective (§5): RTO =
+/// max(cfg.retransmit_timeout, perfmodel::kRtoPerRound * T_round), where
+/// T_round is perfmodel::slot_round for the aggregator node with the
+/// slowest round once `layout` is sharded round-robin over `agg_nics` (as
+/// shard_streams does) and results go to the workers on `worker_nics`.
+/// NIC speeds, rack uplinks and path latencies come from `net`. Computes
+/// nothing when cfg.loss_recovery is off.
+RetransmitTimeout size_retransmit_timeout(
+    const Config& cfg, const StreamLayout& layout, net::Network& net,
+    const std::vector<net::NicId>& worker_nics,
+    const std::vector<net::NicId>& agg_nics);
 
 }  // namespace omr::core

@@ -15,7 +15,7 @@
 namespace omr::core {
 
 Worker::Worker(const Config& cfg, net::Network& net, std::uint32_t wid)
-    : cfg_(cfg), net_(net), wid_(wid) {}
+    : cfg_(cfg), net_(net), wid_(wid), rto_(cfg.retransmit_timeout) {}
 
 void Worker::bind(net::EndpointId self,
                   std::vector<net::EndpointId> agg_of_stream) {
@@ -306,8 +306,9 @@ void Worker::arm_timer(std::size_t stream) {
   StreamState& st = states_[stream];
   if (st.timer != 0) sim().cancel(st.timer);
   const sim::Time timeout =
-      faults_ != nullptr ? faults_->retransmit_timeout(wid_, st.attempts)
-                         : cfg_.retransmit_timeout;
+      faults_ != nullptr
+          ? faults_->retransmit_timeout(wid_, st.attempts, rto_)
+          : rto_;
   st.timer =
       sim().schedule_after(timeout, [this, stream]() { on_timeout(stream); });
 }

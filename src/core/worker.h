@@ -41,6 +41,11 @@ class Worker final : public net::Endpoint {
   /// escalation and crash/restart with resync.
   void set_faults(FaultController* faults) { faults_ = faults; }
 
+  /// Algorithm 2's retransmission timeout for the next collective (see
+  /// size_retransmit_timeout); under fault injection it is the base the
+  /// RetryPolicy backoff multiplies. Defaults to cfg.retransmit_timeout.
+  void set_retransmit_timeout(sim::Time rto) { rto_ = rto; }
+
   /// Completion hook, fired (in virtual time) the moment done() flips true
   /// — once per start(). The multi-tenant Fabric's worker agents use it to
   /// report per-step completion to their job controller; null (the
@@ -163,6 +168,7 @@ class Worker final : public net::Endpoint {
   telemetry::Tracer* tracer_ = nullptr;
   FaultController* faults_ = nullptr;
   std::function<void(Worker&)> on_done_;
+  sim::Time rto_;
   std::size_t in_flight_slots_ = 0;
   bool alive_ = true;
   bool start_pending_ = false;  // crashed before start(); replay on restart

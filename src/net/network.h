@@ -115,6 +115,7 @@ class Network {
   telemetry::Tracer* tracer() const { return tracer_; }
 
   const NicStats& nic_stats(NicId nic) const { return nics_[nic].stats; }
+  const NicConfig& nic_config(NicId nic) const { return nics_[nic].cfg; }
 
   // --- tenancy (weighted-fair link sharing) -------------------------------
   //

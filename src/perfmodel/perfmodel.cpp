@@ -65,6 +65,23 @@ double speedup_vs_agsparse(const ModelParams& p) {
   return t_agsparse(p) / t_omnireduce(p);
 }
 
+SlotRound slot_round(const SlotRoundParams& p) {
+  const double n = static_cast<double>(p.n_workers);
+  const double s = static_cast<double>(p.streams_on_node);
+  const double carriers = p.dense ? n : 1.0;
+  const double ingress = s * (n * p.header_bytes + carriers * p.payload_bytes);
+  const double egress =
+      s * (p.multicast ? 1.0 : n) * (p.header_bytes + p.payload_bytes);
+  const double nic_bits = bits(std::max(ingress, egress));
+  SlotRound r;
+  r.nic_s = nic_bits / p.nic_bandwidth_bps;
+  if (p.cross_rack_fraction > 0.0 && p.uplink_bandwidth_bps > 0.0) {
+    r.spine_s = p.cross_rack_fraction * nic_bits / p.uplink_bandwidth_bps;
+  }
+  r.rtt_s = 2.0 * p.alpha_s;
+  return r;
+}
+
 double predict_seconds(const std::string& algo, const ModelParams& p) {
   const double n = static_cast<double>(p.n_workers);
   const double S = p.tensor_bytes;

@@ -56,6 +56,42 @@ double t_omnireduce_colocated(const ModelParams& p);
 double speedup_vs_ring(const ModelParams& p);
 double speedup_vs_agsparse(const ModelParams& p);
 
+/// One Algorithm 2 slot round on one aggregator node (§5), in the §3.4
+/// style: the bytes a round puts on each stage of the result path divided
+/// by that stage's bandwidth, summed over the stages, plus a round trip.
+/// Per round every worker sends the node one packet per slot and the node
+/// answers each slot with one full result per worker (one per slot under
+/// switch multicast). A worker packet carries a block only when the worker
+/// holds the requested one: every worker in dense mode, at least one in a
+/// sparse round.
+struct SlotRoundParams {
+  std::size_t n_workers = 8;
+  std::size_t streams_on_node = 1;  // slots the node owns
+  double header_bytes = 72.0;       // packet header + per-column next/request
+  double payload_bytes = 1024.0;    // one full fused block
+  bool dense = false;
+  bool multicast = false;
+  double nic_bandwidth_bps = 10e9;  // the node's NIC
+  /// Share of the workers on the far side of the spine (0 on one switch).
+  double cross_rack_fraction = 0.0;
+  double uplink_bandwidth_bps = 0.0;  // the node's rack uplink
+  double alpha_s = 10e-6;             // one-way latency of the longest path
+};
+
+/// The stages of one slot round, in seconds.
+struct SlotRound {
+  double nic_s = 0.0;    // larger of the node's NIC ingress and egress
+  double spine_s = 0.0;  // cross-rack share of those bytes on the uplink
+  double rtt_s = 0.0;    // 2 alpha
+  double seconds() const { return nic_s + spine_s + rtt_s; }
+};
+
+SlotRound slot_round(const SlotRoundParams& p);
+
+/// Algorithm 2 arms its retransmission timer at this multiple of the
+/// predicted slot round (floored by core::Config::retransmit_timeout).
+inline constexpr double kRtoPerRound = 1.5;
+
 /// Closed-form prediction for a registered collective algorithm — the
 /// per-algorithm cost hooks behind core::OnlineSelector's prior. Covers
 /// every name core and baselines::register_zoo() register ("ring",

@@ -111,6 +111,8 @@ void RunReport::write_json(std::ostream& os, bool include_trace) const {
      << ",\"dropped_messages\":" << dropped_messages
      << ",\"rounds\":" << rounds << ",\"acks\":" << acks
      << ",\"duplicate_resends\":" << duplicate_resends
+     << ",\"rto_ns\":" << rto_ns
+     << ",\"round_model_ns\":" << round_model_ns
      << ",\"verified\":" << (verified ? "true" : "false")
      << ",\"max_error\":" << max_error
      << ",\"mean_worker_data_bytes\":" << mean_worker_data_bytes() << "}";

@@ -62,7 +62,7 @@ def validate_report(report: dict) -> dict:
     stats, run = report["stats"], report["run"]
     for key in ("completion_ns", "total_messages", "retransmissions",
                 "dropped_messages", "rounds", "acks", "duplicate_resends",
-                "verified"):
+                "rto_ns", "round_model_ns", "verified"):
         check(key in stats, f"stats missing {key!r}")
     n_workers = run.get("n_workers", 0)
     check(n_workers > 0, "run.n_workers must be positive")
