@@ -80,7 +80,9 @@ struct Config {
   /// Implied by Transport::kDpdk when the fabric loss rate is nonzero, but
   /// can be forced for testing.
   bool loss_recovery = false;
-  /// Retransmission timeout for Algorithm 2.
+  /// Floor of Algorithm 2's retransmission timeout. Each collective arms
+  /// max(this, 1.5 x the predicted slot round); see
+  /// core::size_retransmit_timeout.
   sim::Time retransmit_timeout = sim::milliseconds(1);
   /// Per-message protocol + transport header bytes.
   std::size_t header_bytes = 64;
