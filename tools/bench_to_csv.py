@@ -37,6 +37,8 @@ REPORT_COLUMNS = [
     "rounds",
     "acks",
     "duplicate_resends",
+    "rto_ns",
+    "round_model_ns",
     "verified",
     "max_error",
     "mean_worker_data_bytes",
