@@ -432,6 +432,85 @@ TEST(Serving, ZeroServingFabricMatchesPreServingGoldens) {
   }
 }
 
+// --- serving-tier pins ----------------------------------------------------
+
+// FNV-1a over a stream of 64-bit words, little-endian byte order.
+struct WordHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+// The key stream is part of every serving output, so these pins hold the
+// first 2^17 draws of four shapes fixed: a large and a small table, an
+// alpha whose running sum saturates, and the uniform path. A faster table
+// or search must reproduce every draw.
+TEST(Serving, ZipfDrawStreamsMatchGoldens) {
+  struct Shape {
+    std::size_t n;
+    double alpha;
+    std::uint64_t fnv;
+  };
+  const Shape shapes[] = {
+      {std::size_t{1} << 20, 0.9, 0x8529cfaa3aaa0ddaULL},
+      {1000, 1.1, 0x192a0bc04616ad8aULL},
+      {7, 8.0, 0x9da920cb79ab2086ULL},
+      {128, 0.0, 0x0618db222f454838ULL},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("n " + std::to_string(shape.n) + " alpha " +
+                 std::to_string(shape.alpha));
+    const ZipfGenerator zipf(shape.n, shape.alpha);
+    sim::Rng rng(0x21bfULL);
+    WordHash hash;
+    for (int i = 0; i < (1 << 17); ++i) hash.add(zipf.next(rng));
+    EXPECT_EQ(hash.h, shape.fnv);
+  }
+}
+
+// Digest of a serving run: issued requests, cache hits, every latency
+// lane's histogram bins and the finish time.
+std::uint64_t serve_digest(const telemetry::ServeReport& r) {
+  WordHash hash;
+  hash.add(r.requests_issued);
+  hash.add(r.cache_hits);
+  for (const auto& lane : r.lanes) {
+    for (const std::uint64_t c : lane.latency_ns.counts) hash.add(c);
+  }
+  hash.add(static_cast<std::uint64_t>(r.finish));
+  return hash.h;
+}
+
+TEST(Serving, ServeReportsMatchGoldens) {
+  struct Pin {
+    core::ServeSpec::CachePolicy policy;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {core::ServeSpec::CachePolicy::kLru, 0xd52142ca7e56ae8dULL},
+      {core::ServeSpec::CachePolicy::kLfu, 0x2c49ca0dcb0e1ac2ULL},
+  };
+  for (const Pin& pin : pins) {
+    Scenario sc = base_scenario();
+    sc.co_trainer = true;
+    sc.sspec.cache_policy = pin.policy;
+    sc.sspec.key_space = std::size_t{1} << 14;
+    sc.sspec.requests_per_client = 300;
+    sc.sspec.batch_window = sim::microseconds(2);
+    const Outcome out = run_scenario(sc);
+    ASSERT_TRUE(out.trainer_verified);
+    std::uint64_t evictions = 0;
+    for (const auto& s : out.report.shards) evictions += s.cache_evictions;
+    EXPECT_GT(out.report.cache_hits, 0u);
+    EXPECT_GT(evictions, 0u);
+    EXPECT_EQ(serve_digest(out.report), pin.digest);
+  }
+}
+
 // --- torture sweep ---------------------------------------------------------
 
 // Seeded sweep over (shards, clients, topology, skew, batch window, cache
