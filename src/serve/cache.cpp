@@ -1,11 +1,44 @@
 #include "serve/cache.h"
 
+#include <algorithm>
+#include <bit>
+
+#include "serve/shard_map.h"
+
 namespace omr::serve {
 
 EmbeddingCache::EmbeddingCache(Policy policy, std::size_t capacity)
     : policy_(policy), capacity_(capacity) {
   nodes_.reserve(capacity_);
-  map_.reserve(capacity_ * 2);
+  // Load factor <= 1/2 keeps probe runs short and leaves an empty slot to
+  // end every probe; capacity 0 still gets one (always empty) slot.
+  slots_.resize(std::bit_ceil(std::max<std::size_t>(1, 2 * capacity_)));
+}
+
+std::size_t EmbeddingCache::home(std::uint64_t key) const {
+  return ShardMap::mix64(key) & (slots_.size() - 1);
+}
+
+std::size_t EmbeddingCache::probe(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = home(key);
+  while (slots_[s].node >= 0 && slots_[s].key != key) s = (s + 1) & mask;
+  return s;
+}
+
+void EmbeddingCache::erase_slot(std::size_t s) {
+  // Backward shift: pull each later entry of the run into the hole unless
+  // its home lies cyclically in (hole, entry], which would put it before
+  // its own home.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (s + 1) & mask; slots_[j].node >= 0;
+       j = (j + 1) & mask) {
+    if (((j - home(slots_[j].key)) & mask) >= ((j - s) & mask)) {
+      slots_[s] = slots_[j];
+      s = j;
+    }
+  }
+  slots_[s].node = -1;
 }
 
 void EmbeddingCache::detach(int i) {
@@ -46,30 +79,31 @@ void EmbeddingCache::bump(int i) {
 }
 
 bool EmbeddingCache::lookup(std::uint64_t key, std::uint32_t* version_out) {
-  const auto it = map_.find(key);
-  if (it == map_.end()) return false;
+  const int i = slots_[probe(key)].node;
+  if (i < 0) return false;
   if (version_out != nullptr) {
-    *version_out = nodes_[static_cast<std::size_t>(it->second)].version;
+    *version_out = nodes_[static_cast<std::size_t>(i)].version;
   }
-  bump(it->second);
+  bump(i);
   return true;
 }
 
 void EmbeddingCache::put(std::uint64_t key, std::uint32_t version) {
   if (capacity_ == 0) return;
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    nodes_[static_cast<std::size_t>(it->second)].version = version;
-    bump(it->second);
+  std::size_t s = probe(key);
+  if (slots_[s].node >= 0) {
+    nodes_[static_cast<std::size_t>(slots_[s].node)].version = version;
+    bump(slots_[s].node);
     return;
   }
-  if (map_.size() == capacity_) {
+  if (size() == capacity_) {
     // Victim: least-recent entry of the minimum frequency bucket.
     const int victim = buckets_.begin()->second.tail;
-    map_.erase(nodes_[static_cast<std::size_t>(victim)].key);
+    erase_slot(probe(nodes_[static_cast<std::size_t>(victim)].key));
     detach(victim);
     free_.push_back(victim);
     ++evictions_;
+    s = probe(key);  // the erase may have shifted key's probe run
   }
   int i;
   if (!free_.empty()) {
@@ -83,12 +117,12 @@ void EmbeddingCache::put(std::uint64_t key, std::uint32_t version) {
   n.key = key;
   n.version = version;
   push_front(policy_ == Policy::kLfu ? 1 : 0, i);
-  map_.emplace(key, i);
+  slots_[s] = {key, i};
 }
 
 std::vector<std::uint64_t> EmbeddingCache::resident_keys() const {
   std::vector<std::uint64_t> keys;
-  keys.reserve(map_.size());
+  keys.reserve(size());
   for (const auto& [freq, bucket] : buckets_) {
     for (int i = bucket.tail; i >= 0;
          i = nodes_[static_cast<std::size_t>(i)].prev) {

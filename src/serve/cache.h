@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cluster.h"
@@ -25,6 +24,12 @@ namespace omr::serve {
 /// frequency; it has no inclusion property, so monotonicity is asserted
 /// for LRU only. All operations are O(log #distinct-frequencies) and
 /// fully deterministic (no hash-order iteration).
+///
+/// Keys find their node through a flat open-addressed index: linear
+/// probing from the home slot (the low bits of ShardMap::mix64(key)) in a
+/// power-of-two table of at least twice the capacity, with backward-shift
+/// erase, so no tombstones build up. Eviction order comes from the
+/// buckets alone, never from the index layout.
 class EmbeddingCache {
  public:
   using Policy = core::ServeSpec::CachePolicy;
@@ -40,7 +45,7 @@ class EmbeddingCache {
   /// as a use. Evicts per policy when full. No-op at capacity 0.
   void put(std::uint64_t key, std::uint32_t version);
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return nodes_.size() - free_.size(); }
   std::size_t capacity() const { return capacity_; }
   Policy policy() const { return policy_; }
   std::uint64_t evictions() const { return evictions_; }
@@ -61,9 +66,19 @@ class EmbeddingCache {
     int tail = -1;  // eviction end
   };
 
+  struct Slot {
+    std::uint64_t key = 0;
+    int node = -1;  // -1: empty
+  };
+
   void detach(int i);
   void push_front(std::uint64_t freq, int i);
   void bump(int i);
+
+  std::size_t home(std::uint64_t key) const;
+  /// Index slot holding `key`, or the empty slot ending its probe run.
+  std::size_t probe(std::uint64_t key) const;
+  void erase_slot(std::size_t s);
 
   Policy policy_;
   std::size_t capacity_;
@@ -71,7 +86,7 @@ class EmbeddingCache {
   std::vector<Node> nodes_;
   std::vector<int> free_;
   std::map<std::uint64_t, Bucket> buckets_;
-  std::unordered_map<std::uint64_t, int> map_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace omr::serve

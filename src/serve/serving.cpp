@@ -1,6 +1,7 @@
 #include "serve/serving.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
@@ -206,7 +207,10 @@ class ServingJob::PsShard final : public net::Endpoint {
 /// with keys drawn from the shared Zipf sampler via a per-client forked
 /// rng stream — the issue sequence never depends on response timing, so
 /// per-shard arrival order (and with it every cache hit/miss decision) is
-/// invariant under cache capacity and service-time changes.
+/// invariant under cache capacity and service-time changes. For the same
+/// reason, and because rng_ feeds nothing else, the (key, update) pairs
+/// are drawn kDrawChunk requests ahead, in the same order (key, then
+/// update flag), so the sampler's table stays warm across a chunk.
 class ServingJob::ClientEndpoint final : public net::Endpoint {
  public:
   ClientEndpoint(ServingJob& job, std::size_t idx, sim::Rng rng)
@@ -269,11 +273,13 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
     sim::Simulator& sim = job_.net_->simulator();
     const sim::Time now = sim.now();
     const core::ServeSpec& spec = job_.spec_;
+    if (r % kDrawChunk == 0) draw_chunk(r);
+    const Draw& draw = draws_[r % kDrawChunk];
     auto req = std::make_shared<ServeRequest>();
     req->client = static_cast<std::uint32_t>(idx_);
     req->seq = r;
-    req->key = job_.zipf_.next(rng_);
-    req->update = rng_.next_bool(spec.update_fraction);
+    req->key = draw.key;
+    req->update = draw.update;
     req->issued_at = now;
     req->header = spec.request_bytes;
     if (req->update) req->payload = spec.embedding_dim * 4;
@@ -288,9 +294,29 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
     }
   }
 
+  static constexpr std::uint32_t kDrawChunk = 64;
+
+  struct Draw {
+    std::uint64_t key = 0;
+    bool update = false;
+  };
+
+  /// Draws the pairs of requests [first, first + kDrawChunk), stopping at
+  /// the last request of the schedule.
+  void draw_chunk(std::uint32_t first) {
+    const core::ServeSpec& spec = job_.spec_;
+    const std::size_t count = std::min<std::size_t>(
+        kDrawChunk, spec.requests_per_client - first);
+    for (std::size_t j = 0; j < count; ++j) {
+      draws_[j].key = job_.zipf_.next(rng_);
+      draws_[j].update = rng_.next_bool(spec.update_fraction);
+    }
+  }
+
   ServingJob& job_;
   std::size_t idx_;
   sim::Rng rng_;
+  std::array<Draw, kDrawChunk> draws_;
 };
 
 // ---------------------------------------------------------------------------

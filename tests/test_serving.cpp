@@ -7,10 +7,18 @@
 // stay byte-identical to the pre-serving goldens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
+#include <latch>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -35,6 +43,17 @@ std::uint64_t fnv1a64(const std::string& s) {
   }
   return h;
 }
+
+// FNV-1a over a stream of 64-bit words, little-endian byte order.
+struct WordHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
 
 core::Fabric::StepTensors make_steps(std::size_t steps, std::size_t n_workers,
                                      std::size_t n, double sparsity,
@@ -223,6 +242,132 @@ TEST(Serving, CacheCapacityZeroIsInert) {
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
+// Reference model of both policies: the victim is the entry with the
+// lowest (frequency, last use); LRU keeps every frequency at 0.
+class ReferenceCache {
+ public:
+  ReferenceCache(core::ServeSpec::CachePolicy policy, std::size_t capacity)
+      : lfu_(policy == core::ServeSpec::CachePolicy::kLfu),
+        capacity_(capacity) {}
+
+  bool lookup(std::uint64_t key, std::uint32_t* version) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return false;
+    *version = it->second.version;
+    use(key, it->second);
+    return true;
+  }
+
+  void put(std::uint64_t key, std::uint32_t version) {
+    if (capacity_ == 0) return;
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      it->second.version = version;
+      use(key, it->second);
+      return;
+    }
+    if (entries_.size() == capacity_) {
+      const auto victim = order_.begin();
+      entries_.erase(std::get<2>(*victim));
+      order_.erase(victim);
+      ++evictions;
+    }
+    const Entry e{version, lfu_ ? 1u : 0u, ++tick_};
+    entries_.emplace(key, e);
+    order_.insert({e.freq, e.tick, key});
+  }
+
+  std::size_t size() const { return entries_.size(); }
+  std::vector<std::uint64_t> resident_keys() const {
+    std::vector<std::uint64_t> keys;
+    for (const auto& o : order_) keys.push_back(std::get<2>(o));
+    return keys;
+  }
+
+  std::uint64_t evictions = 0;
+
+ private:
+  struct Entry {
+    std::uint32_t version;
+    std::uint64_t freq;
+    std::uint64_t tick;
+  };
+
+  void use(std::uint64_t key, Entry& e) {
+    order_.erase({e.freq, e.tick, key});
+    if (lfu_) ++e.freq;
+    e.tick = ++tick_;
+    order_.insert({e.freq, e.tick, key});
+  }
+
+  bool lfu_;
+  std::size_t capacity_;
+  std::uint64_t tick_ = 0;
+  std::map<std::uint64_t, Entry> entries_;
+  std::set<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> order_;
+};
+
+TEST(Serving, CacheMatchesReferenceModel) {
+  // The index's home slot is the low bits of ShardMap::mix64(key), and at
+  // capacity 4096 it has at most 2^16 slots: keys whose hashes share the
+  // low 16 bits all start probing from one slot.
+  std::vector<std::uint64_t> colliders;
+  for (std::uint64_t k = 0; colliders.size() < 96; ++k) {
+    if ((ShardMap::mix64(k) & 0xffffULL) == 0x2a2aULL) colliders.push_back(k);
+  }
+  for (const auto policy : {core::ServeSpec::CachePolicy::kLru,
+                            core::ServeSpec::CachePolicy::kLfu}) {
+    for (const std::size_t capacity : {0u, 1u, 2u, 3u, 64u, 4096u}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                   (policy == core::ServeSpec::CachePolicy::kLfu ? " lfu"
+                                                                 : " lru"));
+      sim::Rng r(0xcac4eULL + capacity);
+      std::vector<std::uint64_t> others;
+      for (std::size_t i = 0; i < 2 * capacity + 8; ++i) {
+        others.push_back(r.next_u64());
+      }
+      EmbeddingCache cache(policy, capacity);
+      ReferenceCache ref(policy, capacity);
+      const std::size_t ops = 2 * capacity + 2000;
+      for (std::size_t op = 0; op < ops; ++op) {
+        const std::uint64_t key =
+            r.next_bool(0.25) ? colliders[r.next_below(colliders.size())]
+                              : others[r.next_below(others.size())];
+        if (r.next_bool(0.6)) {
+          std::uint32_t got = 0;
+          std::uint32_t want = 0;
+          const bool hit = cache.lookup(key, &got);
+          ASSERT_EQ(hit, ref.lookup(key, &want)) << "op " << op;
+          if (hit) {
+            ASSERT_EQ(got, want) << "op " << op;
+          } else {  // fill on miss, as a shard does
+            cache.put(key, 0);
+            ref.put(key, 0);
+          }
+        } else {
+          const auto version = static_cast<std::uint32_t>(r.next_u64());
+          cache.put(key, version);
+          ref.put(key, version);
+        }
+        ASSERT_EQ(cache.size(), ref.size()) << "op " << op;
+        ASSERT_EQ(cache.evictions(), ref.evictions) << "op " << op;
+        ASSERT_EQ(cache.resident_keys(), ref.resident_keys()) << "op " << op;
+        if (capacity <= 64 || op % 256 == 0) {
+          // Every resident key is reachable through the index. Lookups
+          // refresh recency, so probe a copy.
+          EmbeddingCache copy = cache;
+          for (const std::uint64_t k : ref.resident_keys()) {
+            ASSERT_TRUE(copy.lookup(k)) << "op " << op << " key " << k;
+          }
+        }
+      }
+      if (capacity > 0) {
+        EXPECT_GT(cache.evictions(), 0u);
+      }
+    }
+  }
+}
+
 // --- traffic ---------------------------------------------------------------
 
 TEST(Serving, ZipfIsSkewedAndDeterministic) {
@@ -252,6 +397,134 @@ TEST(Serving, ZipfIsSkewedAndDeterministic) {
 TEST(Serving, ZipfRejectsDegenerateShapes) {
   EXPECT_THROW(ZipfGenerator(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ZipfGenerator(16, -0.5), std::invalid_argument);
+  EXPECT_THROW(ZipfGenerator(16, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(ZipfGenerator((std::size_t{1} << 32) + 1, 0.9),
+               std::invalid_argument);
+  // The uniform path keeps no table, so any key space is fine.
+  const ZipfGenerator uniform((std::size_t{1} << 40), 0.0);
+  sim::Rng rng(5);
+  EXPECT_LT(uniform.next(rng), std::uint64_t{1} << 40);
+}
+
+// Reference sampler: the full cumulative table and a binary search over
+// all of it, clamped to the last rank.
+struct ReferenceZipf {
+  std::vector<double> cum;
+
+  ReferenceZipf(std::size_t n, double alpha) : cum(n) {
+    double c = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      c += std::pow(static_cast<double>(i + 1), -alpha);
+      cum[i] = c;
+    }
+  }
+  std::uint64_t rank_at(double u) const {
+    const auto i = static_cast<std::uint64_t>(
+        std::upper_bound(cum.begin(), cum.end(), u) - cum.begin());
+    return std::min<std::uint64_t>(i, cum.size() - 1);
+  }
+};
+
+TEST(Serving, ZipfDrawsMatchFullTableSearch) {
+  struct Shape {
+    std::size_t n;
+    double alpha;
+    int draws;
+  };
+  const Shape shapes[] = {
+      {1, 0.9, 1 << 16},                        // one rank
+      {1001, 1.0, 1 << 18},                     // ranks not a bucket multiple
+      {4097, 8.0, 1 << 18},                     // running sum saturates
+      {37, 0.5, 1 << 16},
+      {std::size_t{1} << 20, 0.9, 1 << 19},     // the serving shape
+  };
+  int total_draws = 0;
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("n " + std::to_string(shape.n) + " alpha " +
+                 std::to_string(shape.alpha));
+    const ZipfGenerator zipf(shape.n, shape.alpha);
+    const ReferenceZipf ref(shape.n, shape.alpha);
+    sim::Rng a(0x7e57ULL + shape.n);
+    sim::Rng b(0x7e57ULL + shape.n);
+    for (int i = 0; i < shape.draws; ++i) {
+      ASSERT_EQ(zipf.next(a), ref.rank_at(b.next_double() * ref.cum.back()));
+    }
+    total_draws += shape.draws;
+
+    // Variates on and beside every cumulative weight (every 97th on the
+    // large table), plus both ends of the range.
+    const double total = ref.cum.back();
+    const std::size_t stride = shape.n > 100000 ? 97 : 1;
+    for (std::size_t i = 0; i < shape.n; i += stride) {
+      for (const double u : {ref.cum[i], std::nextafter(ref.cum[i], 0.0),
+                             std::nextafter(ref.cum[i], 2.0 * total)}) {
+        if (u > total) continue;
+        ASSERT_EQ(zipf.rank_at(u), ref.rank_at(u)) << "u " << u;
+      }
+    }
+    EXPECT_EQ(zipf.rank_at(0.0), ref.rank_at(0.0));
+    EXPECT_EQ(zipf.rank_at(total), shape.n - 1);
+    EXPECT_EQ(zipf.rank_at(-1.0), 0u);
+    EXPECT_EQ(zipf.rank_at(4.0 * total), shape.n - 1);
+  }
+  EXPECT_GE(total_draws, 1 << 20);
+  // alpha = 8 really does saturate: the tail adds nothing to the sum.
+  const ReferenceZipf saturated(4097, 8.0);
+  EXPECT_EQ(saturated.cum[4095], saturated.cum[4096]);
+}
+
+// Generators of one shape share a table built by whichever thread gets
+// there first; draws must not depend on which one did, or on a table
+// being evicted while another thread builds.
+TEST(Serving, SharedZipfTablesAreThreadSafe) {
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 1 << 15;
+  // Shapes used by no other test, so the threads race to build them.
+  auto own_shape = [](int t) {
+    return std::pair<std::size_t, double>(3001 + t, 1.0625 + t / 16.0);
+  };
+  auto digest = [](std::size_t n, double alpha, std::uint64_t seed) {
+    const ZipfGenerator zipf(n, alpha);
+    sim::Rng rng(seed);
+    WordHash hash;
+    for (int i = 0; i < kDraws; ++i) hash.add(zipf.next(rng));
+    return hash.h;
+  };
+  std::array<std::uint64_t, kThreads> common{};
+  std::array<std::uint64_t, kThreads> own{};
+  {
+    std::latch go(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        go.arrive_and_wait();
+        common[t] = digest(50021, 0.8125, 99);
+        const auto [n, alpha] = own_shape(t);
+        own[t] = digest(n, alpha, 100 + t);
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(common[t], digest(50021, 0.8125, 99));
+    const auto [n, alpha] = own_shape(t);
+    EXPECT_EQ(own[t], digest(n, alpha, 100 + t));
+  }
+  EXPECT_LE(ZipfGenerator::shared_tables(), ZipfGenerator::kMaxSharedTables);
+}
+
+TEST(Serving, SharedZipfMemoStaysBounded) {
+  // TortureSweep draws a fresh alpha for every job.
+  sim::Rng r(0xa1fULL);
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t n = 256 + r.next_below(1793);
+    const double alpha = 1.25 * r.next_double();
+    const ZipfGenerator zipf(n, alpha);
+    const std::size_t held = ZipfGenerator::shared_tables();
+    EXPECT_LE(held, ZipfGenerator::kMaxSharedTables);
+    const ZipfGenerator again(n, alpha);  // same shape: no new entry
+    EXPECT_EQ(ZipfGenerator::shared_tables(), held);
+  }
 }
 
 // --- latency histograms ----------------------------------------------------
@@ -359,6 +632,13 @@ TEST(Serving, MalformedServeSpecsThrow) {
   bad = s;
   bad.zipf_alpha = -1.0;
   EXPECT_THROW(ServingJob(bad, {0, 1}, {2, 3}), std::invalid_argument);
+  bad = s;
+  bad.zipf_alpha = std::nan("");
+  EXPECT_THROW(ServingJob(bad, {0, 1}, {2, 3}), std::invalid_argument);
+  bad = s;
+  bad.key_space = (std::size_t{1} << 32) + 1;
+  bad.zipf_alpha = 0.9;
+  EXPECT_THROW(ServingJob(bad, {0, 1}, {2, 3}), std::invalid_argument);
 
   // Machines outside the fabric are rejected at attach time.
   core::TenantFabricSpec fspec;
@@ -433,17 +713,6 @@ TEST(Serving, ZeroServingFabricMatchesPreServingGoldens) {
 }
 
 // --- serving-tier pins ----------------------------------------------------
-
-// FNV-1a over a stream of 64-bit words, little-endian byte order.
-struct WordHash {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
 
 // The key stream is part of every serving output, so these pins hold the
 // first 2^17 draws of four shapes fixed: a large and a small table, an
