@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -601,6 +602,190 @@ TEST(BaselinePins, SketchWidthAndPayload) {
     EXPECT_EQ(h, e.digest) << "N=" << e.n << " width " << r.sketch_width
                            << " payload " << r.payload_elements << " actual "
                            << hex(h);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Count sketch against a naive reference
+// ---------------------------------------------------------------------------
+
+/// Naive count-sketch AllReduce, written from the protocol rather than the
+/// kernel. Each worker builds a dense rows x width sketch by adding
+/// sign * v for its non-zeros in index order. The packed buffer
+/// [sketch | block occupancy] is cut into ring segments
+/// [payload*g/N, payload*(g+1)/N); segment g is folded left from its owner:
+/// buf_g + buf_{g+1} + ... + buf_{g+N-1} (mod N). Every index of an
+/// occupied block is recovered as the stable median of its row estimates.
+DenseTensor naive_sketch(const std::vector<DenseTensor>& ts,
+                         const SketchOptions& opts, std::size_t* width_out) {
+  const std::size_t n = ts.size();
+  const std::size_t dim = ts.front().size();
+  const std::size_t rows = opts.rows;
+  const std::size_t block = opts.block_elements;
+  const std::size_t n_blocks = (dim + block - 1) / block;
+  std::vector<char> occupied(dim, 0);
+  std::size_t union_nnz = 0;
+  for (const auto& t : ts) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      if (t[i] != 0.0f && !occupied[i]) {
+        occupied[i] = 1;
+        ++union_nnz;
+      }
+    }
+  }
+  const std::size_t width = std::max<std::size_t>(
+      16, static_cast<std::size_t>(std::llround(
+              opts.width_factor * static_cast<double>(union_nnz))));
+  *width_out = width;
+  const std::size_t payload = rows * width + n_blocks;
+
+  auto probe = [&](std::size_t r, std::size_t i, float* sign) {
+    std::uint64_t h = opts.seed ^ (r * 0x100000001b3ULL) ^
+                      (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL);
+    h += 0x9e3779b97f4a7c15ULL;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    *sign = (h >> 32 & 1) != 0 ? 1.0f : -1.0f;
+    return r * width + h % width;
+  };
+
+  std::vector<std::vector<float>> sketches(
+      n, std::vector<float>(rows * width, 0.0f));
+  for (std::size_t w = 0; w < n; ++w) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      if (ts[w][i] == 0.0f) continue;
+      for (std::size_t r = 0; r < rows; ++r) {
+        float sign;
+        const std::size_t c = probe(r, i, &sign);
+        sketches[w][c] += sign * ts[w][i];
+      }
+    }
+  }
+  std::vector<float> merged(rows * width);
+  for (std::size_t g = 0; g < n; ++g) {
+    const std::size_t end = std::min(payload * (g + 1) / n, rows * width);
+    for (std::size_t c = payload * g / n; c < end; ++c) {
+      float acc = sketches[g][c];
+      for (std::size_t j = 1; j < n; ++j) acc += sketches[(g + j) % n][c];
+      merged[c] = acc;
+    }
+  }
+
+  DenseTensor out(dim);
+  std::vector<float> est(rows);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const std::size_t b = i / block;
+    bool block_occupied = false;
+    for (std::size_t k = b * block; k < std::min(dim, (b + 1) * block); ++k) {
+      block_occupied = block_occupied || occupied[k];
+    }
+    if (!block_occupied) continue;
+    for (std::size_t r = 0; r < rows; ++r) {
+      float sign;
+      const std::size_t c = probe(r, i, &sign);
+      est[r] = sign * merged[c];
+    }
+    std::stable_sort(est.begin(), est.end());
+    out[i] = est[rows / 2];
+  }
+  return out;
+}
+
+/// Inputs that exercise every rule the sketch's fold must keep: about half
+/// of each worker's entries non-zero with magnitudes over 2^-12..2^12 (so
+/// addition order shows in the low bits), one entry in eight -0.0f, and
+/// (when N allows) an all-zero worker plus two workers holding x and -x
+/// at every third index.
+std::vector<DenseTensor> sketch_inputs(std::size_t n, std::size_t dim,
+                                       std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<DenseTensor> ts(n, DenseTensor(dim));
+  for (auto& t : ts) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      const std::uint64_t kind = rng.next_below(8);
+      if (kind == 0) {
+        t[i] = -0.0f;
+      } else if (kind < 4) {
+        t[i] = std::ldexp(rng.next_float(-1.0f, 1.0f),
+                          static_cast<int>(rng.next_below(25)) - 12);
+      }
+    }
+  }
+  if (n >= 2) {
+    const std::size_t zero = n >= 3 ? seed % n : n;  // none when N = 2
+    const std::size_t a = (seed + 1) % n;
+    const std::size_t b = (seed + 2) % n;
+    for (std::size_t i = 0; i < dim; i += 3) {
+      const float x = std::ldexp(rng.next_float(0.5f, 1.0f),
+                                 static_cast<int>(rng.next_below(9)) - 4);
+      ts[a][i] = x;
+      ts[b][i] = -x;
+    }
+    if (zero < n) ts[zero] = DenseTensor(dim);
+  }
+  return ts;
+}
+
+void expect_sketch_matches_reference(const std::vector<DenseTensor>& ts,
+                                     const SketchOptions& opts,
+                                     const std::string& label) {
+  std::size_t width = 0;
+  const DenseTensor expect = naive_sketch(ts, opts, &width);
+  const SketchResult r = sketch_allreduce(ts, fast_cfg(), opts);
+  ASSERT_EQ(r.sketch_width, width) << label;
+  const std::size_t dim = ts.front().size();
+  ASSERT_EQ(r.payload_elements,
+            opts.rows * width + (dim + opts.block_elements - 1) /
+                                    opts.block_elements)
+      << label;
+  ASSERT_EQ(r.result.size(), dim) << label;
+  for (std::size_t i = 0; i < dim; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(r.result[i]),
+              std::bit_cast<std::uint32_t>(expect[i]))
+        << label << " index " << i << ": " << r.result[i] << " vs "
+        << expect[i];
+  }
+}
+
+TEST(Sketch, MatchesNaiveReference) {
+  std::uint64_t seed = 0;
+  for (std::size_t rows : {1u, 2u, 3u, 5u}) {
+    for (std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u}) {
+      for (std::size_t dim : {1u, 3u, 255u, 4099u}) {
+        for (std::size_t block : {std::size_t{1}, std::size_t{256}, dim + 1}) {
+          ++seed;
+          SketchOptions opts;
+          opts.rows = rows;
+          opts.block_elements = block;
+          opts.seed = seed;
+          // A crowded sketch as well as the default width: more counters
+          // hold several entries, and more sums cancel exactly.
+          for (double factor : {4.0, 0.25}) {
+            opts.width_factor = factor;
+            expect_sketch_matches_reference(
+                sketch_inputs(n, dim, seed), opts,
+                "rows=" + std::to_string(rows) + " N=" + std::to_string(n) +
+                    " dim=" + std::to_string(dim) +
+                    " block=" + std::to_string(block) +
+                    " factor=" + std::to_string(factor));
+          }
+        }
+      }
+    }
+  }
+  // Sketches wide enough that each ring segment spans many cache-sized
+  // runs of counters.
+  for (std::size_t n : {2u, 13u}) {
+    for (std::size_t rows : {1u, 3u}) {
+      SketchOptions opts;
+      opts.rows = rows;
+      opts.seed = ++seed;
+      expect_sketch_matches_reference(
+          sketch_inputs(n, 100003, seed), opts,
+          "rows=" + std::to_string(rows) + " N=" + std::to_string(n) +
+              " dim=100003");
+    }
   }
 }
 
