@@ -29,8 +29,13 @@ std::vector<double> block_sq_norms(const tensor::DenseTensor& g,
                                    std::size_t block_size) {
   const std::size_t nb = tensor::num_blocks(g.size(), block_size);
   std::vector<double> norms(nb, 0.0);
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    norms[i / block_size] += static_cast<double>(g[i]) * g[i];
+  for (std::size_t b = 0; b < nb; ++b) {
+    const std::size_t last = std::min(g.size(), (b + 1) * block_size);
+    double sum = 0.0;
+    for (std::size_t i = b * block_size; i < last; ++i) {
+      sum += static_cast<double>(g[i]) * g[i];
+    }
+    norms[b] = sum;
   }
   return norms;
 }
@@ -84,10 +89,15 @@ tensor::DenseTensor block_top_k_ratio(const tensor::DenseTensor& g,
   }
   const std::size_t nb = tensor::num_blocks(g.size(), block_size);
   std::vector<double> score(nb, 0.0);
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const double denom = std::max(std::abs(params[i]), eps);
-    const double r = static_cast<double>(g[i]) / denom;
-    score[i / block_size] += r * r;
+  for (std::size_t b = 0; b < nb; ++b) {
+    const std::size_t last = std::min(g.size(), (b + 1) * block_size);
+    double sum = 0.0;
+    for (std::size_t i = b * block_size; i < last; ++i) {
+      const double denom = std::max(std::abs(params[i]), eps);
+      const double r = static_cast<double>(g[i]) / denom;
+      sum += r * r;
+    }
+    score[b] = sum;
   }
   return apply_block_mask(g, block_size, top_k_indices(score, k));
 }
