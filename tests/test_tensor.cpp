@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "sim/rng.h"
 #include "tensor/blocks.h"
@@ -63,6 +68,46 @@ TEST(Coo, RoundTrip) {
   EXPECT_EQ(c.wire_bytes(), 24u);
   DenseTensor back = coo_to_dense(c);
   EXPECT_EQ(back, t);
+}
+
+TEST(Coo, DenseToCooMatchesNaiveLoop) {
+  // The conversion keeps exactly the elements with x != 0.0f, in index
+  // order: -0.0f drops, NaN and denormals stay. Lengths straddle the
+  // 64-element groups; fills cover all-zero, fully dense and mixed inputs.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f, -0.0f, nan, denorm, -1e-40f, 1.0f, -3.5f};
+  sim::Rng rng(0xc00);
+  for (std::size_t n : {0, 1, 63, 64, 65, 127, 128, 130, 1000, 4099}) {
+    for (int fill = 0; fill < 4; ++fill) {
+      DenseTensor t(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        switch (fill) {
+          case 0: break;                                       // all zero
+          case 1: t[i] = 1.0f + static_cast<float>(i); break;  // fully dense
+          case 2: t[i] = specials[rng.next_below(std::size(specials))]; break;
+          default:  // sparse: mostly +/-0 with rare specials
+            t[i] = rng.next_below(50) == 0
+                       ? specials[rng.next_below(std::size(specials))]
+                       : (rng.next_below(2) == 0 ? 0.0f : -0.0f);
+        }
+      }
+      std::vector<std::int32_t> keys;
+      std::vector<std::uint32_t> bits;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (t[i] != 0.0f) {
+          keys.push_back(static_cast<std::int32_t>(i));
+          bits.push_back(std::bit_cast<std::uint32_t>(t[i]));
+        }
+      }
+      const CooTensor c = dense_to_coo(t);
+      EXPECT_EQ(c.dim, n);
+      EXPECT_EQ(c.keys, keys) << "n=" << n << " fill=" << fill;
+      std::vector<std::uint32_t> got;
+      for (float v : c.values) got.push_back(std::bit_cast<std::uint32_t>(v));
+      EXPECT_EQ(got, bits) << "n=" << n << " fill=" << fill;
+    }
+  }
 }
 
 TEST(SparseRangeAccumulator, MergesSortedUnion) {
