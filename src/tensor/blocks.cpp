@@ -5,6 +5,10 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace omr::tensor {
 
 std::size_t num_blocks(std::size_t n, std::size_t block_size) {
@@ -14,26 +18,60 @@ std::size_t num_blocks(std::size_t n, std::size_t block_size) {
 
 namespace {
 
-/// Branch-free non-zero test over [lo, hi): ORs the value bits with the
-/// sign bit shifted out, so -0.0f counts as zero (matching `!= 0.0f`) and
-/// any NaN/denormal counts as non-zero. The reduction has no early exit,
-/// which lets the compiler vectorize it — far faster than a scalar
+/// Branch-free non-zero test over [p, p + n): ORs the value bits together
+/// and shifts the sign bit out, so -0.0f counts as zero (matching
+/// `!= 0.0f`) and any NaN/denormal counts as non-zero. There is no early
+/// exit, and the OR runs in four independent accumulators so consecutive
+/// loads do not wait on one dependency chain — far faster than a scalar
 /// compare-and-break even when a non-zero sits early in the block.
 std::uint32_t or_reduce(const float* p, std::size_t n) {
+  std::size_t i = 0;
   std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+#if defined(__SSE2__)
+  if (n >= 16) {
+    __m128i a0 = _mm_setzero_si128();
+    __m128i a1 = a0, a2 = a0, a3 = a0;
+    for (; i + 16 <= n; i += 16) {
+      const auto* v = reinterpret_cast<const __m128i*>(p + i);
+      a0 = _mm_or_si128(a0, _mm_loadu_si128(v));
+      a1 = _mm_or_si128(a1, _mm_loadu_si128(v + 1));
+      a2 = _mm_or_si128(a2, _mm_loadu_si128(v + 2));
+      a3 = _mm_or_si128(a3, _mm_loadu_si128(v + 3));
+    }
+    __m128i a = _mm_or_si128(_mm_or_si128(a0, a1), _mm_or_si128(a2, a3));
+    a = _mm_or_si128(a, _mm_shuffle_epi32(a, _MM_SHUFFLE(1, 0, 3, 2)));
+    a = _mm_or_si128(a, _mm_shuffle_epi32(a, _MM_SHUFFLE(2, 3, 0, 1)));
+    acc = static_cast<std::uint32_t>(_mm_cvtsi128_si32(a));
+  }
+#else
+  std::uint32_t a1 = 0, a2 = 0, a3 = 0;
+  for (; i + 4 <= n; i += 4) {
+    std::uint32_t u[4];
+    std::memcpy(u, p + i, sizeof(u));
+    acc |= u[0];
+    a1 |= u[1];
+    a2 |= u[2];
+    a3 |= u[3];
+  }
+  acc |= a1 | a2 | a3;
+#endif
+  for (; i < n; ++i) {
     std::uint32_t u;
     std::memcpy(&u, &p[i], sizeof(u));
-    acc |= u << 1;
+    acc |= u;
   }
-  return acc;
+  return acc << 1;  // OR commutes with the shift: drop every sign bit once
 }
 
 }  // namespace
 
-BlockBitmap::BlockBitmap(std::span<const float> data, std::size_t block_size)
-    : block_size_(block_size),
-      n_blocks_(num_blocks(data.size(), block_size)) {
+BlockBitmap::BlockBitmap(std::span<const float> data, std::size_t block_size) {
+  rebuild(data, block_size);
+}
+
+void BlockBitmap::rebuild(std::span<const float> data, std::size_t block_size) {
+  n_blocks_ = num_blocks(data.size(), block_size);  // throws on 0 first
+  block_size_ = block_size;
   words_.assign((n_blocks_ + 63) / 64, 0);
   const float* p = data.data();
   const std::size_t full = data.size() / block_size;

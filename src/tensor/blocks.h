@@ -28,6 +28,9 @@ class BlockBitmap {
   BlockBitmap() = default;
   /// Scan `data` and mark non-zero blocks.
   BlockBitmap(std::span<const float> data, std::size_t block_size);
+  /// Rescan into this bitmap, reusing its storage (a worker keeps one
+  /// bitmap across the collectives of a Session).
+  void rebuild(std::span<const float> data, std::size_t block_size);
 
   std::size_t block_size() const { return block_size_; }
   std::size_t size() const { return n_blocks_; }

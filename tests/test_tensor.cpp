@@ -229,6 +229,46 @@ TEST(Blocks, DensityWithinBlocks) {
   EXPECT_DOUBLE_EQ(density_within_blocks(z, 256), 0.0);
 }
 
+// The packed scan must agree with the plain definition — a block is
+// non-zero iff some element compares `!= 0.0f` — on every value class the
+// bit trick treats specially, at every offset of a vector-width loop.
+TEST(Blocks, BitmapMatchesNaiveScan) {
+  const float specials[] = {-0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::infinity(),
+                            1.0f};
+  sim::Rng rng(31);
+  BlockBitmap reused;
+  for (std::size_t bs : {1u, 3u, 4u, 16u, 256u, 300u}) {
+    for (std::size_t n : {bs * 7, bs * 7 + bs / 2 + 1, std::size_t{1000}}) {
+      // Mostly +0.0f / -0.0f so that many blocks are zero; each special
+      // value then lands at a random position.
+      DenseTensor t(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.next_double() < 0.5) t[i] = -0.0f;
+      }
+      for (float v : specials) {
+        if (rng.next_double() < 0.5) t[rng.next_below(n)] = v;
+      }
+      const BlockBitmap bm(t.span(), bs);
+      reused.rebuild(t.span(), bs);
+      ASSERT_EQ(bm.size(), num_blocks(n, bs));
+      EXPECT_EQ(reused.words(), bm.words()) << "bs=" << bs << " n=" << n;
+      for (std::size_t b = 0; b < bm.size(); ++b) {
+        bool nonzero = false;
+        for (std::size_t i = b * bs; i < std::min(n, (b + 1) * bs); ++i) {
+          nonzero = nonzero || t[i] != 0.0f;
+        }
+        EXPECT_EQ(bm.nonzero(static_cast<BlockIndex>(b)), nonzero)
+            << "bs=" << bs << " n=" << n << " block " << b;
+      }
+    }
+  }
+}
+
 
 TEST(IndexCodec, CrossoverAtDimOver32) {
   // Raw keys cost 4*nnz; a bitmask costs dim/8. Equal at nnz = dim/32.
