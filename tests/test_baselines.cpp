@@ -14,7 +14,6 @@
 #include "baselines/ring.h"
 #include "baselines/sketch_reducer.h"
 #include "baselines/sparcml.h"
-#include "baselines/switchml.h"
 #include "baselines/zoo.h"
 #include "core/algorithm.h"
 #include "sim/rng.h"
@@ -365,7 +364,10 @@ TEST(SwitchMl, DenseStreamingCorrect) {
   fabric.worker_bandwidth_bps = 10e9;
   fabric.aggregator_bandwidth_bps = 10e9;
   fabric.one_way_latency = sim::microseconds(5);
-  core::RunStats st = switchml_allreduce(ts, fabric, 4);
+  // The registry adapter forces dense_mode and gdr = false itself.
+  core::RunStats st = core::run_collective(
+      "switchml", ts, core::Config::for_transport(core::Transport::kRdma),
+      core::ClusterSpec::dedicated(4, fabric), /*verify=*/true);
   EXPECT_TRUE(st.verified);
   // Dense mode: full tensor transmitted regardless of sparsity.
   EXPECT_EQ(st.worker_data_bytes[0], 16384u * 4u);
