@@ -30,7 +30,7 @@ class FaultController;
 ///   result arrives (handle_result) or its stream finishes
 ///   (note_stream_done); under Algorithm 1 a worker that owns no requested
 ///   block takes none. new_packet rewrites every header field, `next` is
-///   overwritten whole, and encode_block rewrites a reused sidecar.
+///   overwritten whole, and encode_in_place rewrites a reused sidecar.
 /// - `states_` and `next_`: per-stream protocol state and the flat
 ///   next-block table (one allocation per worker, not per stream). start()
 ///   resets both in place, keeping their capacity.
@@ -216,7 +216,6 @@ class Worker final : public net::Endpoint {
 
   // Wire-codec state (untouched when cfg_.codec is disabled).
   std::vector<float> codec_residual_;  // error-feedback carry, tensor-sized
-  std::vector<float> codec_scratch_;   // decode buffer for encode_column
   sim::Time pending_rx_cost_ = 0;  // result-decode cost charged to next tx
   sim::Time codec_tail_ = 0;       // final-result decode past protocol end
   std::uint64_t codec_saved_bytes_ = 0;
