@@ -58,7 +58,7 @@ class ExchangeNode final : public FlatNode {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* c = dynamic_cast<const ByteChunk*>(msg.get());
+    const auto* c = net::message_cast<ByteChunk>(msg.get());
     if (c == nullptr) throw std::logic_error("unexpected exchange message");
     if (c->last_of_flow && --flows_expected_ == 0) finish();
   }

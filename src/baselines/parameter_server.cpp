@@ -66,7 +66,7 @@ class PsServer final : public FlatNode {
   }
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* p = dynamic_cast<const DenseChunk*>(msg.get());
+    const auto* p = net::message_cast<DenseChunk>(msg.get());
     if (p == nullptr) throw std::logic_error("unexpected PS message");
     Chunk& c = chunks_[(p->offset - lo_) / chunk_elements_];
     if (c.acc.empty()) c.acc.assign(p->data.size(), 0.0f);
@@ -119,7 +119,7 @@ class PsWorker final : public FlatNode {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* r = dynamic_cast<const DenseChunk*>(msg.get());
+    const auto* r = net::message_cast<DenseChunk>(msg.get());
     if (r == nullptr) throw std::logic_error("unexpected PS message");
     std::copy(r->data.begin(), r->data.end(),
               tensor_.values().begin() +
@@ -204,7 +204,7 @@ class SparsePsServer final : public FlatNode {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* p = dynamic_cast<const SparsePush*>(msg.get());
+    const auto* p = net::message_cast<SparsePush>(msg.get());
     if (p == nullptr) throw std::logic_error("unexpected sparse PS message");
     acc_.add(p->keys, p->values, p->count);
     if (p->last_of_flow && ++flows_done_ == n_workers_) {
@@ -261,7 +261,7 @@ class SparsePsWorker final : public FlatNode {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* r = dynamic_cast<const SparsePull*>(msg.get());
+    const auto* r = net::message_cast<SparsePull>(msg.get());
     if (r == nullptr) throw std::logic_error("unexpected sparse PS message");
     if (r->last_of_flow && --flows_remaining_ == 0) finish();
   }

@@ -53,7 +53,7 @@ class RingNode final : public FlatNode {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* c = dynamic_cast<const detail::ByteChunk*>(msg.get());
+    const auto* c = net::message_cast<detail::ByteChunk>(msg.get());
     if (c == nullptr) throw std::logic_error("unexpected ring message");
     // An empty allgather step completes on send, so its empty message can
     // arrive after the rank's last step. The schedule then steps on past
@@ -211,7 +211,7 @@ class RdNode final : public FlatNode {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* m = dynamic_cast<const RdMsg*>(msg.get());
+    const auto* m = net::message_cast<RdMsg>(msg.get());
     if (m == nullptr) throw std::logic_error("unexpected rd message");
     // A fast partner may deliver a later step's data before the current
     // step's partner does; buffer by step and apply strictly in order.

@@ -52,7 +52,7 @@ class KvAggregator final : public net::Endpoint {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* p = dynamic_cast<const KvPacket*>(msg.get());
+    const auto* p = net::message_cast<KvPacket>(msg.get());
     if (p == nullptr) throw std::logic_error("unexpected message");
     nextkey_[p->wid] = p->nextkey;
     merge_run(p->keys, p->values);
@@ -185,7 +185,7 @@ class KvWorker final : public net::Endpoint {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* r = dynamic_cast<const KvResult*>(msg.get());
+    const auto* r = net::message_cast<KvResult>(msg.get());
     if (r == nullptr) throw std::logic_error("unexpected message");
     result_.keys.insert(result_.keys.end(), r->keys.begin(), r->keys.end());
     result_.values.insert(result_.values.end(), r->values.begin(),

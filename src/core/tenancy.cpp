@@ -193,7 +193,7 @@ class Fabric::JobController final : public net::Endpoint {
 
 void Fabric::WorkerAgent::on_message(net::EndpointId /*from*/,
                                      const net::MessagePtr& msg) {
-  if (dynamic_cast<const ResyncResponse*>(msg.get()) != nullptr) {
+  if (net::message_cast<ResyncResponse>(msg.get()) != nullptr) {
     // One stream's worth of join catch-up state arrived (the bytes were
     // charged on the wire; the payload itself is superseded by the fresh
     // step input the join hands the worker).
@@ -203,7 +203,7 @@ void Fabric::WorkerAgent::on_message(net::EndpointId /*from*/,
     if (--resyncs_pending_ == 0) send_ready();
     return;
   }
-  const auto* ctl = dynamic_cast<const JobCtl*>(msg.get());
+  const auto* ctl = net::message_cast<JobCtl>(msg.get());
   if (ctl == nullptr) {
     throw std::logic_error("worker agent received unknown message");
   }
@@ -272,7 +272,7 @@ void Fabric::WorkerAgent::worker_done() {
 
 void Fabric::AggAgent::on_message(net::EndpointId /*from*/,
                                   const net::MessagePtr& msg) {
-  const auto* ctl = dynamic_cast<const JobCtl*>(msg.get());
+  const auto* ctl = net::message_cast<JobCtl>(msg.get());
   if (ctl == nullptr || ctl->kind != JobCtl::kSetup) {
     throw std::logic_error("aggregator agent expects only setup messages");
   }
@@ -341,7 +341,7 @@ void Fabric::JobController::start_workers() {
 
 void Fabric::JobController::on_message(net::EndpointId /*from*/,
                                        const net::MessagePtr& msg) {
-  const auto* ctl = dynamic_cast<const JobCtl*>(msg.get());
+  const auto* ctl = net::message_cast<JobCtl>(msg.get());
   if (ctl == nullptr) {
     throw std::logic_error("job controller received unknown message");
   }

@@ -2,12 +2,15 @@
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
+#include <typeinfo>
 
 namespace omr::net {
 
 /// Base class for everything that travels over the simulated network.
-/// Concrete protocols define their own message structs; the network layer
-/// only needs the serialized size to model transmission time.
+/// Concrete protocols define their own message structs, each a `final`
+/// direct subclass; the network layer only needs the serialized size to
+/// model transmission time.
 struct Message {
   virtual ~Message() = default;
 
@@ -21,6 +24,17 @@ struct Message {
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
+
+/// `m` as a `T` when it is exactly a `T`, else null (also for a null `m`).
+/// Receivers dispatch on this: since every message type is final, one
+/// type_info compare decides it, with no walk of the class hierarchy.
+template <typename T>
+const T* message_cast(const Message* m) {
+  static_assert(std::is_final_v<T> && std::is_base_of_v<Message, T>,
+                "message_cast checks the exact type of a final message");
+  if (m == nullptr || typeid(*m) != typeid(T)) return nullptr;
+  return static_cast<const T*>(m);
+}
 
 /// Convenience: wrap a concrete message in a shared_ptr<const Message>.
 template <typename T, typename... Args>

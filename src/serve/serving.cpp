@@ -90,7 +90,7 @@ class ServingJob::PsShard final : public net::Endpoint {
         cache_(job.spec_.cache_policy, job.spec_.cache_capacity) {}
 
   void on_message(net::EndpointId from, const net::MessagePtr& msg) override {
-    const auto* req = dynamic_cast<const ServeRequest*>(msg.get());
+    const auto* req = net::message_cast<ServeRequest>(msg.get());
     if (req == nullptr) {
       throw std::logic_error("ps shard received unknown message");
     }
@@ -224,7 +224,7 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    if (const auto* ctl = dynamic_cast<const ServeCtl*>(msg.get())) {
+    if (const auto* ctl = net::message_cast<ServeCtl>(msg.get())) {
       if (ctl->kind != ServeCtl::kStart) {
         throw std::logic_error("serve client received unexpected control");
       }
@@ -232,7 +232,7 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
       issue(0);
       return;
     }
-    const auto* resp = dynamic_cast<const ServeResponse*>(msg.get());
+    const auto* resp = net::message_cast<ServeResponse>(msg.get());
     if (resp == nullptr) {
       throw std::logic_error("serve client received unknown message");
     }
@@ -338,7 +338,7 @@ class ServingJob::Controller final : public net::Endpoint {
 
   void on_message(net::EndpointId /*from*/,
                   const net::MessagePtr& msg) override {
-    const auto* ctl = dynamic_cast<const ServeCtl*>(msg.get());
+    const auto* ctl = net::message_cast<ServeCtl>(msg.get());
     if (ctl == nullptr || ctl->kind != ServeCtl::kDone) {
       throw std::logic_error("serve controller expects only done messages");
     }

@@ -536,5 +536,37 @@ TEST(Session, AggregatorRejectsStreamsOutsideTheCurrentCollective) {
   EXPECT_EQ(agg.stale_drops(), 2u);
 }
 
+// A packet pool takes back only its own packet type: any other message
+// handed to recycle (a resync request, the other leg's packets) is
+// released, neither pooled nor parked, and the free lists stay as they
+// were.
+TEST(PacketPool, RecycleDropsOtherMessageTypes) {
+  PacketPool<DataPacket> pool(4);
+  std::shared_ptr<DataPacket> pkt = pool.acquire(/*carries_columns=*/true);
+  const DataPacket* first = pkt.get();
+  net::MessagePtr sent = std::move(pkt);
+  pool.recycle(sent);
+  EXPECT_EQ(sent, nullptr);
+
+  auto request = std::make_shared<ResyncRequest>();
+  auto result = std::make_shared<ResultPacket>();
+  for (net::MessagePtr other :
+       {net::MessagePtr(request), net::MessagePtr(result)}) {
+    pool.recycle(other);
+    EXPECT_EQ(other, nullptr);
+  }
+  EXPECT_EQ(request.use_count(), 1);
+  EXPECT_EQ(result.use_count(), 1);
+  net::MessagePtr none;
+  pool.recycle(none);
+
+  // The one packet recycled is the one pooled: the next acquire returns it
+  // with its column row, the one after creates a new packet.
+  const auto again = pool.acquire(true);
+  EXPECT_EQ(again.get(), first);
+  EXPECT_GE(again->columns.capacity(), 4u);
+  EXPECT_NE(pool.acquire(true).get(), first);
+}
+
 }  // namespace
 }  // namespace omr::core
