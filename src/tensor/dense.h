@@ -56,7 +56,9 @@ class DenseTensor {
 /// every collective implementation). All tensors must have equal size.
 DenseTensor reference_sum(std::span<const DenseTensor> tensors);
 
-/// Max absolute element-wise difference between two tensors.
+/// Max absolute element-wise difference between two tensors. A NaN on one
+/// side only is an infinite difference; NaN on both sides, like equal
+/// infinities, is none.
 double max_abs_diff(const DenseTensor& a, const DenseTensor& b);
 
 /// L2 norm of the element-wise difference between two tensors.

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "core/algorithm.h"
 #include "core/collectives.h"
 #include "core/config.h"
 #include "core/engine.h"
+#include "core/run_context.h"
 #include "core/sparse_kv.h"
 #include "core/stream_layout.h"
 #include "sim/rng.h"
@@ -365,6 +368,27 @@ TEST(Collectives, BroadcastSkipsZeroBlocks) {
 // ---------------------------------------------------------------------------
 // Sparse key-value extension (Algorithm 3)
 // ---------------------------------------------------------------------------
+
+// The verifier sees a NaN: one poisoned element of one worker's allreduce
+// result fails the reference check and the registry's verify_error with an
+// unbounded error, where the clean results pass.
+TEST(Verify, NaNInOneResultFailsTheCheck) {
+  const Config cfg = small_config();
+  std::vector<DenseTensor> results = random_inputs(4, 4096, 16, 0.5, 11);
+  const ReferenceCheck check(results, cfg);
+  run_allreduce(results, cfg, test_cluster(2), /*verify=*/false);
+  const double tol = 1e-4 * static_cast<double>(results.size());
+  EXPECT_TRUE(check.check(results, tol).ok);
+
+  results[2][1234] = std::numeric_limits<float>::quiet_NaN();
+  const ReferenceCheck::Outcome outcome = check.check(results, tol);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.max_error, std::numeric_limits<double>::infinity());
+  const CollectiveAlgorithm& algo =
+      CollectiveRegistry::global().at("omnireduce");
+  EXPECT_GT(algo.verify_error(results[2], check.reference()), tol);
+  EXPECT_LE(algo.verify_error(results[1], check.reference()), tol);
+}
 
 TEST(SparseKv, ReducesCorrectly) {
   sim::Rng rng(24);
