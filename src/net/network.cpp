@@ -27,7 +27,9 @@ Network::Network(sim::Simulator& simulator, std::unique_ptr<Topology> topology,
 }
 
 NicId Network::add_nic(const NicConfig& cfg) {
-  if (cfg.tx_bandwidth_bps <= 0 || cfg.rx_bandwidth_bps <= 0) {
+  // Negated so a NaN is rejected too: it would reach the Time conversion
+  // of every transmission.
+  if (!(cfg.tx_bandwidth_bps > 0) || !(cfg.rx_bandwidth_bps > 0)) {
     throw std::invalid_argument("NIC bandwidth must be positive");
   }
   nics_.push_back(Nic{cfg, 0, 0, {}});
