@@ -221,6 +221,69 @@ Result bench_event_queue_far_horizon(bool smoke, int repeats) {
   return res;
 }
 
+// --- event queue: one simulator reused across drained Session steps -------
+
+/// One Session step's event pattern at omni_twotier's shape: all 64 x 256
+/// (worker, stream) sends fire at the step's start, each arms a 1 ms
+/// retransmission timer, and the delivery that answers it (1-800 us later)
+/// cancels the timer. Deliveries free slots in a scattered order, and the
+/// step drains with every cancelled timer still a dead coarse-level entry.
+struct SessionStep {
+  static constexpr std::uint32_t kSends = 64 * 256;
+  omr::sim::Simulator* s;
+  omr::sim::Rng rng{23};
+  std::vector<omr::sim::EventId> timers = std::vector<omr::sim::EventId>(kSends);
+  std::shared_ptr<std::uint64_t> payload = std::make_shared<std::uint64_t>(0);
+  std::uint64_t expired = 0;
+  void send(std::uint32_t i) {
+    timers[i] = s->schedule_after(1'000'000, [this] { ++expired; });
+    const auto delay =
+        1000 + static_cast<omr::sim::Time>(rng.next_below(799'000));
+    s->schedule_after(delay, [this, i, msg = payload] {
+      s->cancel(timers[i]);
+      *msg += i;
+    });
+  }
+  void run() {
+    const omr::sim::Time start = s->now();
+    for (std::uint32_t i = 0; i < kSends; ++i) {
+      s->schedule_at(start, [this, i] { send(i); });
+    }
+    s->run();
+  }
+};
+
+Result bench_event_queue_drain_reuse(bool smoke, int repeats) {
+  const int kSteps = smoke ? 2 : 24;
+  std::vector<double> times;
+  omr::sim::Time end = 0;
+  std::uint64_t events = 0;
+  std::uint64_t expired = 0;
+  for (int r = 0; r < repeats; ++r) {
+    omr::sim::Simulator sim;
+    SessionStep step{&sim};
+    const auto t0 = Clock::now();
+    for (int k = 0; k < kSteps; ++k) step.run();
+    times.push_back(ms_since(t0));
+    end = sim.now();
+    events = sim.events_executed();
+    expired = step.expired;
+  }
+  Result res;
+  res.name = "event_queue_drain_reuse";
+  res.kind = "micro";
+  res.wall_ms = median(times);
+  res.work_units = static_cast<double>(kSteps) * SessionStep::kSends;
+  res.unit = "sends";
+  // The queue's own simulated outputs: the final clock and event count.
+  res.has_sim = true;
+  res.sim_completion_ns = static_cast<std::uint64_t>(end);
+  res.sim_total_messages = events;
+  res.sim_rounds = static_cast<std::uint64_t>(kSteps);
+  res.sim_retransmissions = expired;
+  return res;
+}
+
 // --- bitmap: build + scans -------------------------------------------------
 
 Result bench_bitmap_build(bool smoke, int repeats) {
@@ -476,6 +539,7 @@ int main(int argc, char** argv) {
       {"event_queue_churn", bench_event_queue_churn},
       {"event_queue_timer_cancel", bench_event_queue_timer_cancel},
       {"event_queue_far_horizon", bench_event_queue_far_horizon},
+      {"event_queue_drain_reuse", bench_event_queue_drain_reuse},
       {"bitmap_build", bench_bitmap_build},
       {"bitmap_scan_stride1",
        [](bool s, int r) {

@@ -124,7 +124,9 @@ bool parse(int argc, char** argv, Options& opt) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A rejected spec (unknown codec or algorithm, impossible loss rate) or a
+// failed verification throws; every path reports it the same way.
+int main(int argc, char** argv) try {
   using namespace omr;
   Options opt;
   if (!parse(argc, argv, opt)) return 1;
@@ -174,12 +176,7 @@ int main(int argc, char** argv) {
 
   const bool codec_auto = opt.codec == "auto";
   if (!opt.codec.empty() && !codec_auto) {
-    try {
-      cfg.codec.codec = compress::codec_from_name(opt.codec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "omr_cli: %s\n", e.what());
-      return 1;
-    }
+    cfg.codec.codec = compress::codec_from_name(opt.codec);
   }
 
   if (opt.algo == "auto" || codec_auto) {
@@ -203,19 +200,14 @@ int main(int argc, char** argv) {
     return st.verified ? 0 : 1;
   }
   if (!opt.algo.empty()) {
-    try {
-      core::RunStats st =
-          core::run_collective(opt.algo, tensors, cfg, cluster,
-                               /*verify=*/true);
-      std::printf("%-12s %10.3f ms  payload/worker %.2f MB  verified=%s\n",
-                  opt.algo.c_str(), st.completion_ms(),
-                  st.mean_worker_data_bytes() / 1e6,
-                  st.verified ? "yes" : "no");
-      return st.verified ? 0 : 1;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "omr_cli: %s\n", e.what());
-      return 1;
-    }
+    core::RunStats st =
+        core::run_collective(opt.algo, tensors, cfg, cluster,
+                             /*verify=*/true);
+    std::printf("%-12s %10.3f ms  payload/worker %.2f MB  verified=%s\n",
+                opt.algo.c_str(), st.completion_ms(),
+                st.mean_worker_data_bytes() / 1e6,
+                st.verified ? "yes" : "no");
+    return st.verified ? 0 : 1;
   }
 
   if (opt.method == "omnireduce" || opt.method == "switchml") {
@@ -274,4 +266,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "omr_cli: %s\n", e.what());
+  return 1;
 }

@@ -1,9 +1,41 @@
 #include "core/fabric.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace omr::core {
+
+namespace {
+
+/// Throw unless `p` is a probability: in [0, 1], or [0, 1) when a value of
+/// 1 would drop every message. NaN fails both comparisons.
+void require_probability(double p, bool one_allowed, const std::string& what) {
+  if (!(p >= 0.0 && (one_allowed ? p <= 1.0 : p < 1.0))) {
+    throw std::invalid_argument(what + " must be in [0, 1" +
+                                (one_allowed ? "]" : ")"));
+  }
+}
+
+/// Reject a loss spec that is not made of probabilities or that can drop
+/// every message forever: a rate of 1, a Good state that drops everything,
+/// or an absorbing Bad state that drops everything would make Algorithm 2
+/// retransmit without end.
+void validate_loss(double rate, const net::GilbertElliottConfig& ge,
+                   const std::string& what) {
+  require_probability(rate, false, what + " loss rate");
+  require_probability(ge.p_good_to_bad, true, what + " burst p_good_to_bad");
+  if (!ge.enabled()) return;
+  require_probability(ge.p_bad_to_good, true, what + " burst p_bad_to_good");
+  require_probability(ge.loss_good, false, what + " burst loss_good");
+  require_probability(ge.loss_bad, true, what + " burst loss_bad");
+  if (ge.loss_bad == 1.0 && ge.p_bad_to_good == 0.0) {
+    throw std::invalid_argument(
+        what + " burst loss never ends: loss_bad is 1 and p_bad_to_good 0");
+  }
+}
+
+}  // namespace
 
 int worker_rack(const TopologySpec& topo, std::size_t w,
                 std::size_t n_workers) {
@@ -39,6 +71,7 @@ std::vector<int> resolve_nic_racks(const TopologySpec& topo,
 std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
                                              sim::Time one_way_latency,
                                              std::vector<int> rack_of_nic) {
+  validate_loss(topo.spine_loss_rate, topo.spine_burst_loss, "spine");
   if (!topo.two_tier()) {
     return std::make_unique<net::IdealSwitch>(one_way_latency);
   }
@@ -58,6 +91,7 @@ std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
 }
 
 void apply_fabric_loss(net::Network& network, const FabricConfig& fabric) {
+  validate_loss(fabric.loss_rate, fabric.burst_loss, "fabric");
   network.set_loss_rate(fabric.loss_rate);
   if (fabric.burst_loss.enabled()) {
     network.set_loss_model(

@@ -30,12 +30,18 @@ std::vector<int> resolve_nic_racks(const TopologySpec& topo,
 /// default spec, bit-identical to the seed fabric) ignores the racks; a
 /// two-tier fabric puts the i-th NIC added in rack rack_of_nic[i] and
 /// derives its hop latency from `one_way_latency` unless the spec pins it.
+/// Throws std::invalid_argument on an impossible spine loss spec (see
+/// apply_fabric_loss).
 std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
                                              sim::Time one_way_latency,
                                              std::vector<int> rack_of_nic);
 
 /// Apply the fabric-level loss processes (legacy Bernoulli rate, optional
-/// Gilbert-Elliott bursts) to a freshly built network.
+/// Gilbert-Elliott bursts) to a freshly built network. Throws
+/// std::invalid_argument unless the rate is in [0, 1) and, for an enabled
+/// chain, every probability is in [0, 1] and the chain cannot drop every
+/// message forever (loss_good == 1, or loss_bad == 1 with
+/// p_bad_to_good == 0): such runs would retransmit without end.
 void apply_fabric_loss(net::Network& network, const FabricConfig& fabric);
 
 /// Snapshot per-link counters into LinkReport rows (one per topology

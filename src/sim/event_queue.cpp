@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -62,6 +63,15 @@ void Simulator::WheelLevel::clear_bit(std::size_t b) {
   if (occupied_[w] == 0) {
     summary_[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
   }
+}
+
+void Simulator::WheelLevel::clear() {
+  for (std::size_t b = next_occupied(0); b < kWheelSize;
+       b = next_occupied(b + 1)) {
+    buckets_[b].head = kNil;
+  }
+  std::fill(occupied_.begin(), occupied_.end(), 0);
+  std::fill(summary_.begin(), summary_.end(), 0);
 }
 
 std::size_t Simulator::WheelLevel::next_occupied(std::size_t cursor) const {
@@ -180,7 +190,38 @@ void Simulator::remove_at(std::size_t pos) {
   }
 }
 
-Time Simulator::run() { return run_until(kTimeInfinity); }
+Time Simulator::run() {
+  const Time end = run_until(kTimeInfinity);
+  reset_storage();
+  return end;
+}
+
+void Simulator::reset_storage() {
+  assert(pending_ == 0 && heap_.empty());
+  const std::uint64_t freed = executed_ + cancelled_total_;
+  if (freed == freed_at_reset_) return;
+  freed_at_reset_ = freed;
+  // Nothing is pending, so every entry still linked in a bucket is dead.
+  fine_.clear();
+  coarse_.clear();
+  const auto nodes = static_cast<std::uint32_t>(wheel_pool_.size());
+  for (std::uint32_t i = 0; i < nodes; ++i) wheel_pool_[i].next = i + 1;
+  if (nodes != 0) wheel_pool_.back().next = kNil;
+  free_node_ = nodes != 0 ? 0 : kNil;
+  // Every slot is free, so free_slots_ already holds slots_.size() entries
+  // (no allocation). It is popped from the back: store them descending.
+  const auto slots = static_cast<std::uint32_t>(slots_.size());
+  assert(free_slots_.size() == slots);
+  for (std::uint32_t i = 0; i < slots; ++i) free_slots_[i] = slots - 1 - i;
+}
+
+std::size_t Simulator::wheel_entries() const {
+  std::size_t free_nodes = 0;
+  for (std::uint32_t n = free_node_; n != kNil; n = wheel_pool_[n].next) {
+    ++free_nodes;
+  }
+  return wheel_pool_.size() - free_nodes;
+}
 
 Time Simulator::run_until(Time deadline) {
   while (pending_ != 0) {

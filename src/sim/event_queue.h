@@ -177,11 +177,23 @@ class EventFn {
 ///    bucket's head is always the FIFO winner.
 ///
 /// cancel(id) is O(1) on both wheel levels (the entry dies by a generation
-/// check and is reclaimed when its bucket is popped or cascaded, so dead
-/// entries are bounded by the schedules within the coarse window) and
+/// check and is reclaimed when its bucket is popped or cascaded or the
+/// queue drains, so dead entries are bounded by the schedules within the
+/// coarse window) and
 /// O(log n) in place for heap events. Slots, bucket entries and heap nodes
 /// are all recycled, so the steady path (with inline-sized callbacks, see
 /// EventFn) performs no allocation.
+///
+/// Storage law. Inside a run, freed slots and bucket entries are reused
+/// LIFO: the most recently freed comes back first. When run() returns with
+/// the queue drained, the storage is reset in place: every dead bucket
+/// entry left in either wheel level is dropped, and both free lists are
+/// rebuilt so the next schedules take slots and entries 0, 1, 2, ... in
+/// order. No dead entry is kept across a drain. Slot generations and the
+/// schedule counter survive the reset, so an id from before the drain
+/// stays dead. The reset allocates nothing and is skipped when nothing was
+/// freed since the previous one. A reused simulator (one per Session)
+/// thereby starts each collective on compact storage, like a fresh one.
 class Simulator {
  public:
   Simulator() = default;
@@ -227,7 +239,8 @@ class Simulator {
   /// or unknown event is a no-op. Returns true if the event was pending.
   bool cancel(EventId id);
 
-  /// Run until the queue is empty. Returns the final virtual time.
+  /// Run until the queue is empty, then reset the storage (see the class
+  /// comment). Returns the final virtual time.
   Time run();
 
   /// Run until the queue is empty or `deadline` is reached.
@@ -242,6 +255,10 @@ class Simulator {
 
   /// True if no events are pending.
   bool idle() const { return pending_ == 0; }
+
+  /// Bucket entries linked in the wheel levels, live or dead (the entry
+  /// pool minus its free chain). O(pool); for tests and diagnostics.
+  std::size_t wheel_entries() const;
 
  private:
   /// Wheel geometry: both levels have kWheelSize buckets; fine buckets are
@@ -300,6 +317,9 @@ class Simulator {
     /// First marked bucket >= cursor, or kWheelSize if none. O(1): at most
     /// one occupied_ word, the summary words, and one more occupied_ word.
     std::size_t next_occupied(std::size_t cursor) const;
+    /// Empty every bucket without visiting its chain; the caller owns the
+    /// entries' return to the pool.
+    void clear();
 
    private:
     struct Bucket {
@@ -344,6 +364,10 @@ class Simulator {
   /// reclaim its dead ones.
   void cascade(std::size_t cb);
 
+  /// The drain-time storage reset of the class comment. Requires an
+  /// empty queue; a no-op when nothing was freed since the last reset.
+  void reset_storage();
+
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Remove the heap node at `pos`, restoring the heap property.
@@ -352,6 +376,9 @@ class Simulator {
   std::uint32_t seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_total_ = 0;
+  /// executed_ + cancelled_total_ at the last storage reset: each counts
+  /// one freed slot, so equality means the free lists are still in order.
+  std::uint64_t freed_at_reset_ = 0;
   std::size_t pending_ = 0;  // live (scheduled, not fired/cancelled) events
   /// Window starts: coarse_base_ <= wheel_base_ <= now_ whenever events
   /// are scheduled, so offsets from either base are non-negative.

@@ -339,6 +339,11 @@ class ReferenceChurn {
     }
   }
 
+  /// Allow `budget` more schedules (a new cycle after a drain).
+  void refill(int budget) { budget_ += budget; }
+  /// Runs that ended on a dead tail (see leave_dead_tail).
+  int dead_tails() const { return dead_tails_; }
+
   /// Schedule one event at `t` if the budget allows.
   void schedule(Time t) {
     if (budget_ <= 0) return;
@@ -370,6 +375,18 @@ class ReferenceChurn {
     const int follow_ups = static_cast<int>(rng_.next_below(3));
     for (int i = 0; i < follow_ups; ++i) schedule(s_.now() + horizon());
     if (rng_.next_below(4) == 0) cancel_random();
+    if (ref_.empty()) leave_dead_tail();
+  }
+
+  /// The last event of a run schedules and cancels one event per level
+  /// (fine, coarse, heap), so the queue drains with dead entries in both
+  /// wheel levels. The coarse one lands in the heap instead when now()
+  /// sits in the coarse window's last 2 * kFineSpan ns.
+  void leave_dead_tail() {
+    ++dead_tails_;
+    for (Time dt : {Time{0}, 2 * kFineSpan, 2 * kCoarseSpan}) {
+      s_.cancel(s_.schedule_at(s_.now() + dt, [] {}));
+    }
   }
 
   void note_mismatch(const char* what, const Key& key) {
@@ -388,6 +405,7 @@ class ReferenceChurn {
   std::set<Key> ref_;
   std::vector<std::pair<EventId, Key>> handles_;
   int fired_ = 0;
+  int dead_tails_ = 0;
   int mismatches_ = 0;
   std::string first_mismatch_;
 };
@@ -444,6 +462,106 @@ TEST(Simulator, MidBucketDeadlinesThenNearSchedulesMatchReference) {
     EXPECT_TRUE(c.pending().empty());
     EXPECT_GT(stops, 1'000) << "seed " << seed;
     EXPECT_GT(c.fired(), 10'000) << "seed " << seed;
+  }
+}
+
+/// The slot an id names (EventId: low 32 bits hold slot + 1).
+std::uint32_t slot_of(EventId id) { return static_cast<std::uint32_t>(id) - 1; }
+
+TEST(Simulator, DrainedQueueRestartsCompact) {
+  // A run that schedules, cancels and fires events on the fine level, the
+  // coarse level and the heap, and drains with dead entries left in both
+  // wheel levels: its last event schedules and cancels one event per
+  // level past itself.
+  Simulator s;
+  int fired = 0;
+  std::vector<EventId> ids;
+  for (Time i = 0; i < 64; ++i) {
+    ids.push_back(s.schedule_at(10 + i, [&] { ++fired; }));
+    ids.push_back(s.schedule_at((2 + i) * kFineSpan, [&] { ++fired; }));
+    ids.push_back(s.schedule_at(2 * kCoarseSpan + i, [&] { ++fired; }));
+  }
+  // Every 4th id: fine, coarse and heap events in turn.
+  int cancelled = 0;
+  for (std::size_t i = 0; i < ids.size(); i += 4, ++cancelled) {
+    EXPECT_TRUE(s.cancel(ids[i]));
+  }
+  s.schedule_at(3 * kCoarseSpan, [&] {
+    ++fired;
+    for (Time dt : {Time{5}, 3 * kFineSpan, 2 * kCoarseSpan}) {
+      EXPECT_TRUE(s.cancel(s.schedule_after(dt, [&] { ++fired; })));
+    }
+  });
+  s.run();
+  EXPECT_EQ(fired, 3 * 64 - cancelled + 1);
+  EXPECT_TRUE(s.idle());
+  // The drain dropped every dead entry: no later cascade can visit one.
+  EXPECT_EQ(s.wheel_entries(), 0u);
+
+  // A burst takes slots 0..k-1 in schedule order, over both wheel levels.
+  const Time base = s.now();
+  std::vector<int> order;
+  constexpr int kBurst = 100;
+  for (int i = 0; i < kBurst; ++i) {
+    const Time t = base + (i % 2 == 0 ? 7 : 5 * kFineSpan);
+    const EventId id = s.schedule_at(t, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(slot_of(id), static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(s.wheel_entries(), static_cast<std::size_t>(kBurst));
+  s.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kBurst));
+  for (int i = 0; i < kBurst / 2; ++i) {
+    EXPECT_EQ(order[i], 2 * i);
+    EXPECT_EQ(order[kBurst / 2 + i], 2 * i + 1);
+  }
+  EXPECT_EQ(s.wheel_entries(), 0u);
+}
+
+TEST(Simulator, StaleIdsStayDeadAcrossDrain) {
+  // Ids from before a drain, cancelled or fired, name slots the reset hands
+  // out again in index order; cancelling them must not touch the slots' new
+  // events, on a wheel level or in the heap.
+  Simulator s;
+  const EventId cancelled_id = s.schedule_at(5, [] {});
+  const EventId fired_id = s.schedule_at(6, [] {});
+  EXPECT_TRUE(s.cancel(cancelled_id));
+  s.run();
+
+  int ran = 0;
+  const EventId near = s.schedule_at(10, [&] { ++ran; });
+  const EventId far = s.schedule_at(2 * kCoarseSpan, [&] { ++ran; });
+  EXPECT_EQ(slot_of(near), slot_of(cancelled_id));
+  EXPECT_EQ(slot_of(far), slot_of(fired_id));
+  EXPECT_FALSE(s.cancel(cancelled_id));
+  EXPECT_FALSE(s.cancel(fired_id));
+  EXPECT_FALSE(s.idle());
+  s.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(s.events_cancelled(), 1u);
+}
+
+TEST(Simulator, ChurnAcrossDrainsMatchesReference) {
+  // One simulator through six drain-refill cycles. Every run ends on a
+  // dead tail, so each drain resets storage that holds dead entries, and
+  // cancel_random keeps drawing ids from earlier cycles, which must stay
+  // dead after their slots are reused.
+  for (std::uint64_t seed : {7u, 8u, 9u}) {
+    ReferenceChurn c(seed, 0);
+    constexpr int kCycles = 6;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      c.refill(6'000);
+      for (int i = 0; i < 500; ++i) c.schedule(c.sim().now() + c.horizon());
+      for (int i = 0; i < 50; ++i) c.cancel_random();
+      c.sim().run();
+      ASSERT_TRUE(c.pending().empty()) << "seed " << seed;
+      EXPECT_TRUE(c.sim().idle());
+      EXPECT_EQ(c.sim().wheel_entries(), 0u)
+          << "seed " << seed << " cycle " << cycle;
+    }
+    EXPECT_EQ(c.mismatches(), 0)
+        << "seed " << seed << ": " << c.first_mismatch();
+    EXPECT_EQ(c.dead_tails(), kCycles) << "seed " << seed;
+    EXPECT_GT(c.fired(), 5 * 5'000) << "seed " << seed;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -397,6 +398,21 @@ TEST(Tenancy, MalformedJobSpecsThrow) {
   bad.membership.clear();
   bad.initial_active = {0, 0};  // no active workers at step 0
   EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument);
+}
+
+TEST(Tenancy, ImpossibleSpineLossSpecsThrow) {
+  // A multi-tenant fabric refuses any lossy spine; a NaN or negative rate
+  // is not lossless but malformed, and must be refused too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double rate : {nan, -0.1, 1.0}) {
+    TenantFabricSpec spec;
+    spec.topology = TopologySpec::two_tier_racks(2, 2.0);
+    spec.topology.spine_loss_rate = rate;
+    EXPECT_THROW(Fabric{spec}, std::invalid_argument) << rate;
+  }
+  TenantFabricSpec spec;
+  spec.topology.spine_burst_loss.p_good_to_bad = nan;
+  EXPECT_THROW(Fabric{spec}, std::invalid_argument);
 }
 
 }  // namespace

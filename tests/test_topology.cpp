@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/fabric.h"
 #include "core/hierarchical.h"
+#include "core/run_context.h"
 #include "sim/rng.h"
 #include "tensor/generators.h"
 
@@ -119,6 +121,70 @@ TEST(Topology, SpineBurstLossRecoversAndShowsInLinkReports) {
   EXPECT_GT(link_drops, 0u);
   EXPECT_GT(link_tx, 0u);
   EXPECT_EQ(link_drops, stats.dropped_messages);
+}
+
+TEST(Topology, ImpossibleLossSpecsAreRejectedAtContextBuild) {
+  // Each spec would run lossless by accident (NaN, negative) or retransmit
+  // forever (a rate of 1, a chain that can drop every message for good);
+  // building the context must refuse it before any event runs.
+  const Config cfg = Config::for_transport(Transport::kDpdk);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto expect_rejected = [&](const ClusterSpec& cluster, const char* what) {
+    EXPECT_THROW(RunContext(cfg, 4, cluster, false), std::invalid_argument)
+        << what;
+  };
+  auto expect_accepted = [&](const ClusterSpec& cluster, const char* what) {
+    EXPECT_NO_THROW(RunContext(cfg, 4, cluster, false)) << what;
+  };
+  for (double rate : {nan, -0.1, 1.0, 1.5}) {
+    ClusterSpec fabric_loss = base_cluster();
+    fabric_loss.fabric.loss_rate = rate;
+    expect_rejected(fabric_loss, "fabric loss_rate");
+    ClusterSpec spine_loss = base_cluster();
+    spine_loss.topology = TopologySpec::two_tier_racks(2, 1.0);
+    spine_loss.topology.spine_loss_rate = rate;
+    expect_rejected(spine_loss, "spine_loss_rate");
+  }
+
+  auto burst = [&](auto edit) {
+    ClusterSpec cluster = base_cluster();
+    cluster.fabric.burst_loss.p_good_to_bad = 0.02;
+    cluster.fabric.burst_loss.p_bad_to_good = 0.3;
+    edit(cluster.fabric.burst_loss);
+    return cluster;
+  };
+  using GE = net::GilbertElliottConfig;
+  expect_rejected(burst([&](GE& g) { g.p_good_to_bad = nan; }),
+                  "NaN p_good_to_bad");
+  expect_rejected(burst([&](GE& g) { g.p_good_to_bad = 1.5; }),
+                  "p_good_to_bad > 1");
+  expect_rejected(burst([&](GE& g) { g.p_bad_to_good = nan; }),
+                  "NaN p_bad_to_good");
+  expect_rejected(burst([&](GE& g) { g.p_bad_to_good = -0.2; }),
+                  "negative p_bad_to_good");
+  expect_rejected(burst([&](GE& g) { g.loss_bad = 1.2; }), "loss_bad > 1");
+  expect_rejected(burst([&](GE& g) { g.loss_good = 1.0; }),
+                  "loss_good == 1 drops every message");
+  expect_rejected(burst([&](GE& g) { g.p_bad_to_good = 0.0; }),
+                  "absorbing Bad state with loss_bad == 1");
+  ClusterSpec spine_burst = base_cluster();
+  spine_burst.topology = TopologySpec::two_tier_racks(2, 1.0);
+  spine_burst.topology.spine_burst_loss.p_good_to_bad = 0.05;
+  spine_burst.topology.spine_burst_loss.loss_good = 1.0;
+  expect_rejected(spine_burst, "spine loss_good == 1");
+
+  // The boundaries that still end stay legal.
+  expect_accepted(burst([](GE&) {}), "default bursts (loss_bad == 1)");
+  expect_accepted(burst([](GE& g) {
+                    g.p_bad_to_good = 0.0;
+                    g.loss_bad = 0.5;
+                  }),
+                  "absorbing Bad state that still delivers");
+  expect_accepted(burst([](GE& g) { g.p_good_to_bad = 1.0; }),
+                  "p_good_to_bad == 1");
+  ClusterSpec edge = base_cluster();
+  edge.fabric.loss_rate = 0.999;
+  expect_accepted(edge, "loss_rate just under 1");
 }
 
 TEST(Topology, LinkReportsSerializeOnlyForCustomFabrics) {
