@@ -317,11 +317,9 @@ BaselineStats detail::parallax_allreduce(
   // Oracle: run both paths, report the better time (§6.1.2).
   std::vector<tensor::DenseTensor> ring_copy = dense;
   BaselineStats ring = ring_allreduce(ring_copy, cfg);
-  std::vector<tensor::CooTensor> coo;
-  coo.reserve(dense.size());
-  for (const auto& t : dense) coo.push_back(tensor::dense_to_coo(t));
   tensor::CooTensor merged;
-  BaselineStats ps = ps_sparse_allreduce(coo, merged, cfg, dense.size(),
+  BaselineStats ps = ps_sparse_allreduce(tensor::dense_to_coo(dense), merged,
+                                         cfg, dense.size(),
                                          /*colocated=*/false);
   return ring.completion_time <= ps.completion_time ? ring : ps;
 }

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "baselines/ring.h"
+#include "tensor/coo.h"
 
 namespace omr::baselines {
 
@@ -169,7 +170,10 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
     bool occupied = false;
     for (std::size_t w = 0; w < n; ++w) {
       std::size_t count = 0;
-      for (std::size_t i = first; i < last; ++i) count += src[w][i] != 0.0f;
+      for (std::size_t i = first; i < last; i += 64) {
+        count += static_cast<std::size_t>(std::popcount(tensor::nonzero_mask(
+            src[w] + i, std::min<std::size_t>(64, last - i))));
+      }
       nnz[w] += count;
       occupied = occupied || count > 0;
     }

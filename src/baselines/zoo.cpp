@@ -46,31 +46,12 @@ RunStats to_run_stats(const BaselineStats& bs, std::size_t n_workers) {
   return rs;
 }
 
-std::vector<tensor::CooTensor> to_coo(
-    const std::vector<tensor::DenseTensor>& tensors) {
-  std::vector<tensor::CooTensor> coo;
-  coo.reserve(tensors.size());
-  for (const auto& t : tensors) coo.push_back(tensor::dense_to_coo(t));
-  return coo;
-}
-
 /// Every worker ends with `result`: copies for all but the last, which
 /// takes it.
 void broadcast_result(std::vector<tensor::DenseTensor>& tensors,
                       tensor::DenseTensor result) {
   for (std::size_t w = 0; w + 1 < tensors.size(); ++w) tensors[w] = result;
   tensors.back() = std::move(result);
-}
-
-void assign_result(std::vector<tensor::DenseTensor>& tensors,
-                   const tensor::CooTensor& merged) {
-  tensor::DenseTensor dense = tensor::coo_to_dense(merged);
-  if (dense.size() < tensors.front().size()) {
-    tensor::DenseTensor full(tensors.front().size());
-    for (std::size_t i = 0; i < dense.size(); ++i) full[i] = dense[i];
-    dense = std::move(full);
-  }
-  broadcast_result(tensors, std::move(dense));
 }
 
 AlgoCapabilities exact_flat(bool sparse) {
@@ -111,11 +92,11 @@ class AgSparseAlgo final : public CollectiveAlgorithm {
   AlgoCapabilities capabilities() const override { return exact_flat(true); }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
-    const auto coo = to_coo(tensors);
-    tensor::CooTensor result;
-    const BaselineStats bs = detail::agsparse_allreduce(
-        coo, result, derive_config(cluster), stack_, compress_);
-    assign_result(tensors, result);
+    const BaselineStats bs = tensor::reduce_as_coo(
+        tensors, [&](const auto& coo, tensor::CooTensor& result) {
+          return detail::agsparse_allreduce(coo, result, derive_config(cluster),
+                                            stack_, compress_);
+        });
     return to_run_stats(bs, tensors.size());
   }
 
@@ -135,18 +116,18 @@ class SparcmlAlgo final : public CollectiveAlgorithm {
   AlgoCapabilities capabilities() const override { return exact_flat(true); }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
-    const auto coo = to_coo(tensors);
-    SparcmlVariant variant = variant_;
-    if (!has_variant_) {
-      std::size_t max_nnz = 0;
-      for (const auto& t : coo) max_nnz = std::max(max_nnz, t.nnz());
-      variant = detail::sparcml_choose_variant(coo.front().dim, max_nnz,
-                                               coo.size());
-    }
-    tensor::CooTensor result;
-    const BaselineStats bs = detail::sparcml_allreduce(
-        coo, result, derive_config(cluster), variant);
-    assign_result(tensors, result);
+    const BaselineStats bs = tensor::reduce_as_coo(
+        tensors, [&](const auto& coo, tensor::CooTensor& result) {
+          SparcmlVariant variant = variant_;
+          if (!has_variant_) {
+            std::size_t max_nnz = 0;
+            for (const auto& t : coo) max_nnz = std::max(max_nnz, t.nnz());
+            variant = detail::sparcml_choose_variant(coo.front().dim, max_nnz,
+                                                     coo.size());
+          }
+          return detail::sparcml_allreduce(coo, result, derive_config(cluster),
+                                           variant);
+        });
     return to_run_stats(bs, tensors.size());
   }
 
@@ -182,16 +163,16 @@ class PsSparseAlgo final : public CollectiveAlgorithm {
   AlgoCapabilities capabilities() const override { return exact_flat(true); }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
-    const auto coo = to_coo(tensors);
-    tensor::CooTensor result;
     const bool colocated =
         cluster.deployment == core::Deployment::kColocated;
-    const BaselineStats bs = detail::ps_sparse_allreduce(
-        coo, result, derive_config(cluster),
+    const std::size_t n_servers =
         colocated ? tensors.size()
-                  : std::max<std::size_t>(1, cluster.n_aggregator_nodes),
-        colocated);
-    assign_result(tensors, result);
+                  : std::max<std::size_t>(1, cluster.n_aggregator_nodes);
+    const BaselineStats bs = tensor::reduce_as_coo(
+        tensors, [&](const auto& coo, tensor::CooTensor& result) {
+          return detail::ps_sparse_allreduce(
+              coo, result, derive_config(cluster), n_servers, colocated);
+        });
     return to_run_stats(bs, tensors.size());
   }
 };
@@ -222,10 +203,13 @@ class OkTopkAlgo final : public CollectiveAlgorithm {
     // k = 0: every non-zero survives, so the balanced split-allreduce
     // schedule is exact; sparsifying top-k runs go through
     // oktopk_allreduce directly.
-    const OkTopkResult r =
-        oktopk_allreduce(to_coo(tensors), derive_config(cluster), {});
-    assign_result(tensors, r.result);
-    return to_run_stats(r.stats, tensors.size());
+    const BaselineStats bs = tensor::reduce_as_coo(
+        tensors, [&](const auto& coo, tensor::CooTensor& result) {
+          OkTopkResult r = oktopk_allreduce(coo, derive_config(cluster), {});
+          result = std::move(r.result);
+          return r.stats;
+        });
+    return to_run_stats(bs, tensors.size());
   }
 };
 

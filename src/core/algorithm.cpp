@@ -199,20 +199,14 @@ class SparseKvAlgo final : public CollectiveAlgorithm {
   }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config& cfg,
                const ClusterSpec& cluster) override {
-    std::vector<tensor::CooTensor> inputs;
-    inputs.reserve(tensors.size());
-    for (const auto& t : tensors) inputs.push_back(tensor::dense_to_coo(t));
-    SparseRunStats kv = run_sparse_allreduce(
-        inputs, cluster.fabric, /*pairs_per_block=*/cfg.packet_elements,
-        cfg.header_bytes, cluster.n_aggregator_nodes);
-    tensor::DenseTensor reduced = tensor::coo_to_dense(kv.result);
-    if (reduced.size() < tensors.front().size()) {
-      // coo_to_dense sizes to the COO dim; keep worker tensor sizes.
-      tensor::DenseTensor full(tensors.front().size());
-      for (std::size_t i = 0; i < reduced.size(); ++i) full[i] = reduced[i];
-      reduced = std::move(full);
-    }
-    for (auto& t : tensors) t = reduced;
+    const SparseRunStats kv = tensor::reduce_as_coo(
+        tensors, [&](const auto& inputs, tensor::CooTensor& merged) {
+          SparseRunStats r = run_sparse_allreduce(
+              inputs, cluster.fabric, /*pairs_per_block=*/cfg.packet_elements,
+              cfg.header_bytes, cluster.n_aggregator_nodes);
+          merged = std::move(r.result);
+          return r;
+        });
     RunStats stats;
     stats.completion_time = kv.completion_time;
     stats.worker_finish.assign(tensors.size(), kv.completion_time);

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,11 +24,41 @@ struct CooTensor {
   std::size_t wire_bytes() const { return nnz() * (sizeof(std::int32_t) + sizeof(float)); }
 };
 
+/// Non-zero mask of the `len` <= 64 floats at `p`: bit j is set iff
+/// p[j] != 0.0f, so -0.0f is clear and NaN and denormals are set. A full
+/// 64-float group runs as SSE2 compares where the target has them.
+std::uint64_t nonzero_mask(const float* p, std::size_t len);
+
 /// Convert dense -> COO, keeping only non-zero elements (sorted by index).
 CooTensor dense_to_coo(const DenseTensor& t);
 
+/// Converts every worker's tensor to COO.
+std::vector<CooTensor> dense_to_coo(std::span<const DenseTensor> tensors);
+
 /// Convert COO -> dense.
 DenseTensor coo_to_dense(const CooTensor& t);
+
+/// Writes `t` into `out` in place: keyed elements take their values, every
+/// other element becomes +0. `out` keeps its size, which must be at least
+/// `t.dim`.
+void coo_to_dense(const CooTensor& t, DenseTensor& out);
+
+/// Runs a sparse collective on dense worker tensors: converts each to COO,
+/// calls `reduce(inputs, merged)`, which fills `merged` with the reduced
+/// result and returns what the collective reports, then writes `merged`
+/// into every worker's tensor in place (the first is rebuilt from it, the
+/// others copy the first). Returns what `reduce` returned.
+template <class Reduce>
+auto reduce_as_coo(std::vector<DenseTensor>& tensors, Reduce&& reduce) {
+  const std::vector<CooTensor> inputs = dense_to_coo(tensors);
+  CooTensor merged;
+  auto reported = reduce(inputs, merged);
+  if (!tensors.empty()) {
+    coo_to_dense(merged, tensors.front());
+    for (std::size_t w = 1; w < tensors.size(); ++w) tensors[w] = tensors[0];
+  }
+  return reported;
+}
 
 /// Sums sparse (key, value) contributions over the key range [lo, hi) on a
 /// dense slab: the first contribution to a key stores its value, later ones
@@ -36,8 +67,9 @@ DenseTensor coo_to_dense(const CooTensor& t);
 /// a chain of pairwise sorted merges, or of a std::map<key, float>
 /// accumulator fed in the same order, so the sums are bit-identical to
 /// either; the cost is O(contributions) plus an O(range / 64) emit scan.
-/// This is the sparse-merge kernel behind AGsparse, SparCML, Ok-Topk and the
-/// sparse parameter server.
+/// Dense inputs take whole 64-key words at a time (see add()); the additions
+/// stay the same. This is the sparse-merge kernel behind AGsparse, SparCML,
+/// Ok-Topk and the sparse parameter server.
 class SparseRangeAccumulator {
  public:
   SparseRangeAccumulator() = default;
@@ -60,10 +92,13 @@ class SparseRangeAccumulator {
     }
   }
 
-  /// Adds `n` contributions, keys in [lo, hi), in order.
-  void add(const std::int32_t* keys, const float* values, std::size_t n) {
-    for (std::size_t j = 0; j < n; ++j) add(keys[j], values[j]);
-  }
+  /// Adds `n` contributions, keys in [lo, hi), in order. A run of 64
+  /// consecutive keys that covers one whole word of the slab (offsets
+  /// 64w .. 64w + 63 from lo) is stored in one copy when no key of the word
+  /// has been touched, and added lane by lane when every key has; anything
+  /// else goes key by key. Either way each key gets the same additions in
+  /// the same order as the single-key add().
+  void add(const std::int32_t* keys, const float* values, std::size_t n);
 
   /// Adds every entry of `t` whose key lies in [lo, hi), in key order.
   void add(const CooTensor& t);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -140,6 +141,111 @@ TEST(Coo, DenseToCooMatchesNaiveLoop) {
   }
 }
 
+/// The naive conversion: every element with x != 0.0f, in index order, as
+/// (key, value bits).
+std::pair<std::vector<std::int32_t>, std::vector<std::uint32_t>> naive_coo(
+    const DenseTensor& t) {
+  std::pair<std::vector<std::int32_t>, std::vector<std::uint32_t>> out;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i] != 0.0f) {
+      out.first.push_back(static_cast<std::int32_t>(i));
+      out.second.push_back(std::bit_cast<std::uint32_t>(t[i]));
+    }
+  }
+  return out;
+}
+
+TEST(Coo, DenseToCooMatchesNaiveLoopOnMixedGroups) {
+  // Each 64-element group is full (no zero at all), nearly full (one +-0
+  // at a random lane), partial, or empty (+-0 only), in random order, and
+  // the tensor ends in a tail of 1-63 elements. The non-zero values
+  // include NaN, denormals and -1e-40f; nonzero_mask must agree with the
+  // scalar test on every group and on every tail length.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nonzeros[] = {nan, denorm, -denorm, -1e-40f, 1.0f, -3.5f, 7e30f};
+  const float zeros[] = {0.0f, -0.0f};
+  sim::Rng rng(0x64b175);
+  const auto any_nonzero = [&] {
+    return nonzeros[rng.next_below(std::size(nonzeros))];
+  };
+  const auto any_zero = [&] { return zeros[rng.next_below(2)]; };
+  for (std::size_t tail = 0; tail < 64; ++tail) {
+    const std::size_t groups = 1 + rng.next_below(9);
+    DenseTensor t(groups * 64 + tail);
+    for (std::size_t i = 0; i < t.size(); i += 64) {
+      const std::size_t len = std::min<std::size_t>(64, t.size() - i);
+      const std::uint64_t kind = rng.next_below(4);
+      const std::size_t hole = rng.next_below(len);
+      for (std::size_t j = 0; j < len; ++j) {
+        switch (kind) {
+          case 0: t[i + j] = any_nonzero(); break;
+          case 1: t[i + j] = j == hole ? any_zero() : any_nonzero(); break;
+          case 2:
+            t[i + j] = rng.next_below(2) == 0 ? any_zero() : any_nonzero();
+            break;
+          default: t[i + j] = any_zero();
+        }
+      }
+      std::uint64_t mask = 0;
+      for (std::size_t j = 0; j < len; ++j) {
+        mask |= static_cast<std::uint64_t>(t[i + j] != 0.0f) << j;
+      }
+      EXPECT_EQ(nonzero_mask(t.values().data() + i, len), mask)
+          << "tail=" << tail << " group at " << i;
+    }
+    const auto [keys, bits] = naive_coo(t);
+    const CooTensor c = dense_to_coo(t);
+    EXPECT_EQ(c.dim, t.size());
+    EXPECT_EQ(c.keys, keys) << "tail=" << tail;
+    std::vector<std::uint32_t> got;
+    for (float v : c.values) got.push_back(std::bit_cast<std::uint32_t>(v));
+    EXPECT_EQ(got, bits) << "tail=" << tail;
+  }
+}
+
+TEST(Coo, CooToDenseIntoAnExistingTensorAndEveryWorker) {
+  // Keyed elements take their values; every other element, including the
+  // ones past dim, becomes +0 whatever it held; the size is kept.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const CooTensor c{130, {0, 63, 64, 65, 129}, {-0.0f, nan, 2.0f, -3.0f, 4.0f}};
+  DenseTensor out(std::vector<float>(200, nan));
+  out[1] = -0.0f;
+  coo_to_dense(c, out);
+  ASSERT_EQ(out.size(), 200u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto it = std::find(c.keys.begin(), c.keys.end(),
+                              static_cast<std::int32_t>(i));
+    const float want =
+        it == c.keys.end() ? 0.0f : c.values[static_cast<std::size_t>(
+                                        it - c.keys.begin())];
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+              std::bit_cast<std::uint32_t>(want))
+        << "i=" << i;
+  }
+  DenseTensor shorter(129);
+  EXPECT_THROW(coo_to_dense(c, shorter), std::invalid_argument);
+
+  // reduce_as_coo hands the workers' COO to the collective and writes its
+  // merged result, bit for bit, into every worker's tensor.
+  std::vector<DenseTensor> workers(
+      3, DenseTensor(std::vector<float>(130, 1.0f)));
+  const int reported = reduce_as_coo(
+      workers, [&](const std::vector<CooTensor>& inputs, CooTensor& merged) {
+        EXPECT_EQ(inputs.size(), 3u);
+        EXPECT_EQ(inputs.front().nnz(), 130u);
+        merged = c;
+        return 7;
+      });
+  EXPECT_EQ(reported, 7);
+  const DenseTensor fresh = coo_to_dense(c);
+  for (const DenseTensor& w : workers) {
+    ASSERT_EQ(w.size(), fresh.size());
+    EXPECT_EQ(0, std::memcmp(w.values().data(), fresh.values().data(),
+                             fresh.size() * sizeof(float)));
+  }
+}
+
 TEST(SparseRangeAccumulator, MergesSortedUnion) {
   CooTensor a{8, {1, 3, 5}, {1.f, 1.f, 1.f}};
   CooTensor b{8, {0, 3, 7}, {2.f, 2.f, 2.f}};
@@ -190,6 +296,136 @@ TEST(SparseRangeAccumulator, SlicesInputsToItsRangeAndIsReusable) {
   EXPECT_EQ(coo_key_range(t, 64, 128),
             (std::pair<std::size_t, std::size_t>{1, 4}));
   EXPECT_THROW(acc.reset(5, 4), std::invalid_argument);
+}
+
+/// The per-key accumulator every word-run fast path must reproduce: a
+/// dense slab over [lo, hi) and a touched flag per key; the first
+/// contribution to a key stores its value, later ones add in call order,
+/// and emit lists the touched keys in ascending order.
+class PerKeyAccumulator {
+ public:
+  PerKeyAccumulator(std::int64_t lo, std::int64_t hi)
+      : lo_(lo), sums_(static_cast<std::size_t>(hi - lo)),
+        touched_(sums_.size(), false) {}
+  void add(std::int32_t key, float value) {
+    const auto i = static_cast<std::size_t>(key - lo_);
+    if (touched_[i]) {
+      sums_[i] += value;
+    } else {
+      touched_[i] = true;
+      sums_[i] = value;
+      ++size_;
+    }
+  }
+  std::size_t size() const { return size_; }
+  void emit(CooTensor& out) {
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      if (!touched_[i]) continue;
+      out.keys.push_back(
+          static_cast<std::int32_t>(lo_ + static_cast<std::int64_t>(i)));
+      out.values.push_back(sums_[i]);
+      touched_[i] = false;
+    }
+    size_ = 0;
+  }
+
+ private:
+  std::int64_t lo_;
+  std::vector<float> sums_;
+  std::vector<bool> touched_;
+  std::size_t size_ = 0;
+};
+
+std::vector<std::uint32_t> value_bits(const CooTensor& t) {
+  std::vector<std::uint32_t> bits;
+  for (float v : t.values) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+TEST(SparseRangeAccumulator, WordRunsMatchPerKeyAdds) {
+  // lo = 37 is not a multiple of 64, so the slab's words start at keys
+  // 37 + 64w. Each input is sorted and unique and mixes dense runs that
+  // start on a word boundary of the slab, runs that start anywhere (in
+  // absolute keys, both), and scattered keys; several inputs in a row make
+  // words untouched, partly touched and full when a run reaches them.
+  // Values include +-0 and NaN, and sums cancel to +-0. Inputs are fed
+  // whole, through add(CooTensor), and in pointer chunks cut at random
+  // points, as the sparse PS receives them; the accumulator is reused
+  // after each emit and emits append.
+  const std::int64_t lo = 37;
+  const std::int64_t hi = lo + 64 * 24 + 13;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, nan, 1e8f, -1e8f, 1.0f, -2.5f};
+  sim::Rng rng(0x5eed64);
+  const auto value = [&] {
+    return rng.next_below(4) == 0
+               ? specials[rng.next_below(std::size(specials))]
+               : rng.next_float(-4.0f, 4.0f);
+  };
+  const auto make_input = [&] {
+    std::set<std::int32_t> keys;
+    const std::uint64_t runs = rng.next_below(4);
+    for (std::uint64_t r = 0; r < runs; ++r) {
+      const std::int64_t len =
+          1 + static_cast<std::int64_t>(rng.next_below(200));
+      const std::int64_t start =
+          rng.next_below(2) == 0
+              ? lo + 64 * static_cast<std::int64_t>(rng.next_below(24))
+              : lo + static_cast<std::int64_t>(
+                         rng.next_below(static_cast<std::uint64_t>(hi - lo)));
+      for (std::int64_t k = start; k < std::min(hi, start + len); ++k) {
+        keys.insert(static_cast<std::int32_t>(k));
+      }
+    }
+    const std::uint64_t scattered = rng.next_below(60);
+    for (std::uint64_t k = 0; k < scattered; ++k) {
+      keys.insert(static_cast<std::int32_t>(
+          lo + static_cast<std::int64_t>(
+                   rng.next_below(static_cast<std::uint64_t>(hi - lo)))));
+    }
+    CooTensor t;
+    t.dim = static_cast<std::size_t>(hi + 5);
+    t.keys.assign(keys.begin(), keys.end());
+    for (std::size_t i = 0; i < t.keys.size(); ++i) t.values.push_back(value());
+    return t;
+  };
+
+  SparseRangeAccumulator acc(lo, hi);
+  for (int trial = 0; trial < 300; ++trial) {
+    PerKeyAccumulator ref(lo, hi);
+    CooTensor want;
+    CooTensor got;
+    // Emits append: start both outputs with the same entry.
+    want.keys.push_back(-1);
+    want.values.push_back(-0.0f);
+    got = want;
+    for (int round = 0; round < 2; ++round) {
+      const std::uint64_t inputs = 1 + rng.next_below(6);
+      for (std::uint64_t k = 0; k < inputs; ++k) {
+        const CooTensor t = make_input();
+        for (std::size_t j = 0; j < t.nnz(); ++j) {
+          ref.add(t.keys[j], t.values[j]);
+        }
+        switch (rng.next_below(3)) {
+          case 0: acc.add(t.keys.data(), t.values.data(), t.nnz()); break;
+          case 1: acc.add(t); break;
+          default:
+            for (std::size_t off = 0; off < t.nnz();) {
+              const std::size_t len = std::min<std::size_t>(
+                  t.nnz() - off, 1 + rng.next_below(150));
+              acc.add(t.keys.data() + off, t.values.data() + off, len);
+              off += len;
+            }
+        }
+        ASSERT_EQ(acc.size(), ref.size()) << "trial " << trial;
+      }
+      ref.emit(want);
+      acc.emit(got);
+      ASSERT_EQ(acc.size(), 0u);
+      ASSERT_EQ(got.keys, want.keys) << "trial " << trial;
+      ASSERT_EQ(value_bits(got), value_bits(want)) << "trial " << trial;
+    }
+  }
 }
 
 TEST(Coo, ConversionCostScalesWithSize) {
