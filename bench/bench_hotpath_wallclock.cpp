@@ -447,8 +447,11 @@ Result bench_zoo(const char* name, const char* algo, double sparsity,
       omr::tensor::OverlapMode::kRandom, rng);
   std::vector<double> times;
   omr::core::RunStats stats;
+  // Copy-assigned per repeat, as perfbench does: the buffers are reused,
+  // so a repeat does not pay fresh-page faults on new worker tensors.
+  std::vector<omr::tensor::DenseTensor> tensors;
   for (int r = 0; r < repeats; ++r) {
-    auto tensors = inputs;
+    tensors = inputs;
     const auto t0 = Clock::now();
     stats = omr::core::run_collective(algo, tensors, cfg, cluster,
                                       /*verify=*/false);

@@ -5,9 +5,9 @@
 //
 // Any registered collective algorithm can be selected with --algo (use
 // `--algo list` to enumerate the registry); `--algo auto` lets the online
-// selector pick per tensor. The legacy --method spellings still work and
-// dispatch through the same registry. Prints completion time, per-worker
-// payload, message counts and, for the native OmniReduce engine,
+// selector pick per tensor. Without --algo the native OmniReduce engine
+// runs, and only it writes --report/--trace. Prints completion time,
+// per-worker payload and, for the native engine, message counts and
 // retransmission statistics. Every run verifies the reduction against a
 // serial reference.
 #include <cstdio>
@@ -34,8 +34,7 @@ struct Options {
   double sparsity = 0.9;
   double bandwidth_gbps = 10.0;
   double loss = 0.0;
-  std::string method = "omnireduce";
-  std::string algo;   // registry name, "auto" (selector) or "list"
+  std::string algo;   // registry name, "auto", "list"; empty = omnireduce
   std::string codec;  // wire codec name, "auto" (selector) or "list"
   std::string transport = "dpdk";
   std::string overlap = "random";
@@ -43,8 +42,8 @@ struct Options {
   bool colocated = false;
   std::size_t block_size = 256;
   std::uint64_t seed = 1;
-  std::string report_path;  // RunReport JSON (omnireduce/switchml only)
-  std::string trace_path;   // Chrome trace JSON (omnireduce/switchml only)
+  std::string report_path;  // RunReport JSON (native omnireduce only)
+  std::string trace_path;   // Chrome trace JSON (native omnireduce only)
 };
 
 void usage() {
@@ -55,13 +54,12 @@ void usage() {
       "  --sparsity S       block sparsity in [0,1] (default 0.9)\n"
       "  --bandwidth G      per-NIC Gbps (default 10)\n"
       "  --loss P           packet loss probability (default 0)\n"
-      "  --algo A           registry algorithm name (see --algo list), or\n"
+      "  --algo A           registry algorithm name (see --algo list;\n"
+      "                     default omnireduce, the native engine), or\n"
       "                     'auto' to let the online selector choose\n"
       "  --codec C          inline wire codec (see --codec list), or\n"
       "                     'auto' to let the online selector choose the\n"
       "                     (algorithm, codec) pair per tensor\n"
-      "  --method M         omnireduce|ring|switchml|ps|agsparse|sparcml|kv\n"
-      "                     (legacy spellings; dispatched via the registry)\n"
       "  --transport T      dpdk|rdma (omnireduce only)\n"
       "  --overlap O        random|none|all\n"
       "  --gdr              enable GPU-direct (no PCIe staging)\n"
@@ -96,8 +94,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.block_size = static_cast<std::size_t>(v);
     } else if (a == "--seed" && next(v)) {
       opt.seed = static_cast<std::uint64_t>(v);
-    } else if (a == "--method" && i + 1 < argc) {
-      opt.method = argv[++i];
     } else if (a == "--algo" && i + 1 < argc) {
       opt.algo = argv[++i];
     } else if (a == "--codec" && i + 1 < argc) {
@@ -199,7 +195,7 @@ int main(int argc, char** argv) try {
                 st.verified ? "yes" : "no");
     return st.verified ? 0 : 1;
   }
-  if (!opt.algo.empty()) {
+  if (!opt.algo.empty() && opt.algo != "omnireduce") {
     core::RunStats st =
         core::run_collective(opt.algo, tensors, cfg, cluster,
                              /*verify=*/true);
@@ -210,62 +206,38 @@ int main(int argc, char** argv) try {
     return st.verified ? 0 : 1;
   }
 
-  if (opt.method == "omnireduce" || opt.method == "switchml") {
-    cfg.dense_mode = opt.method == "switchml";
-    cluster.telemetry.enabled =
-        !opt.report_path.empty() || !opt.trace_path.empty();
-    cluster.telemetry.trace_events = !opt.trace_path.empty();
-    telemetry::RunReport report = core::run_allreduce_report(
-        tensors, cfg, cluster, /*verify=*/true, opt.method);
-    std::printf("%-12s %10.3f ms  payload/worker %.2f MB  msgs %llu  "
-                "retx %llu  verified=%s\n",
-                opt.method.c_str(), report.completion_ms(),
-                report.mean_worker_data_bytes() / 1e6,
-                static_cast<unsigned long long>(report.total_messages),
-                static_cast<unsigned long long>(report.retransmissions),
-                report.verified ? "yes" : "no");
-    if (!opt.report_path.empty()) {
-      std::ofstream out(opt.report_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", opt.report_path.c_str());
-        return 1;
-      }
-      report.write_json(out);
-      std::printf("report: %s\n", opt.report_path.c_str());
+  cluster.telemetry.enabled =
+      !opt.report_path.empty() || !opt.trace_path.empty();
+  cluster.telemetry.trace_events = !opt.trace_path.empty();
+  telemetry::RunReport report = core::run_allreduce_report(
+      tensors, cfg, cluster, /*verify=*/true, "omnireduce");
+  std::printf("%-12s %10.3f ms  payload/worker %.2f MB  msgs %llu  "
+              "retx %llu  verified=%s\n",
+              "omnireduce", report.completion_ms(),
+              report.mean_worker_data_bytes() / 1e6,
+              static_cast<unsigned long long>(report.total_messages),
+              static_cast<unsigned long long>(report.retransmissions),
+              report.verified ? "yes" : "no");
+  if (!opt.report_path.empty()) {
+    std::ofstream out(opt.report_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", opt.report_path.c_str());
+      return 1;
     }
-    if (!opt.trace_path.empty()) {
-      std::ofstream out(opt.trace_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", opt.trace_path.c_str());
-        return 1;
-      }
-      telemetry::write_chrome_trace(report.trace, out);
-      std::printf("trace:  %s (%zu events)\n", opt.trace_path.c_str(),
-                  report.trace.events.size());
-    }
-    if (!report.verified) return 1;
-  } else if (opt.method == "ring" || opt.method == "ps" ||
-             opt.method == "agsparse" || opt.method == "sparcml" ||
-             opt.method == "kv") {
-    // Legacy spellings resolve to registry names.
-    const std::string name =
-        opt.method == "kv" ? "omnireduce_kv" : opt.method;
-    if (opt.method == "ps" && !opt.colocated) {
-      // The historical CLI sharded the model across one server per worker.
-      cluster.n_aggregator_nodes = opt.workers;
-    }
-    core::RunStats st = core::run_collective(name, tensors, cfg, cluster,
-                                             /*verify=*/true);
-    std::printf("%-12s %10.3f ms  payload/worker %.2f MB  verified=%s\n",
-                opt.method.c_str(), st.completion_ms(),
-                st.mean_worker_data_bytes() / 1e6,
-                st.verified ? "yes" : "no");
-    return st.verified ? 0 : 1;
-  } else {
-    usage();
-    return 1;
+    report.write_json(out);
+    std::printf("report: %s\n", opt.report_path.c_str());
   }
-  return 0;
+  if (!opt.trace_path.empty()) {
+    std::ofstream out(opt.trace_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", opt.trace_path.c_str());
+      return 1;
+    }
+    telemetry::write_chrome_trace(report.trace, out);
+    std::printf("trace:  %s (%zu events)\n", opt.trace_path.c_str(),
+                report.trace.events.size());
+  }
+  return report.verified ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "omr_cli: %s\n", e.what());
   return 1;

@@ -17,6 +17,9 @@ ReferenceCheck::ReferenceCheck(const std::vector<tensor::DenseTensor>& inputs,
                                const Config& cfg,
                                std::vector<std::uint8_t> active)
     : active_(std::move(active)), codec_(cfg.codec.codec) {
+  if (std::find(active_.begin(), active_.end(), 0) == active_.end()) {
+    active_.clear();  // every worker contributes: no member copies
+  }
   if (active_.empty()) {
     reference_ = reference_reduce(inputs, cfg);
     contributors_ = inputs.size();
@@ -54,6 +57,37 @@ ReferenceCheck::Outcome ReferenceCheck::check(
   }
   out.ok = out.max_error <= tol;
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// CollectivePlan
+
+CollectivePlan plan_collective(
+    const Config& cfg, std::size_t n_elements, net::Network& net,
+    const std::vector<net::NicId>& worker_nics,
+    const std::vector<net::NicId>& agg_nics,
+    const std::vector<net::EndpointId>& agg_eps,
+    const std::vector<tensor::DenseTensor>* verify_inputs,
+    const std::vector<std::uint8_t>& active) {
+  CollectivePlan plan;
+  plan.layout = StreamLayout::build(n_elements, cfg);
+  plan.agg_eps = agg_eps;
+  plan.streams_on_agg.assign(agg_eps.size(), 0);
+  plan.owner.reserve(plan.layout.streams.size());
+  for (std::size_t s = 0; s < plan.layout.streams.size(); ++s) {
+    const auto a = static_cast<std::uint32_t>(s % agg_eps.size());
+    plan.owner.push_back(a);
+    ++plan.streams_on_agg[a];
+  }
+  std::vector<net::NicId> active_nics;  // only built under a mask
+  for (std::size_t w = 0; w < active.size(); ++w) {
+    if (active[w]) active_nics.push_back(worker_nics[w]);
+  }
+  plan.timeout = size_retransmit_timeout(
+      cfg, plan.layout, plan.streams_on_agg, net,
+      active.empty() ? worker_nics : active_nics, agg_nics);
+  if (verify_inputs != nullptr) plan.check.emplace(*verify_inputs, cfg, active);
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,9 +252,6 @@ RunStats RunContext::run_collective(std::vector<tensor::DenseTensor>& tensors,
   for (const auto& t : tensors) {
     if (t.size() != n) throw std::invalid_argument("tensor size mismatch");
   }
-  ReferenceCheck check;
-  if (verify) check = ReferenceCheck(tensors, cfg_);
-
   // Counter snapshot: the stats below are this collective's deltas.
   const sim::Time t0 = simulator_.now();
   std::vector<std::uint64_t> tx_before;
@@ -234,27 +265,25 @@ RunStats RunContext::run_collective(std::vector<tensor::DenseTensor>& tensors,
 
   std::vector<std::unique_ptr<Worker>>& workers = wiring_.workers;
   std::vector<std::unique_ptr<Aggregator>>& aggs = wiring_.aggregators;
-  const StreamLayout layout = StreamLayout::build(n, cfg_);
+  const CollectivePlan plan =
+      plan_collective(cfg_, n, network_, worker_nics_, agg_nics_,
+                      wiring_.agg_eps, verify ? &tensors : nullptr);
   for (auto& agg : aggs) agg->begin_collective();
-  const std::vector<net::EndpointId> agg_of_stream =
-      shard_streams(layout, aggs, wiring_.agg_eps);
-  const RetransmitTimeout rto = size_retransmit_timeout(
-      cfg_, layout, network_, worker_nics_, agg_nics_);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    workers[w]->bind(wiring_.worker_eps[w], agg_of_stream);
-    workers[w]->set_retransmit_timeout(rto.rto);
+  for (std::size_t s = 0; s < plan.owner.size(); ++s) {
+    aggs[plan.owner[s]]->add_stream(static_cast<std::uint32_t>(s),
+                                    plan.layout.streams[s]);
   }
   const std::vector<sim::Time>& offsets = cluster_.fabric.worker_start_offsets;
   for (std::size_t w = 0; w < n_workers; ++w) {
     const sim::Time offset = offsets.empty() ? 0 : offsets[w];
     if (offset == 0) {
-      workers[w]->start(tensors[w], layout, cluster_.device);
+      workers[w]->start(tensors[w], plan, cluster_.device);
     } else {
       Worker* worker = workers[w].get();
       tensor::DenseTensor* t = &tensors[w];
       const device::DeviceModel* device = &cluster_.device;
-      simulator_.schedule_at(t0 + offset, [worker, t, &layout, device]() {
-        worker->start(*t, layout, *device);
+      simulator_.schedule_at(t0 + offset, [worker, t, &plan, device]() {
+        worker->start(*t, plan, *device);
       });
     }
   }
@@ -287,8 +316,8 @@ RunStats RunContext::run_collective(std::vector<tensor::DenseTensor>& tensors,
   simulator_.run();
 
   RunStats stats;
-  stats.rto_ns = rto.rto;
-  stats.round_model_ns = rto.round_model;
+  stats.rto_ns = plan.timeout.rto;
+  stats.round_model_ns = plan.timeout.round_model;
   const bool aborted = faults_ != nullptr && faults_->aborted();
   if (aborted) stats.failure = faults_->failure();
   for (const auto& w : workers) {
@@ -345,7 +374,7 @@ RunStats RunContext::run_collective(std::vector<tensor::DenseTensor>& tensors,
     // Float sums of <= n_workers addends in a different association order:
     // tolerance grows mildly with worker count and value magnitude.
     const ReferenceCheck::Outcome outcome =
-        check.check(tensors, 1e-4 * static_cast<double>(n_workers));
+        plan.check->check(tensors, 1e-4 * static_cast<double>(n_workers));
     stats.max_error = outcome.max_error;
     stats.verified = outcome.ok;
     if (!stats.verified) {

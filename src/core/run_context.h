@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,8 @@ class ReferenceCheck {
 
   ReferenceCheck() = default;
   /// Capture reference_reduce over the workers `active` marks (all of them
-  /// when empty) and, with a codec on, their largest |value|, which the
-  /// codec's error bound scales with.
+  /// when empty or all ones) and, with a codec on, their largest |value|,
+  /// which the codec's error bound scales with.
   ReferenceCheck(const std::vector<tensor::DenseTensor>& inputs,
                  const Config& cfg, std::vector<std::uint8_t> active = {});
 
@@ -56,6 +57,34 @@ class ReferenceCheck {
   compress::WireCodec codec_ = compress::WireCodec::kNone;
   double input_amax_ = 0.0;
 };
+
+/// What one collective needs decided before it starts, for RunContext
+/// collectives and Fabric steps alike. Workers read it during the run, so
+/// it must outlive the run.
+struct CollectivePlan {
+  StreamLayout layout;
+  std::vector<std::uint32_t> owner;         // owning aggregator per stream
+  std::vector<net::EndpointId> agg_eps;     // endpoint per aggregator
+  std::vector<std::size_t> streams_on_agg;  // the timeout is sized from these
+  RetransmitTimeout timeout;
+  std::optional<ReferenceCheck> check;      // set when verifying
+
+  net::EndpointId owner_ep(std::size_t stream) const {
+    return agg_eps[owner[stream]];
+  }
+};
+
+/// Plan one collective over `n_elements`: the layout, stream ownership
+/// round-robin over the aggregators (§3: each node owns a disjoint shard),
+/// the timeout for the workers `active` marks (all when empty) and, when
+/// `verify_inputs` is given, a ReferenceCheck over those workers' inputs.
+CollectivePlan plan_collective(
+    const Config& cfg, std::size_t n_elements, net::Network& net,
+    const std::vector<net::NicId>& worker_nics,
+    const std::vector<net::NicId>& agg_nics,
+    const std::vector<net::EndpointId>& agg_eps,
+    const std::vector<tensor::DenseTensor>* verify_inputs = nullptr,
+    const std::vector<std::uint8_t>& active = {});
 
 /// The simulated run context every engine run path shares: it owns the
 /// sim::Simulator, the net::Network over one topology, the NICs, and the

@@ -69,16 +69,12 @@ std::vector<int> resolve_machine_racks(const TenantFabricSpec& spec) {
 // Per-job state
 
 struct Fabric::JobState {
-  /// Everything about one step, precomputed at add_job so the in-run
-  /// control plane only reads immutable plans.
-  struct StepPlan {
-    StreamLayout layout;
-    std::vector<net::EndpointId> agg_of_stream;
+  /// One step's collective plan plus its membership, precomputed at
+  /// add_job so the in-run control plane only reads immutable plans.
+  struct StepPlan : CollectivePlan {
     std::vector<std::uint8_t> active;  // per job worker
     std::size_t active_count = 0;
     std::vector<std::size_t> joiners;  // workers joining before this step
-    ReferenceCheck check;              // expected result (verify only)
-    sim::Time rto = 0;  // Algorithm 2 timeout (size_retransmit_timeout)
   };
 
   JobSpec spec;
@@ -89,14 +85,10 @@ struct Fabric::JobState {
   const device::DeviceModel* device = nullptr;
   net::Network* net = nullptr;
   std::size_t controller_machine = 0;
-  std::size_t slot_demand = 0;  // peak stream count over all steps
 
   std::vector<StepPlan> steps;
 
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::vector<std::unique_ptr<Aggregator>> aggregators;
-  std::vector<net::EndpointId> worker_eps;
-  std::vector<net::EndpointId> agg_eps;
+  ProtocolWiring wiring;
   std::vector<std::unique_ptr<WorkerAgent>> worker_agents;
   std::vector<std::unique_ptr<AggAgent>> agg_agents;
   std::unique_ptr<JobController> controller;
@@ -211,11 +203,9 @@ void Fabric::WorkerAgent::on_message(net::EndpointId /*from*/,
     case JobCtl::kStart: {
       step_ = ctl->step;
       const JobState::StepPlan& plan = job_.steps[step_];
-      Worker& worker = *job_.workers[w_];
+      Worker& worker = *job_.wiring.workers[w_];
       worker.set_epoch(static_cast<std::uint8_t>(step_ & 0xff));
-      worker.bind(job_.worker_eps[w_], plan.agg_of_stream);
-      worker.set_retransmit_timeout(plan.rto);
-      worker.start((*job_.tensors)[step_][w_], plan.layout, *job_.device);
+      worker.start((*job_.tensors)[step_][w_], plan, *job_.device);
       return;
     }
     case JobCtl::kJoin:
@@ -251,12 +241,12 @@ void Fabric::WorkerAgent::begin_join(std::uint32_t step) {
     auto rq = std::make_shared<ResyncRequest>();
     rq->stream = static_cast<std::uint32_t>(s);
     rq->wid = static_cast<std::uint32_t>(w_);
-    job_.net->send(ep, prev.agg_of_stream[s], std::move(rq));
+    job_.net->send(ep, prev.owner_ep(s), std::move(rq));
   }
 }
 
 void Fabric::WorkerAgent::worker_done() {
-  const Worker& worker = *job_.workers[w_];
+  const Worker& worker = *job_.wiring.workers[w_];
   auto done = std::make_shared<JobCtl>();
   done->kind = JobCtl::kDone;
   done->step = step_;
@@ -276,7 +266,7 @@ void Fabric::AggAgent::on_message(net::EndpointId /*from*/,
   if (ctl == nullptr || ctl->kind != JobCtl::kSetup) {
     throw std::logic_error("aggregator agent expects only setup messages");
   }
-  Aggregator& agg = *job_.aggregators[a_];
+  Aggregator& agg = *job_.wiring.aggregators[a_];
   // Bank the finished step's per-collective counters before the reset.
   rounds += agg.rounds_completed();
   duplicate_resends += agg.duplicate_resends();
@@ -285,8 +275,8 @@ void Fabric::AggAgent::on_message(net::EndpointId /*from*/,
   agg.set_epoch(static_cast<std::uint8_t>(ctl->step & 0xff));
   const JobState::StepPlan& plan = job_.steps[ctl->step];
   agg.set_active_workers(plan.active);
-  for (std::size_t s = a_; s < plan.layout.streams.size();
-       s += job_.aggregators.size()) {
+  for (std::size_t s = 0; s < plan.owner.size(); ++s) {
+    if (plan.owner[s] != a_) continue;
     agg.add_stream(static_cast<std::uint32_t>(s), plan.layout.streams[s]);
   }
   auto ack = std::make_shared<JobCtl>();
@@ -470,6 +460,8 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
     }
   }
   job->steps.resize(n_steps);
+  std::vector<std::size_t> step_elements(n_steps, 0);
+  std::size_t demand = 0;  // switch slots: peak stream count over all steps
   std::size_t ev = 0;
   for (std::size_t s = 0; s < n_steps; ++s) {
     JobState::StepPlan& plan = job->steps[s];
@@ -490,35 +482,25 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
       throw std::invalid_argument("step has no active workers");
     }
 
-    // Step geometry: layout over the active members' (identically sized)
-    // tensors.
-    std::size_t n_elements = 0;
-    bool first = true;
+    // Step geometry: the active members' (identically sized) tensors.
+    const auto first = std::find(active.begin(), active.end(), 1);
+    step_elements[s] = tensors[s][first - active.begin()].size();
     for (std::size_t w = 0; w < n_workers; ++w) {
-      if (!active[w]) continue;
-      if (first) {
-        n_elements = tensors[s][w].size();
-        first = false;
-      } else if (tensors[s][w].size() != n_elements) {
+      if (active[w] && tensors[s][w].size() != step_elements[s]) {
         throw std::invalid_argument("tensor size mismatch within a step");
       }
     }
-    plan.layout = StreamLayout::build(n_elements, spec.config);
-    job->slot_demand = std::max(job->slot_demand, plan.layout.streams.size());
-
-    if (spec.verify) {
-      plan.check = ReferenceCheck(tensors[s], spec.config, active);
-    }
+    demand = std::max(demand, StreamLayout::build(step_elements[s], spec.config)
+                                  .streams.size());
   }
 
   // --- admission: switch-slot pool -----------------------------------------
   // Jobs aggregating on the switch data plane consume programmable-switch
   // slots; the pool partitions them per job and rejects what cannot fit.
-  if (spec.config.switch_multicast &&
-      !slot_pool_.reserve(index, job->slot_demand)) {
+  if (spec.config.switch_multicast && !slot_pool_.reserve(index, demand)) {
     job->admitted = false;
     job->rejection = "switch slot pool exhausted: need " +
-                     std::to_string(job->slot_demand) + ", available " +
+                     std::to_string(demand) + ", available " +
                      std::to_string(slot_pool_.available()) + " of " +
                      std::to_string(slot_pool_.total());
     job->spec = std::move(spec);
@@ -535,12 +517,7 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
   for (std::size_t m : spec.aggregator_machines) {
     agg_nics.push_back(machine_nics_[m]);
   }
-  ProtocolWiring wiring =
-      wire_protocol(spec.config, network(), worker_nics, agg_nics);
-  job->workers = std::move(wiring.workers);
-  job->aggregators = std::move(wiring.aggregators);
-  job->worker_eps = std::move(wiring.worker_eps);
-  job->agg_eps = std::move(wiring.agg_eps);
+  job->wiring = wire_protocol(spec.config, network(), worker_nics, agg_nics);
   job->controller = std::make_unique<JobController>(*job);
   job->controller_ep = network().attach(job->controller.get(),
                                         machine_nics_[job->controller_machine]);
@@ -551,7 +528,8 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
         network().attach(job->worker_agents.back().get(),
                          machine_nics_[spec.worker_machines[w]]);
     WorkerAgent* agent = job->worker_agents.back().get();
-    job->workers[w]->set_on_done([agent](Worker&) { agent->worker_done(); });
+    job->wiring.workers[w]->set_on_done(
+        [agent](Worker&) { agent->worker_done(); });
   }
   for (std::size_t a = 0; a < n_aggs; ++a) {
     job->agg_agents.push_back(std::make_unique<AggAgent>(*job, a));
@@ -560,21 +538,13 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
                          machine_nics_[spec.aggregator_machines[a]]);
   }
 
-  // Stream ownership is round-robin over the job's aggregator shards, as
-  // in the single-job engine; the step's timeout is sized for its active
-  // members.
-  for (JobState::StepPlan& plan : job->steps) {
-    plan.agg_of_stream.resize(plan.layout.streams.size());
-    for (std::size_t s = 0; s < plan.layout.streams.size(); ++s) {
-      plan.agg_of_stream[s] = job->agg_eps[s % n_aggs];
-    }
-    std::vector<net::NicId> active_nics;
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      if (plan.active[w]) active_nics.push_back(worker_nics[w]);
-    }
-    plan.rto = size_retransmit_timeout(spec.config, plan.layout, network(),
-                                       active_nics, agg_nics)
-                   .rto;
+  // Each step is planned as a single-job collective over its active
+  // members: same stream ownership, timeout and reference check.
+  for (std::size_t s = 0; s < n_steps; ++s) {
+    JobState::StepPlan& step = job->steps[s];
+    static_cast<CollectivePlan&>(step) = plan_collective(
+        spec.config, step_elements[s], network(), worker_nics, agg_nics,
+        job->wiring.agg_eps, spec.verify ? &tensors[s] : nullptr, step.active);
   }
 
   job->spec = std::move(spec);
@@ -647,10 +617,10 @@ void Fabric::run() {
   }
   for (const auto& job : jobs_) {
     if (!job->admitted) continue;
-    for (net::EndpointId e : job->worker_eps) {
+    for (net::EndpointId e : job->wiring.worker_eps) {
       network().set_endpoint_tenant(e, job->index);
     }
-    for (net::EndpointId e : job->agg_eps) {
+    for (net::EndpointId e : job->wiring.agg_eps) {
       network().set_endpoint_tenant(e, job->index);
     }
     for (const auto& agent : job->worker_agents) {
@@ -692,16 +662,17 @@ void Fabric::finish_job(JobState& job) {
   // Final counter sweep: agents banked every completed step's aggregator
   // counters except the last (no further kSetup resets them), which is
   // still live in the aggregators. Runs on the caller's thread, post-run.
-  for (std::size_t a = 0; a < job.aggregators.size(); ++a) {
+  const ProtocolWiring& wiring = job.wiring;
+  for (std::size_t a = 0; a < wiring.aggregators.size(); ++a) {
     job.rounds +=
-        job.agg_agents[a]->rounds + job.aggregators[a]->rounds_completed();
+        job.agg_agents[a]->rounds + wiring.aggregators[a]->rounds_completed();
     job.duplicate_resends += job.agg_agents[a]->duplicate_resends +
-                             job.aggregators[a]->duplicate_resends();
+                             wiring.aggregators[a]->duplicate_resends();
     job.resyncs +=
-        job.agg_agents[a]->resyncs + job.aggregators[a]->resyncs_served();
-    job.stale_drops += job.aggregators[a]->stale_drops();
+        job.agg_agents[a]->resyncs + wiring.aggregators[a]->resyncs_served();
+    job.stale_drops += wiring.aggregators[a]->stale_drops();
   }
-  for (const auto& w : job.workers) job.stale_drops += w->stale_results();
+  for (const auto& w : wiring.workers) job.stale_drops += w->stale_results();
 
   if (!job.spec.verify) return;
   const Config& cfg = job.spec.config;
@@ -715,7 +686,7 @@ void Fabric::finish_job(JobState& job) {
     const JobState::StepPlan& plan = job.steps[s];
     const double base_tol =
         exact ? 0.0 : 1e-4 * static_cast<double>(plan.active_count);
-    if (!plan.check.check((*job.tensors)[s], base_tol).ok) {
+    if (!plan.check->check((*job.tensors)[s], base_tol).ok) {
       throw std::logic_error("job \"" + job.spec.name + "\" step " +
                              std::to_string(s) +
                              " result mismatch vs reference");

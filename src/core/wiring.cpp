@@ -20,6 +20,7 @@ ProtocolWiring wire_protocol(const Config& cfg, net::Network& net,
     w.workers.back()->set_faults(opts.faults);
     w.worker_eps.push_back(net.attach(w.workers.back().get(),
                                       worker_nics[i]));
+    w.workers.back()->bind(w.worker_eps.back());
   }
   for (std::size_t a = 0; a < agg_nics.size(); ++a) {
     w.aggregators.push_back(
@@ -36,29 +37,17 @@ ProtocolWiring wire_protocol(const Config& cfg, net::Network& net,
   return w;
 }
 
-std::vector<net::EndpointId> shard_streams(
-    const StreamLayout& layout,
-    std::vector<std::unique_ptr<Aggregator>>& aggregators,
-    const std::vector<net::EndpointId>& agg_eps) {
-  std::vector<net::EndpointId> agg_of_stream(layout.streams.size());
-  for (std::size_t s = 0; s < layout.streams.size(); ++s) {
-    const std::size_t a = s % aggregators.size();
-    agg_of_stream[s] = agg_eps[a];
-    aggregators[a]->add_stream(static_cast<std::uint32_t>(s),
-                               layout.streams[s]);
-  }
-  return agg_of_stream;
-}
-
 RetransmitTimeout size_retransmit_timeout(
-    const Config& cfg, const StreamLayout& layout, net::Network& net,
+    const Config& cfg, const StreamLayout& layout,
+    const std::vector<std::size_t>& streams_on_agg, net::Network& net,
     const std::vector<net::NicId>& worker_nics,
     const std::vector<net::NicId>& agg_nics) {
   RetransmitTimeout out;
   if (!cfg.loss_recovery) return out;
   out.rto = cfg.retransmit_timeout;
-  const std::size_t n_streams = layout.streams.size();
-  if (n_streams == 0 || worker_nics.empty() || agg_nics.empty()) return out;
+  if (layout.streams.empty() || worker_nics.empty() || agg_nics.empty()) {
+    return out;
+  }
 
   perfmodel::SlotRoundParams p;
   p.n_workers = worker_nics.size();
@@ -72,8 +61,7 @@ RetransmitTimeout size_retransmit_timeout(
   double worst = 0.0;
   for (std::size_t a = 0; a < agg_nics.size(); ++a) {
     const net::NicId nic = agg_nics[a];
-    p.streams_on_node = n_streams / agg_nics.size() +
-                        (a < n_streams % agg_nics.size() ? 1 : 0);
+    p.streams_on_node = streams_on_agg[a];
     if (p.streams_on_node == 0) continue;
     const net::NicConfig& nic_cfg = net.nic_config(nic);
     p.nic_bandwidth_bps =

@@ -39,21 +39,12 @@ struct ProtocolWiring {
 /// each bound to the worker endpoints and registered with the fault
 /// controller when one is given. Exactly the seed engine's wiring order,
 /// so endpoint ids (and therefore runs) are byte-identical to it.
-/// Stream routing is separate (see shard_streams): a RunContext wires once
-/// and re-shards per collective; Fabric jobs re-shard per step.
+/// Stream ownership is per collective (see CollectivePlan): a RunContext
+/// wires once and plans each collective; Fabric jobs plan each step.
 ProtocolWiring wire_protocol(const Config& cfg, net::Network& net,
                              const std::vector<net::NicId>& worker_nics,
                              const std::vector<net::NicId>& agg_nics,
                              const WiringOptions& opts = {});
-
-/// Shard the layout's streams round-robin across the aggregator nodes
-/// (§3: each node owns a disjoint shard of blocks), registering each
-/// stream's slot with its owner. Returns the per-stream owner endpoint
-/// table workers bind against.
-std::vector<net::EndpointId> shard_streams(
-    const StreamLayout& layout,
-    std::vector<std::unique_ptr<Aggregator>>& aggregators,
-    const std::vector<net::EndpointId>& agg_eps);
 
 /// Algorithm 2's retransmission timeout for one collective and the slot
 /// round it was sized from. Both stay 0 for a run without loss recovery.
@@ -65,12 +56,13 @@ struct RetransmitTimeout {
 /// Size Algorithm 2's timer for one collective (§5): RTO =
 /// max(cfg.retransmit_timeout, perfmodel::kRtoPerRound * T_round), where
 /// T_round is perfmodel::slot_round for the aggregator node with the
-/// slowest round once `layout` is sharded round-robin over `agg_nics` (as
-/// shard_streams does) and results go to the workers on `worker_nics`.
+/// slowest round when aggregator a (on agg_nics[a]) owns streams_on_agg[a]
+/// of the layout's streams and results go to the workers on `worker_nics`.
 /// NIC speeds, rack uplinks and path latencies come from `net`. Computes
 /// nothing when cfg.loss_recovery is off.
 RetransmitTimeout size_retransmit_timeout(
-    const Config& cfg, const StreamLayout& layout, net::Network& net,
+    const Config& cfg, const StreamLayout& layout,
+    const std::vector<std::size_t>& streams_on_agg, net::Network& net,
     const std::vector<net::NicId>& worker_nics,
     const std::vector<net::NicId>& agg_nics);
 

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/faults.h"
+#include "core/run_context.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -18,19 +19,12 @@ Worker::Worker(const Config& cfg, net::Network& net, std::uint32_t wid)
     : cfg_(cfg),
       net_(net),
       wid_(wid),
-      rto_(cfg.retransmit_timeout),
       pool_(cfg.fusion_width()) {}
 
-void Worker::bind(net::EndpointId self,
-                  const std::vector<net::EndpointId>& agg_of_stream) {
-  self_ = self;
-  agg_of_stream_.assign(agg_of_stream.begin(), agg_of_stream.end());
-}
-
-void Worker::start(tensor::DenseTensor& tensor, const StreamLayout& layout,
+void Worker::start(tensor::DenseTensor& tensor, const CollectivePlan& plan,
                    const device::DeviceModel& device) {
   tensor_ = &tensor;
-  layout_ = &layout;
+  plan_ = &plan;
   device_ = device;
   if (!alive_) {
     // Crashed before entering the collective: remember the call and replay
@@ -68,11 +62,11 @@ void Worker::start(tensor::DenseTensor& tensor, const StreamLayout& layout,
   }
   // Stream state and the next-block table are reset in place: a Session's
   // later collectives reuse their storage.
-  states_.assign(layout.streams.size(), StreamState{});
+  states_.assign(plan.layout.streams.size(), StreamState{});
   std::size_t columns = 0;
   for (std::size_t s = 0; s < states_.size(); ++s) {
     states_[s].next_off = columns;
-    columns += layout.streams[s].columns;
+    columns += plan.layout.streams[s].columns;
   }
   next_.assign(columns, tensor::kNoBlock);
   in_flight_slots_ = 0;
@@ -93,9 +87,9 @@ void Worker::start(tensor::DenseTensor& tensor, const StreamLayout& layout,
 
 tensor::BlockIndex Worker::scan_next(std::size_t stream, std::size_t column,
                                      tensor::BlockIndex after) const {
-  const StreamInfo& info = layout_->streams[stream];
+  const StreamInfo& info = plan_->layout.streams[stream];
   const auto blocks = static_cast<tensor::BlockIndex>(info.blocks());
-  const auto width = static_cast<tensor::BlockIndex>(layout_->width);
+  const auto width = static_cast<tensor::BlockIndex>(plan_->layout.width);
   // `after` is always congruent to `column` modulo the fusion width (it is
   // either column - width at bootstrap or a previous scan result), so the
   // first candidate is one stride past it.
@@ -106,15 +100,16 @@ tensor::BlockIndex Worker::scan_next(std::size_t stream, std::size_t column,
   // candidates of `column` are the global indices congruent to
   // block_lo + column modulo the width, bounded by the stream's range.
   const auto lo = static_cast<tensor::BlockIndex>(info.block_lo);
+  const std::size_t w = plan_->layout.width;
   const tensor::BlockIndex g = bitmap_.next_nonzero_in_column(
-      lo + from, (info.block_lo + column) % layout_->width, layout_->width,
+      lo + from, (info.block_lo + column) % w, w,
       static_cast<tensor::BlockIndex>(info.block_hi));
   return g == tensor::kNoBlock ? tensor::kNoBlock : g - lo;
 }
 
 void Worker::read_block(std::size_t stream, tensor::BlockIndex block,
                         std::vector<float>& out) const {
-  const StreamInfo& info = layout_->streams[stream];
+  const StreamInfo& info = plan_->layout.streams[stream];
   const std::size_t global =
       info.block_lo + static_cast<std::size_t>(block);
   const std::size_t lo = global * cfg_.block_size;
@@ -132,7 +127,7 @@ void Worker::read_block(std::size_t stream, tensor::BlockIndex block,
 }
 
 void Worker::write_block(std::size_t stream, const ColumnBlock& cb) {
-  const StreamInfo& info = layout_->streams[stream];
+  const StreamInfo& info = plan_->layout.streams[stream];
   const std::size_t global =
       info.block_lo + static_cast<std::size_t>(cb.block);
   const std::size_t lo = global * cfg_.block_size;
@@ -159,7 +154,7 @@ void Worker::write_block(std::size_t stream, const ColumnBlock& cb) {
 
 void Worker::encode_column(std::size_t stream, ColumnBlock& cb) {
   if (!cfg_.codec.enabled()) return;
-  const StreamInfo& info = layout_->streams[stream];
+  const StreamInfo& info = plan_->layout.streams[stream];
   const std::size_t global =
       info.block_lo + static_cast<std::size_t>(cb.block);
   const std::size_t lo = global * cfg_.block_size;
@@ -206,7 +201,7 @@ std::shared_ptr<DataPacket> Worker::new_packet(std::uint32_t stream,
 sim::Time Worker::staging_deadline(const DataPacket& pkt) const {
   if (device_.gdr || pkt.columns.empty()) return 0;
   std::size_t max_byte = 0;
-  const StreamInfo& info = layout_->streams[pkt.stream];
+  const StreamInfo& info = plan_->layout.streams[pkt.stream];
   for (const ColumnBlock& cb : pkt.columns) {
     const std::size_t global =
         info.block_lo + static_cast<std::size_t>(cb.block);
@@ -270,7 +265,7 @@ void Worker::send_packet(std::size_t stream, std::shared_ptr<DataPacket> pkt,
     ++packets_sent_;
   }
   note_in_flight(stream, true);
-  const net::EndpointId agg = agg_of_stream_[stream];
+  const net::EndpointId agg = plan_->owner_ep(stream);
   if (ready <= sim().now()) {
     net_.send(self_, agg, pkt);
     arm_timer(stream);
@@ -290,10 +285,10 @@ void Worker::arm_timer(std::size_t stream) {
   if (!cfg_.loss_recovery) return;
   StreamState& st = states_[stream];
   if (st.timer != 0) sim().cancel(st.timer);
+  const sim::Time rto = plan_->timeout.rto;
   const sim::Time timeout =
-      faults_ != nullptr
-          ? faults_->retransmit_timeout(wid_, st.attempts, rto_)
-          : rto_;
+      faults_ != nullptr ? faults_->retransmit_timeout(wid_, st.attempts, rto)
+                         : rto;
   st.timer =
       sim().schedule_after(timeout, [this, stream]() { on_timeout(stream); });
 }
@@ -307,7 +302,7 @@ void Worker::on_timeout(std::size_t stream) {
     ++st.attempts;
     if (faults_->give_up(st.attempts, sim().now() - st.pending_since)) {
       faults_->declare_aggregator_dead(
-          agg_of_stream_[stream], sim().now(),
+          plan_->owner_ep(stream), sim().now(),
           "worker " + std::to_string(wid_) + " gave up on stream " +
               std::to_string(stream) + " after " +
               std::to_string(st.attempts) + " attempts");
@@ -320,12 +315,12 @@ void Worker::on_timeout(std::size_t stream) {
                              static_cast<std::uint32_t>(stream),
                              st.last_sent->payload_bytes());
   }
-  net_.send(self_, agg_of_stream_[stream], st.last_sent);
+  net_.send(self_, plan_->owner_ep(stream), st.last_sent);
   arm_timer(stream);
 }
 
 void Worker::send_initial(std::size_t stream) {
-  const StreamInfo& info = layout_->streams[stream];
+  const StreamInfo& info = plan_->layout.streams[stream];
   auto pkt = new_packet(static_cast<std::uint32_t>(stream), 0, false);
   pkt->next.resize(info.columns);
   tensor::BlockIndex* next = my_next(stream);
@@ -334,12 +329,11 @@ void Worker::send_initial(std::size_t stream) {
   // column unconditionally; with Block Fusion that would ship w dense
   // blocks per stream regardless of sparsity, so we bootstrap with pure
   // metadata — one extra round trip, zero data.)
+  const auto width = static_cast<tensor::BlockIndex>(plan_->layout.width);
   for (std::size_t c = 0; c < info.columns; ++c) {
     // scan_next looks strictly past its argument; start one stride before
     // row 0 so the row-0 block of the column is itself a candidate.
-    next[c] = scan_next(stream, c,
-                        static_cast<tensor::BlockIndex>(c) -
-                            static_cast<tensor::BlockIndex>(layout_->width));
+    next[c] = scan_next(stream, c, static_cast<tensor::BlockIndex>(c) - width);
     pkt->next[c] = next[c];
   }
   send_packet(stream, std::move(pkt), /*is_bootstrap=*/true);
@@ -417,7 +411,7 @@ void Worker::handle_result(const ResultPacket& r) {
   pending_rx_cost_ += rx_cost;
   tensor::BlockIndex* next = my_next(r.stream);
   const std::size_t columns = r.request.size();
-  assert(columns == layout_->streams[r.stream].columns);
+  assert(columns == plan_->layout.streams[r.stream].columns);
   const auto owned = [&](std::size_t c) {
     return r.request[c] != tensor::kNoBlock && r.request[c] == next[c];
   };
@@ -474,7 +468,7 @@ void Worker::restart() {
   if (start_pending_) {
     // The collective began while we were down: enter it from scratch.
     start_pending_ = false;
-    start(*tensor_, *layout_, device_);
+    start(*tensor_, *plan_, device_);
     return;
   }
   if (tensor_ == nullptr) return;  // crashed and restarted before start()
@@ -499,7 +493,7 @@ void Worker::send_resync(std::size_t stream) {
                     static_cast<std::uint32_t>(stream));
   }
   note_in_flight(stream, true);
-  net_.send(self_, agg_of_stream_[stream], req);
+  net_.send(self_, plan_->owner_ep(stream), req);
   arm_timer(stream);
 }
 
@@ -526,9 +520,9 @@ void Worker::handle_resync(const ResyncResponse& res) {
   // we held when the aggregator emitted this result; blocks at or past it
   // still hold original gradient data (their round has not completed).
   const ResultPacket& r = *res.result;
-  const auto width = static_cast<tensor::BlockIndex>(layout_->width);
+  const auto width = static_cast<tensor::BlockIndex>(plan_->layout.width);
   tensor::BlockIndex* next = my_next(res.stream);
-  assert(r.request.size() == layout_->streams[res.stream].columns);
+  assert(r.request.size() == plan_->layout.streams[res.stream].columns);
   for (std::size_t c = 0; c < r.request.size(); ++c) {
     next[c] = r.request[c] == tensor::kNoBlock
                   ? tensor::kNoBlock

@@ -17,6 +17,7 @@
 namespace omr::core {
 
 class FaultController;
+struct CollectivePlan;
 
 /// OmniReduce worker: runs Algorithm 1 (reliable fabric) or Algorithm 2
 /// (lossy fabric: ack packets, retransmission timers, alternating slot
@@ -39,10 +40,8 @@ class Worker final : public net::Endpoint {
  public:
   Worker(const Config& cfg, net::Network& net, std::uint32_t wid);
 
-  /// Wire the worker: own endpoint id and, per stream, the endpoint of the
-  /// aggregator node that owns the stream's slot.
-  void bind(net::EndpointId self,
-            const std::vector<net::EndpointId>& agg_of_stream);
+  /// Wire the worker: its own endpoint id (wire_protocol calls this).
+  void bind(net::EndpointId self) { self_ = self; }
 
   /// Opt-in instrumentation (nullptr = disabled, the default: every hook
   /// site is one pointer compare). Events land on lane worker_pid(wid).
@@ -53,11 +52,6 @@ class Worker final : public net::Endpoint {
   /// straggler compute delays, adaptive retransmission backoff, give-up
   /// escalation and crash/restart with resync.
   void set_faults(FaultController* faults) { faults_ = faults; }
-
-  /// Algorithm 2's retransmission timeout for the next collective (see
-  /// size_retransmit_timeout); under fault injection it is the base the
-  /// RetryPolicy backoff multiplies. Defaults to cfg.retransmit_timeout.
-  void set_retransmit_timeout(sim::Time rto) { rto_ = rto; }
 
   /// Completion hook, fired (in virtual time) the moment done() flips true
   /// — once per start(). The multi-tenant Fabric's worker agents use it to
@@ -88,7 +82,10 @@ class Worker final : public net::Endpoint {
   /// Begin the collective: computes the non-zero-block bitmap (charging the
   /// device-model cost), then sends the initial packet of every stream.
   /// `tensor` must outlive the run and is mutated into the reduced result.
-  void start(tensor::DenseTensor& tensor, const StreamLayout& layout,
+  /// `plan` supplies the layout, each stream's owner and Algorithm 2's
+  /// timeout (under fault injection, the base the RetryPolicy backoff
+  /// multiplies); it too must outlive the run.
+  void start(tensor::DenseTensor& tensor, const CollectivePlan& plan,
              const device::DeviceModel& device);
 
   void on_message(net::EndpointId from, const net::MessagePtr& msg) override;
@@ -180,11 +177,9 @@ class Worker final : public net::Endpoint {
   net::Network& net_;
   std::uint32_t wid_;
   net::EndpointId self_ = -1;
-  std::vector<net::EndpointId> agg_of_stream_;
   telemetry::Tracer* tracer_ = nullptr;
   FaultController* faults_ = nullptr;
   std::function<void(Worker&)> on_done_;
-  sim::Time rto_;
   std::size_t in_flight_slots_ = 0;
   bool alive_ = true;
   bool start_pending_ = false;  // crashed before start(); replay on restart
@@ -196,7 +191,7 @@ class Worker final : public net::Endpoint {
   sim::Time fault_stall_ns_ = 0;
 
   tensor::DenseTensor* tensor_ = nullptr;
-  const StreamLayout* layout_ = nullptr;
+  const CollectivePlan* plan_ = nullptr;
   device::DeviceModel device_;
   tensor::BlockBitmap bitmap_;
   sim::Time call_start_ = 0;  // virtual time when start() was called

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -388,6 +389,32 @@ TEST(Verify, NaNInOneResultFailsTheCheck) {
       CollectiveRegistry::global().at("omnireduce");
   EXPECT_GT(algo.verify_error(results[2], check.reference()), tol);
   EXPECT_LE(algo.verify_error(results[1], check.reference()), tol);
+}
+
+// An all-ones membership mask is no mask: Fabric jobs pass one for every
+// step, and the check must neither copy the members' inputs nor differ from
+// a check built without it. With a codec on, the input magnitude behind the
+// tolerance is covered too.
+TEST(Verify, AllOnesMaskMatchesNoMask) {
+  Config cfg = small_config();
+  cfg.codec.codec = compress::WireCodec::kQ8;
+  const std::vector<DenseTensor> inputs = random_inputs(4, 4096, 16, 0.5, 12);
+  const ReferenceCheck plain(inputs, cfg);
+  const ReferenceCheck masked(inputs, cfg, std::vector<std::uint8_t>(4, 1));
+  ASSERT_EQ(masked.reference().size(), plain.reference().size());
+  EXPECT_EQ(std::memcmp(masked.reference().values().data(),
+                        plain.reference().values().data(),
+                        plain.reference().size() * sizeof(float)),
+            0);
+
+  std::vector<DenseTensor> results(4, plain.reference());
+  for (const float offset : {0.0f, 1e-3f, 0.5f}) {
+    results[2][100] = plain.reference()[100] + offset;
+    const ReferenceCheck::Outcome a = plain.check(results, 1e-4);
+    const ReferenceCheck::Outcome b = masked.check(results, 1e-4);
+    EXPECT_EQ(a.max_error, b.max_error) << offset;
+    EXPECT_EQ(a.ok, b.ok) << offset;
+  }
 }
 
 TEST(SparseKv, ReducesCorrectly) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "compress/compressors.h"
+#include "compress/wire_codec.h"
 #include "ddl/end_to_end.h"
 #include "ddl/metrics.h"
 #include "ddl/timing.h"
@@ -234,6 +236,39 @@ TEST(Trainer, DeterministicGivenSeed) {
   TrainResult b = train_distributed(cfg, std::nullopt);
   EXPECT_EQ(a.loss_curve, b.loss_curve);
   EXPECT_EQ(a.test_f1, b.test_f1);
+}
+
+TrainerConfig quick_config() {
+  TrainerConfig cfg;
+  cfg.iterations = 200;
+  cfg.n_workers = 4;
+  return cfg;
+}
+
+TEST(TrainerQuantizers, WireCodecWithErrorFeedbackConverges) {
+  // The inline wire codecs are deterministic and biased
+  // (round-to-nearest), so — unlike a stochastic quantizer such as QSGD —
+  // error feedback around them is the *correct* composition: the residual
+  // memory recirculates the rounding error and training converges. This is
+  // the trainer-side contract behind CodecSpec::error_feedback in the
+  // transport.
+  const TrainerConfig cfg = quick_config();
+  const TrainResult base = train_distributed(cfg, std::nullopt);
+  for (compress::WireCodec c :
+       {compress::WireCodec::kQ8, compress::WireCodec::kQ4}) {
+    SCOPED_TRACE(compress::codec_name(c));
+    CompressionSpec spec;
+    spec.name = std::string("EF(wire-") + compress::codec_name(c) + ")";
+    spec.error_feedback = true;
+    spec.compressor = [c](const tensor::DenseTensor& g) {
+      tensor::DenseTensor out = g;
+      compress::codec_roundtrip(out.values().data(), out.size(), c);
+      return out;
+    };
+    const TrainResult r = train_distributed(cfg, spec);
+    EXPECT_LT(r.final_loss, r.loss_curve.front() * 0.85);
+    EXPECT_GT(r.test_accuracy, base.test_accuracy - 0.1);
+  }
 }
 
 }  // namespace

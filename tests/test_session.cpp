@@ -9,10 +9,12 @@
 
 #include "core/aggregator.h"
 #include "core/collectives.h"
+#include "core/run_context.h"
 #include "core/session.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
+#include "telemetry/telemetry.h"
 #include "tensor/generators.h"
 
 namespace omr::core {
@@ -566,6 +568,78 @@ TEST(PacketPool, RecycleDropsOtherMessageTypes) {
   EXPECT_EQ(again.get(), first);
   EXPECT_GE(again->columns.capacity(), 4u);
   EXPECT_NE(pool.acquire(true).get(), first);
+}
+
+// Stream ownership law of CollectivePlan, for more streams than
+// aggregators, as many, fewer, and a count that is not a multiple of the
+// aggregator count: every stream has one owner, the per-aggregator counts
+// the timeout is sized from match the owner table, and in a traced
+// collective each aggregator opens exactly the streams the table gives it,
+// in increasing order, and aggregates worker packets only for those.
+TEST(CollectivePlan, WorkersAndAggregatorsAgreeOnOneOwnerPerStream) {
+  struct Shape {
+    std::size_t streams;
+    std::size_t aggs;
+  };
+  for (const Shape sh : {Shape{12, 4}, Shape{4, 4}, Shape{2, 4}, Shape{7, 3}}) {
+    SCOPED_TRACE(std::to_string(sh.streams) + " streams on " +
+                 std::to_string(sh.aggs) + " aggregators");
+    Config cfg = cfg16();
+    cfg.num_streams = sh.streams;
+    const std::size_t n = 16 * 64;  // 64 blocks: no stream is empty
+
+    RunContext bare(TopologySpec{}, sim::microseconds(5), {}, 1);
+    std::vector<net::NicId> worker_nics;
+    std::vector<net::NicId> agg_nics;
+    std::vector<net::EndpointId> agg_eps;
+    for (std::size_t w = 0; w < 3; ++w) {
+      worker_nics.push_back(bare.network().add_nic({}));
+    }
+    for (std::size_t a = 0; a < sh.aggs; ++a) {
+      agg_nics.push_back(bare.network().add_nic({}));
+      agg_eps.push_back(static_cast<net::EndpointId>(100 + a));
+    }
+    const CollectivePlan plan = plan_collective(
+        cfg, n, bare.network(), worker_nics, agg_nics, agg_eps);
+    ASSERT_EQ(plan.owner.size(), sh.streams);
+    std::vector<std::size_t> counts(sh.aggs, 0);
+    for (std::size_t s = 0; s < sh.streams; ++s) {
+      ASSERT_LT(plan.owner[s], sh.aggs);
+      ++counts[plan.owner[s]];
+      EXPECT_EQ(plan.owner_ep(s), agg_eps[plan.owner[s]]);
+    }
+    EXPECT_EQ(plan.streams_on_agg, counts);
+
+    ClusterSpec cluster = ClusterSpec::dedicated(sh.aggs, fab());
+    cluster.telemetry.enabled = true;
+    Session session(cfg, 3, cluster);
+    sim::Rng rng(5);
+    auto tensors = tensor::make_multi_worker(
+        3, n, cfg.block_size, 0.3, tensor::OverlapMode::kRandom, rng);
+    ASSERT_TRUE(session.allreduce(tensors).verified);
+    std::vector<std::vector<std::uint32_t>> opened(sh.aggs);
+    std::size_t aggregated = 0;
+    for (const telemetry::Event& e : session.tracer()->trace().events) {
+      if (!telemetry::is_aggregator_pid(e.pid)) continue;
+      const auto a =
+          static_cast<std::size_t>(e.pid - telemetry::aggregator_pid(0));
+      if (e.kind == telemetry::EventKind::kSlotOpen) {
+        opened[a].push_back(e.stream);
+      } else if (e.kind == telemetry::EventKind::kSlotAggregate) {
+        ASSERT_LT(e.stream, sh.streams);
+        EXPECT_EQ(plan.owner[e.stream], a) << "stream " << e.stream;
+        ++aggregated;
+      }
+    }
+    EXPECT_GT(aggregated, 0u);
+    for (std::size_t a = 0; a < sh.aggs; ++a) {
+      std::vector<std::uint32_t> owned;
+      for (std::size_t s = 0; s < sh.streams; ++s) {
+        if (plan.owner[s] == a) owned.push_back(static_cast<std::uint32_t>(s));
+      }
+      EXPECT_EQ(opened[a], owned) << "aggregator " << a;
+    }
+  }
 }
 
 }  // namespace

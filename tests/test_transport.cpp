@@ -79,7 +79,12 @@ RetransmitTimeout cell_timeout(const Cell& c, const Config& cfg) {
     aggs.push_back(ctx.network().add_nic({}));
   }
   if (c.aggregators == 0) aggs = workers;
-  return size_retransmit_timeout(cfg, StreamLayout::build(kElements, cfg),
+  // Stream ownership comes from the collective's plan; its endpoint ids
+  // are placeholders (the timeout reads only the per-aggregator counts).
+  const CollectivePlan plan =
+      plan_collective(cfg, kElements, ctx.network(), workers, aggs,
+                      std::vector<net::EndpointId>(aggs.size()));
+  return size_retransmit_timeout(cfg, plan.layout, plan.streams_on_agg,
                                  ctx.network(), workers, aggs);
 }
 
