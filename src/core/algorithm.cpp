@@ -70,43 +70,44 @@ std::vector<std::string> CollectiveRegistry::names() const {
   return out;  // std::map iteration is already sorted
 }
 
-bool capabilities_allow(const AlgoCapabilities& caps, const Config& cfg,
-                        const ClusterSpec& cluster) {
-  if (cfg.op != ReduceOp::kSum && !caps.supports_min_max) return false;
+namespace {
+
+/// The first thing (cfg, cluster) asks for that `caps` cannot simulate,
+/// worded as the tail of validate_capabilities' message; nullptr when
+/// `caps` covers everything. The one statement of the capability rule.
+const char* capability_gap(const AlgoCapabilities& caps, const Config& cfg,
+                           const ClusterSpec& cluster) {
+  if (cfg.op != ReduceOp::kSum && !caps.supports_min_max) {
+    return "supports ReduceOp::kSum only";
+  }
   if ((cluster.fabric.lossy() || cluster.topology.spine_lossy()) &&
       !caps.supports_loss) {
-    return false;
+    return "cannot simulate a lossy fabric";
   }
-  if (cluster.topology.two_tier() && !caps.supports_topology) return false;
-  if (cluster.faults.enabled() && !caps.supports_faults) return false;
-  if (cfg.codec.enabled() && !caps.supports_codec) return false;
-  return true;
+  if (cluster.topology.two_tier() && !caps.supports_topology) {
+    return "runs on the ideal switch only (no two-tier topology support)";
+  }
+  if (cluster.faults.enabled() && !caps.supports_faults) {
+    return "does not support fault injection";
+  }
+  if (cfg.codec.enabled() && !caps.supports_codec) {
+    return "does not support inline wire codecs";
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+bool capabilities_allow(const AlgoCapabilities& caps, const Config& cfg,
+                        const ClusterSpec& cluster) {
+  return capability_gap(caps, cfg, cluster) == nullptr;
 }
 
 void validate_capabilities(const AlgoCapabilities& caps, const Config& cfg,
                            const ClusterSpec& cluster,
                            const std::string& name) {
-  if (cfg.op != ReduceOp::kSum && !caps.supports_min_max) {
-    throw std::invalid_argument("algorithm '" + name +
-                                "' supports ReduceOp::kSum only");
-  }
-  if ((cluster.fabric.lossy() || cluster.topology.spine_lossy()) &&
-      !caps.supports_loss) {
-    throw std::invalid_argument("algorithm '" + name +
-                                "' cannot simulate a lossy fabric");
-  }
-  if (cluster.topology.two_tier() && !caps.supports_topology) {
-    throw std::invalid_argument(
-        "algorithm '" + name +
-        "' runs on the ideal switch only (no two-tier topology support)");
-  }
-  if (cluster.faults.enabled() && !caps.supports_faults) {
-    throw std::invalid_argument("algorithm '" + name +
-                                "' does not support fault injection");
-  }
-  if (cfg.codec.enabled() && !caps.supports_codec) {
-    throw std::invalid_argument("algorithm '" + name +
-                                "' does not support inline wire codecs");
+  if (const char* gap = capability_gap(caps, cfg, cluster)) {
+    throw std::invalid_argument("algorithm '" + name + "' " + gap);
   }
 }
 

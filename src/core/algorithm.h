@@ -106,7 +106,7 @@ class CollectiveRegistry {
 
 /// Throws std::invalid_argument when (cfg, cluster) asks for something
 /// `caps` cannot simulate (non-sum op, lossy fabric, two-tier topology,
-/// fault schedule). `name` is used in the message.
+/// fault schedule, wire codec). `name` is used in the message.
 void validate_capabilities(const AlgoCapabilities& caps, const Config& cfg,
                            const ClusterSpec& cluster, const std::string& name);
 
