@@ -429,6 +429,10 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
       spec.initial_active.size() != n_workers) {
     throw std::invalid_argument("initial_active size != worker count");
   }
+  if (std::any_of(spec.initial_active.begin(), spec.initial_active.end(),
+                  [](std::uint8_t a) { return a > 1; })) {
+    throw std::invalid_argument("initial_active entries must be 0 or 1");
+  }
 
   auto job = std::make_unique<JobState>();
   const int index = next_index_++;

@@ -72,7 +72,8 @@ struct JobSpec {
   double weight = 1.0;
   /// Virtual time the job's first step begins.
   sim::Time start_at = 0;
-  /// Step-0 membership: active flag per job worker (empty = all active).
+  /// Step-0 membership: active flag (0 or 1) per job worker (empty = all
+  /// active).
   std::vector<std::uint8_t> initial_active;
   /// Joins/leaves applied between steps, in any order.
   std::vector<JobMembershipEvent> membership;

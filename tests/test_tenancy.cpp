@@ -400,6 +400,21 @@ TEST(Tenancy, MalformedJobSpecsThrow) {
   EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument);
 }
 
+TEST(Tenancy, NonBinaryInitialActiveIsRejected) {
+  // Every step counts its active workers as the entries equal to 1, while
+  // the workers, aggregators and reference treat any non-zero entry as
+  // active; a 2 would make the two disagree, so add_job refuses it.
+  TenantFabricSpec spec;
+  spec.n_machines = 4;
+  Fabric fabric(spec);
+  auto tensors = make_steps(2, 2, 4096, 0.5, 7);
+  JobSpec job;
+  job.worker_machines = {0, 1};
+  job.aggregator_machines = {2};
+  job.initial_active = {2, 1};
+  EXPECT_THROW(fabric.add_job(job, tensors), std::invalid_argument);
+}
+
 TEST(Tenancy, ImpossibleSpineLossSpecsThrow) {
   // A multi-tenant fabric refuses any lossy spine; a NaN or negative rate
   // is not lossless but malformed, and must be refused too.
