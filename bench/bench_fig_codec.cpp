@@ -7,7 +7,7 @@
 // seeds); every run verifies against the serial reference within the
 // codec's analytic slack. Reported per cell and codec: total completion
 // time and mean bytes-on-wire per worker. Machine-readable `CELL` lines
-// feed tools/run_codec_bench.py -> BENCH_codec.json.
+// feed tools/bench_record.py suite -> BENCH_e2e.json.
 //
 // Acceptance (the ISSUE's crossover criteria):
 //   - small tensors: "none" is the best fixed codec (the one-time codec

@@ -1,9 +1,10 @@
-// End-to-end wall-clock harness for the simulator hot paths. Unlike the
-// google-benchmark micro suite (bench_micro_hotpaths), this binary measures
-// *host* wall-clock of fixed deterministic workloads — the metric every
-// figure reproduction is actually bottlenecked by — and emits a JSON
-// document (BENCH_hotpaths.json schema, see docs/PERFORMANCE.md) so perf
-// changes land as recorded artifacts with before/after numbers.
+// Host wall-clock harness for the simulator hot paths: fixed
+// deterministic workloads, from single kernels ("micro" rows: the event
+// queue, the bitmap, slot reduction, COO conversion, the compressors) to
+// whole collectives ("e2e" rows). It is the repo's one host-timing
+// harness. It writes a JSON result set (see docs/PERFORMANCE.md), which
+// `tools/bench_record.py pairs` runs in alternating pairs against a
+// baseline build of this harness and records into BENCH_hotpaths.json.
 //
 // Usage:
 //   bench_hotpath_wallclock [--smoke] [--out PATH] [--label NAME]
@@ -26,9 +27,11 @@
 #include <vector>
 
 #include "baselines/zoo.h"
+#include "compress/compressors.h"
 #include "core/algorithm.h"
 #include "core/cluster.h"
 #include "core/engine.h"
+#include "core/reduce_kernels.h"
 #include "core/sparse_kv.h"
 #include "runner/sweep.h"
 #include "sim/event_queue.h"
@@ -66,6 +69,41 @@ struct Result {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
+}
+
+// --- helpers -----------------------------------------------------------------
+
+/// Median over `repeats` of the time `inner` back-to-back calls of `body`
+/// take.
+template <typename Body>
+double median_ms(int repeats, int inner, Body&& body) {
+  std::vector<double> times;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < inner; ++i) body();
+    times.push_back(ms_since(t0));
+  }
+  return median(times);
+}
+
+Result micro(const char* name, double wall_ms, double work_units,
+             const char* unit) {
+  Result res;
+  res.name = name;
+  res.kind = "micro";
+  res.wall_ms = wall_ms;
+  res.work_units = work_units;
+  res.unit = unit;
+  return res;
+}
+
+omr::tensor::DenseTensor normal_tensor(std::size_t n, std::uint64_t seed) {
+  omr::sim::Rng rng(seed);
+  omr::tensor::DenseTensor g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    g[i] = static_cast<float>(rng.next_normal());
+  }
+  return g;
 }
 
 // --- event queue: self-rescheduling handler churn --------------------------
@@ -108,13 +146,7 @@ Result bench_event_queue_churn(bool smoke, int repeats) {
     sim.run();
     times.push_back(ms_since(t0));
   }
-  Result res;
-  res.name = "event_queue_churn";
-  res.kind = "micro";
-  res.wall_ms = median(times);
-  res.work_units = static_cast<double>(kStreams * kEventsPer);
-  res.unit = "events";
-  return res;
+  return micro("event_queue_churn", median(times), static_cast<double>(kStreams * kEventsPer), "events");
 }
 
 // --- event queue: the worker timer pattern (arm, usually cancel) -----------
@@ -157,13 +189,7 @@ Result bench_event_queue_timer_cancel(bool smoke, int repeats) {
     sim.run();
     times.push_back(ms_since(t0));
   }
-  Result res;
-  res.name = "event_queue_timer_cancel";
-  res.kind = "micro";
-  res.wall_ms = median(times);
-  res.work_units = static_cast<double>(kStreams * kRoundsPer);
-  res.unit = "rounds";
-  return res;
+  return micro("event_queue_timer_cancel", median(times), static_cast<double>(kStreams * kRoundsPer), "rounds");
 }
 
 // --- event queue: far-horizon traffic in the omni_twotier shape -----------
@@ -212,13 +238,7 @@ Result bench_event_queue_far_horizon(bool smoke, int repeats) {
     sim.run();
     times.push_back(ms_since(t0));
   }
-  Result res;
-  res.name = "event_queue_far_horizon";
-  res.kind = "micro";
-  res.wall_ms = median(times);
-  res.work_units = static_cast<double>(kStreams * kEventsPer);
-  res.unit = "events";
-  return res;
+  return micro("event_queue_far_horizon", median(times), static_cast<double>(kStreams * kEventsPer), "events");
 }
 
 // --- event queue: one simulator reused across drained Session steps -------
@@ -269,12 +289,9 @@ Result bench_event_queue_drain_reuse(bool smoke, int repeats) {
     events = sim.events_executed();
     expired = step.expired;
   }
-  Result res;
-  res.name = "event_queue_drain_reuse";
-  res.kind = "micro";
-  res.wall_ms = median(times);
-  res.work_units = static_cast<double>(kSteps) * SessionStep::kSends;
-  res.unit = "sends";
+  Result res = micro("event_queue_drain_reuse", median(times),
+                     static_cast<double>(kSteps) * SessionStep::kSends,
+                     "sends");
   // The queue's own simulated outputs: the final clock and event count.
   res.has_sim = true;
   res.sim_completion_ns = static_cast<std::uint64_t>(end);
@@ -291,24 +308,13 @@ Result bench_bitmap_build(bool smoke, int repeats) {
   omr::sim::Rng rng(42);
   const auto t = omr::tensor::make_block_sparse(n, 256, 0.9, rng);
   const int inner = smoke ? 4 : 16;
-  std::vector<double> times;
   std::size_t sink = 0;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < inner; ++i) {
-      omr::tensor::BlockBitmap bm(t.span(), 256);
-      sink += bm.nonzero_count();
-    }
-    times.push_back(ms_since(t0));
-  }
+  const double ms = median_ms(repeats, inner, [&] {
+    sink += omr::tensor::BlockBitmap(t.span(), 256).nonzero_count();
+  });
   if (sink == 0) std::fprintf(stderr, "unexpected all-zero input\n");
-  Result res;
-  res.name = "bitmap_build";
-  res.kind = "micro";
-  res.wall_ms = median(times);
-  res.work_units = static_cast<double>(n) * inner;
-  res.unit = "elements";
-  return res;
+  return micro("bitmap_build", ms, static_cast<double>(n) * inner,
+               "elements");
 }
 
 Result bench_bitmap_scan(const char* name, std::size_t stride, double sparsity,
@@ -318,32 +324,88 @@ Result bench_bitmap_scan(const char* name, std::size_t stride, double sparsity,
   const auto t = omr::tensor::make_block_sparse(n, 256, sparsity, rng);
   omr::tensor::BlockBitmap bm(t.span(), 256);
   const int inner = smoke ? 16 : 256;
-  std::vector<double> times;
   std::size_t sink = 0;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < inner; ++i) {
-      for (std::size_t col = 0; col < stride; ++col) {
-        omr::tensor::BlockIndex b = static_cast<omr::tensor::BlockIndex>(col) -
-                                    static_cast<omr::tensor::BlockIndex>(stride);
-        while (true) {
-          b = bm.next_nonzero_in_column(b + static_cast<omr::tensor::BlockIndex>(stride),
-                                        col, stride);
-          if (b == omr::tensor::kNoBlock) break;
-          ++sink;
-        }
+  const double ms = median_ms(repeats, inner, [&] {
+    for (std::size_t col = 0; col < stride; ++col) {
+      omr::tensor::BlockIndex b = static_cast<omr::tensor::BlockIndex>(col) -
+                                  static_cast<omr::tensor::BlockIndex>(stride);
+      while (true) {
+        b = bm.next_nonzero_in_column(b + static_cast<omr::tensor::BlockIndex>(stride),
+                                      col, stride);
+        if (b == omr::tensor::kNoBlock) break;
+        ++sink;
       }
     }
-    times.push_back(ms_since(t0));
-  }
+  });
   if (sink == 0) std::fprintf(stderr, "scan found no blocks\n");
-  Result res;
-  res.name = name;
-  res.kind = "micro";
-  res.wall_ms = median(times);
-  res.work_units = static_cast<double>(bm.size()) * inner;
-  res.unit = "blocks";
-  return res;
+  return micro(name, ms, static_cast<double>(bm.size()) * inner, "blocks");
+}
+
+// --- kernels outside the event loop ---------------------------------------
+
+/// The aggregator's slot reduction: one 4096-element slot folded into
+/// another by the kernel Aggregator selects per (op, arithmetic).
+Result bench_reduce_kernel(const char* name, omr::core::ReduceOp op,
+                           bool fixed_point, bool smoke, int repeats) {
+  const auto kernel = omr::core::kernels::select(op, fixed_point);
+  const auto src = normal_tensor(4096, 3);
+  auto dst = normal_tensor(4096, 4);
+  // The fixed-point kernel rounds every addend: far fewer calls per row.
+  const int inner = (fixed_point ? 500 : 20000) / (smoke ? 20 : 1);
+  const double ms = median_ms(repeats, inner, [&] {
+    kernel(dst.span().data(), src.span().data(), src.size(), 1048576.0);
+  });
+  if (!std::isfinite(dst[0])) std::fprintf(stderr, "non-finite slot\n");
+  return micro(name, ms, static_cast<double>(src.size()) * inner,
+               "elements");
+}
+
+Result bench_dense_to_coo(bool smoke, int repeats) {
+  const std::size_t n = smoke ? (1u << 16) : (1u << 20);
+  omr::sim::Rng rng(42);
+  const auto t = omr::tensor::make_block_sparse(n, 256, 0.95, rng);
+  const int inner = smoke ? 4 : 32;
+  std::size_t sink = 0;
+  const double ms = median_ms(repeats, inner, [&] {
+    sink += omr::tensor::dense_to_coo(t).nnz();
+  });
+  if (sink == 0) std::fprintf(stderr, "unexpected all-zero input\n");
+  return micro("dense_to_coo", ms, static_cast<double>(n) * inner,
+               "elements");
+}
+
+Result bench_block_top_k(bool smoke, int repeats) {
+  const std::size_t n = smoke ? (1u << 16) : (1u << 20);
+  const auto g = normal_tensor(n, 1);
+  const std::size_t k = omr::tensor::num_blocks(n, 256) / 100;
+  const int inner = smoke ? 2 : 16;
+  std::size_t sink = 0;
+  const double ms = median_ms(repeats, inner, [&] {
+    sink += omr::compress::block_top_k(g, 256, k).nnz();
+  });
+  if (sink == 0) std::fprintf(stderr, "top-k kept nothing\n");
+  return micro("block_top_k", ms, static_cast<double>(n) * inner,
+               "elements");
+}
+
+/// Trainer steps of error feedback around Block Top-k (10% of blocks).
+Result bench_error_feedback_step(bool smoke, int repeats) {
+  const std::size_t n = smoke ? (1u << 14) : (1u << 18);
+  const auto g = normal_tensor(n, 2);
+  const std::size_t k = omr::tensor::num_blocks(n, 256) / 10;
+  const omr::compress::Compressor top_k =
+      [k](const omr::tensor::DenseTensor& x) {
+        return omr::compress::block_top_k(x, 256, k);
+      };
+  omr::compress::ErrorFeedback ef(n);
+  const int inner = smoke ? 4 : 32;
+  std::size_t sink = 0;
+  const double ms = median_ms(repeats, inner, [&] {
+    sink += ef.step(g, top_k).nnz();
+  });
+  if (sink == 0) std::fprintf(stderr, "error feedback sent nothing\n");
+  return micro("error_feedback_step", ms, static_cast<double>(n) * inner,
+               "elements");
 }
 
 // --- sparse KV allreduce (Algorithm 3 accumulator) -------------------------
@@ -552,6 +614,24 @@ int main(int argc, char** argv) {
        [](bool s, int r) {
          return bench_bitmap_scan("bitmap_scan_stride16", 16, 0.99, s, r);
        }},
+      {"reduce_kernel_sum",
+       [](bool s, int r) {
+         return bench_reduce_kernel("reduce_kernel_sum",
+                                    omr::core::ReduceOp::kSum, false, s, r);
+       }},
+      {"reduce_kernel_fixed_point",
+       [](bool s, int r) {
+         return bench_reduce_kernel("reduce_kernel_fixed_point",
+                                    omr::core::ReduceOp::kSum, true, s, r);
+       }},
+      {"reduce_kernel_max",
+       [](bool s, int r) {
+         return bench_reduce_kernel("reduce_kernel_max",
+                                    omr::core::ReduceOp::kMax, false, s, r);
+       }},
+      {"dense_to_coo", bench_dense_to_coo},
+      {"block_top_k", bench_block_top_k},
+      {"error_feedback_step", bench_error_feedback_step},
       {"kv_allreduce", bench_kv_allreduce},
       {"e2e_rdma_s90",
        [](bool s, int r) {
