@@ -113,16 +113,6 @@ tensor::DenseTensor block_threshold(const tensor::DenseTensor& g,
   return apply_block_mask(g, block_size, chosen);
 }
 
-tensor::DenseTensor element_random_k(const tensor::DenseTensor& g,
-                                     std::size_t k, sim::Rng& rng) {
-  return block_random_k(g, 1, k, rng);
-}
-
-tensor::DenseTensor element_top_k(const tensor::DenseTensor& g,
-                                  std::size_t k) {
-  return block_top_k(g, 1, k);
-}
-
 tensor::DenseTensor ErrorFeedback::step(const tensor::DenseTensor& g,
                                         const Compressor& compressor) {
   if (g.size() != memory_.size()) {

@@ -40,11 +40,6 @@ tensor::DenseTensor block_top_k_ratio(const tensor::DenseTensor& g,
 tensor::DenseTensor block_threshold(const tensor::DenseTensor& g,
                                     std::size_t block_size, double threshold);
 
-/// Element-wise baselines (for comparison with the block variants).
-tensor::DenseTensor element_random_k(const tensor::DenseTensor& g,
-                                     std::size_t k, sim::Rng& rng);
-tensor::DenseTensor element_top_k(const tensor::DenseTensor& g, std::size_t k);
-
 /// A compressor as a reusable function object (for error feedback / the
 /// trainer): maps gradient -> sparsified gradient.
 using Compressor = std::function<tensor::DenseTensor(const tensor::DenseTensor&)>;

@@ -84,8 +84,8 @@ class CollectiveAlgorithm {
 /// returned references stay valid for the registry's lifetime.
 class CollectiveRegistry {
  public:
-  /// The process-wide registry (used by Session, the selector, benches
-  /// and the CLI).
+  /// The process-wide registry (used by run_collective, the selector,
+  /// benches and the CLI).
   static CollectiveRegistry& global();
 
   /// Throws std::invalid_argument if the name is already taken.

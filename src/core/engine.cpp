@@ -57,41 +57,4 @@ telemetry::RunReport run_allreduce_report(
   return ctx.report(label, stats, tensors.front().size());
 }
 
-telemetry::RunReport make_run_report(const std::string& label,
-                                     const RunStats& stats,
-                                     const ClusterSpec& cluster,
-                                     std::size_t n_workers,
-                                     std::size_t n_elements,
-                                     const telemetry::Tracer* tracer) {
-  telemetry::RunReport report;
-  static_cast<telemetry::CollectiveStats&>(report) = stats;
-  report.label = label;
-  report.n_workers = n_workers;
-  report.n_aggregators = cluster.deployment == Deployment::kColocated
-                             ? n_workers
-                             : cluster.n_aggregator_nodes;
-  report.tensor_elements = n_elements;
-  if (cluster.faults.enabled()) {
-    report.fault_layer = true;
-    report.verdict = verdict_name(stats.failure.verdict);
-    report.failed_peer = stats.failure.peer;
-    report.failed_peer_is_aggregator = stats.failure.peer_is_aggregator;
-    report.failure_at = stats.failure.at;
-    report.failure_detail = stats.failure.detail;
-  }
-  if (tracer != nullptr) {
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      report.traced_worker_payload_bytes +=
-          tracer->tx_payload_bytes(telemetry::worker_pid(w));
-    }
-    report.retransmit_payload_bytes = tracer->retransmit_payload_bytes();
-    report.wire_tx_bytes_total = tracer->tx_wire_bytes_total();
-    report.message_wire_bytes = tracer->message_wire_hist();
-    report.round_gap_ns = tracer->round_gap_hist();
-    report.streams = tracer->stream_timelines();
-    report.trace = tracer->snapshot_trace();
-  }
-  return report;
-}
-
 }  // namespace omr::core

@@ -53,14 +53,4 @@ telemetry::RunReport run_allreduce_report(
     const ClusterSpec& cluster, bool verify = true,
     const std::string& label = "allreduce");
 
-/// Assemble a RunReport from finished-run stats plus (optionally) a tracer's
-/// accumulated totals, histograms, timelines and trace. Used by
-/// RunContext::report and Session's registry path; `tracer` may be null.
-telemetry::RunReport make_run_report(const std::string& label,
-                                     const RunStats& stats,
-                                     const ClusterSpec& cluster,
-                                     std::size_t n_workers,
-                                     std::size_t n_elements,
-                                     const telemetry::Tracer* tracer);
-
 }  // namespace omr::core

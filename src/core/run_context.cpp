@@ -387,9 +387,33 @@ RunStats RunContext::run_collective(std::vector<tensor::DenseTensor>& tensors,
 telemetry::RunReport RunContext::report(const std::string& label,
                                         const RunStats& stats,
                                         std::size_t n_elements) const {
-  telemetry::RunReport report = make_run_report(
-      label, stats, cluster_, n_workers(), n_elements, tracer_.get());
+  telemetry::RunReport report;
+  static_cast<telemetry::CollectiveStats&>(report) = stats;
+  report.label = label;
+  report.n_workers = n_workers();
+  report.n_aggregators = agg_nics_.size();
+  report.tensor_elements = n_elements;
   report.sim_events_executed = simulator_.events_executed();
+  if (cluster_.faults.enabled()) {
+    report.fault_layer = true;
+    report.verdict = verdict_name(stats.failure.verdict);
+    report.failed_peer = stats.failure.peer;
+    report.failed_peer_is_aggregator = stats.failure.peer_is_aggregator;
+    report.failure_at = stats.failure.at;
+    report.failure_detail = stats.failure.detail;
+  }
+  if (tracer_ != nullptr) {
+    for (std::size_t w = 0; w < n_workers(); ++w) {
+      report.traced_worker_payload_bytes +=
+          tracer_->tx_payload_bytes(telemetry::worker_pid(w));
+    }
+    report.retransmit_payload_bytes = tracer_->retransmit_payload_bytes();
+    report.wire_tx_bytes_total = tracer_->tx_wire_bytes_total();
+    report.message_wire_bytes = tracer_->message_wire_hist();
+    report.round_gap_ns = tracer_->round_gap_hist();
+    report.streams = tracer_->stream_timelines();
+    report.trace = tracer_->snapshot_trace();
+  }
   return report;
 }
 

@@ -104,7 +104,7 @@ class RunContext {
   /// Tracer when `traced` and cluster.telemetry is enabled, a
   /// FaultController when cluster.faults is (the spec is validated), and
   /// the job's workers and aggregators wired once. Lossy fabrics and
-  /// recovering fault schedules switch config() to loss recovery.
+  /// recovering fault schedules switch the job's Config to loss recovery.
   RunContext(const Config& cfg, std::size_t n_workers,
              const ClusterSpec& cluster, bool traced);
 
@@ -128,10 +128,7 @@ class RunContext {
 
   sim::Simulator& simulator() { return simulator_; }
   net::Network& network() { return network_; }
-  const Config& config() const { return cfg_; }
-  const ClusterSpec& cluster() const { return cluster_; }
   std::size_t n_workers() const { return worker_nics_.size(); }
-  const telemetry::Tracer* tracer() const { return tracer_.get(); }
 
  private:
   Config cfg_;

@@ -143,14 +143,6 @@ SelectorDecision OnlineSelector::choose(std::size_t n_workers,
 }
 
 void OnlineSelector::observe(const std::string& algorithm,
-                             std::size_t elements, double density,
-                             double predicted_seconds,
-                             double observed_seconds) {
-  observe(algorithm, "", elements, density, predicted_seconds,
-          observed_seconds);
-}
-
-void OnlineSelector::observe(const std::string& algorithm,
                              const std::string& codec, std::size_t elements,
                              double density, double predicted_seconds,
                              double observed_seconds) {

@@ -72,13 +72,9 @@ class OnlineSelector {
                           const ClusterSpec& cluster) const;
 
   /// Feed back a measured completion time for a prior decision, updating
-  /// the bucket's correction ratio.
-  void observe(const std::string& algorithm, std::size_t elements,
-               double density, double predicted_seconds,
-               double observed_seconds);
-  /// Codec-lane form: ratios are learned per (algorithm, codec, bucket).
-  /// `codec` must match SelectorDecision::codec ("" when the codec
-  /// dimension is not in play).
+  /// the correction ratio of its (algorithm, codec, bucket) lane. `codec`
+  /// must match SelectorDecision::codec ("" when the codec dimension is
+  /// not in play).
   void observe(const std::string& algorithm, const std::string& codec,
                std::size_t elements, double density, double predicted_seconds,
                double observed_seconds);

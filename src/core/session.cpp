@@ -1,9 +1,7 @@
 #include "core/session.h"
 
 #include <stdexcept>
-#include <string>
 
-#include "core/algorithm.h"
 #include "core/run_context.h"
 
 namespace omr::core {
@@ -28,39 +26,13 @@ std::size_t Session::n_workers() const { return ctx_->n_workers(); }
 
 sim::Time Session::now() const { return ctx_->simulator().now(); }
 
-const ClusterSpec& Session::cluster() const { return ctx_->cluster(); }
-
-const telemetry::Tracer* Session::tracer() const { return ctx_->tracer(); }
-
-void Session::set_algorithm(const std::string& name) {
-  CollectiveAlgorithm& algo = CollectiveRegistry::global().at(name);
-  validate_capabilities(algo.capabilities(), ctx_->config(), ctx_->cluster(),
-                        name);
-  algorithm_ = name;
-}
-
 RunStats Session::allreduce(std::vector<tensor::DenseTensor>& tensors,
                             bool verify) {
-  if (algorithm_ == "omnireduce") {
-    return run_native(tensors, verify, "allreduce");
-  }
-  if (tensors.size() != n_workers()) {
-    throw std::invalid_argument("tensor count != worker count");
-  }
-  RunStats stats = core::run_collective(algorithm_, tensors, ctx_->config(),
-                                        ctx_->cluster(), verify);
-  if (verify && stats.completed() && !stats.verified) {
-    throw std::logic_error("session result mismatch");
-  }
-  ++collectives_run_;
-  last_report_ = make_run_report("allreduce", stats, ctx_->cluster(),
-                                 n_workers(), tensors.front().size(), nullptr);
-  last_report_.algorithm = algorithm_;
-  return stats;
+  return run(tensors, verify, "allreduce");
 }
 
-RunStats Session::run_native(std::vector<tensor::DenseTensor>& tensors,
-                             bool verify, const char* label) {
+RunStats Session::run(std::vector<tensor::DenseTensor>& tensors, bool verify,
+                      const char* label) {
   const RunStats stats =
       ctx_->run_collective(tensors, verify, label, collectives_run_);
   ++collectives_run_;
@@ -86,7 +58,7 @@ RunStats Session::allgather(std::vector<tensor::DenseTensor>& shards,
     inputs.push_back(std::move(t));
     offset += s.size();
   }
-  RunStats stats = run_native(inputs, verify, "allgather");
+  RunStats stats = run(inputs, verify, "allgather");
   out = inputs.front();
   return stats;
 }
@@ -99,7 +71,7 @@ RunStats Session::broadcast(const tensor::DenseTensor& root_data,
   std::vector<tensor::DenseTensor> inputs(
       n_workers(), tensor::DenseTensor(root_data.size()));
   inputs[root] = root_data;
-  RunStats stats = run_native(inputs, verify, "broadcast");
+  RunStats stats = run(inputs, verify, "broadcast");
   outputs = std::move(inputs);
   return stats;
 }

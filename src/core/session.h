@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/cluster.h"
@@ -57,40 +56,22 @@ class Session {
                      std::vector<tensor::DenseTensor>& outputs,
                      bool verify = true);
 
-  /// Route subsequent allreduce() calls through the named registry
-  /// algorithm instead of this session's native engine. The name must be
-  /// registered (throws std::invalid_argument otherwise) and its
-  /// capabilities must cover this session's (Config, ClusterSpec).
-  ///
-  /// "omnireduce" (the default) restores the native path: the persistent
-  /// simulated cluster, with virtual time continuous across calls. Any
-  /// other algorithm runs on a fresh fabric per call — CollectiveAlgorithm
-  /// implementations keep per-call state on the stack — so now() does not
-  /// advance and the per-call completion_time is the whole story.
-  /// allgather() and broadcast() always use the native engine.
-  void set_algorithm(const std::string& name);
-  const std::string& algorithm() const { return algorithm_; }
-
   std::size_t n_workers() const;
   /// Absolute virtual time consumed so far.
   sim::Time now() const;
   std::size_t collectives_run() const { return collectives_run_; }
 
-  const ClusterSpec& cluster() const;
   /// Telemetry report for the most recent collective run through this
   /// session. Stats and the label are per-call; tracer-derived totals,
   /// histograms and the trace are cumulative over the session's lifetime.
   /// Valid after the first collective.
   const telemetry::RunReport& last_report() const { return last_report_; }
-  /// The session-lifetime tracer, or nullptr when telemetry is disabled.
-  const telemetry::Tracer* tracer() const;
 
  private:
-  RunStats run_native(std::vector<tensor::DenseTensor>& tensors, bool verify,
-                      const char* label);
+  RunStats run(std::vector<tensor::DenseTensor>& tensors, bool verify,
+               const char* label);
 
   std::unique_ptr<RunContext> ctx_;
-  std::string algorithm_ = "omnireduce";
   std::size_t collectives_run_ = 0;
   telemetry::RunReport last_report_;
 };

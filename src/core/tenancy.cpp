@@ -406,9 +406,7 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
   const std::size_t n_aggs = spec.aggregator_machines.size();
   if (n_workers == 0) throw std::invalid_argument("job has no workers");
   if (n_aggs == 0) throw std::invalid_argument("job has no aggregators");
-  if (!(spec.weight > 0.0)) {
-    throw std::invalid_argument("job weight must be positive");
-  }
+  net::check_tenant_weight(spec.weight);
   for (std::size_t m : spec.worker_machines) {
     if (m >= spec_.n_machines) {
       throw std::invalid_argument("worker machine out of range");
@@ -561,9 +559,7 @@ int Fabric::add_custom_job(const CustomJobSpec& spec, FabricJob& job) {
   if (spec.name.empty()) {
     throw std::invalid_argument("custom job needs a name");
   }
-  if (!(spec.weight > 0.0)) {
-    throw std::invalid_argument("job weight must be positive");
-  }
+  net::check_tenant_weight(spec.weight);
   const int index = next_index_++;
   job.attach(network(), machine_nics_);
   CustomState state;
@@ -572,10 +568,6 @@ int Fabric::add_custom_job(const CustomJobSpec& spec, FabricJob& job) {
   state.job = &job;
   custom_.push_back(std::move(state));
   return index;
-}
-
-bool Fabric::admitted(int job) const {
-  return jobs_.at(static_cast<std::size_t>(job))->admitted;
 }
 
 std::vector<Fabric::Kick> Fabric::kickoff_order() {

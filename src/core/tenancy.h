@@ -68,7 +68,7 @@ struct JobSpec {
   Config config;
   std::vector<std::size_t> worker_machines;
   std::vector<std::size_t> aggregator_machines;
-  /// Weighted-fair share on contended fabric links (> 0).
+  /// Weighted-fair share on contended fabric links (finite, > 0).
   double weight = 1.0;
   /// Virtual time the job's first step begins.
   sim::Time start_at = 0;
@@ -162,9 +162,6 @@ class Fabric {
   /// shared with add_job, so link shares and kickoff order interleave
   /// deterministically with training jobs.
   int add_custom_job(const CustomJobSpec& spec, FabricJob& job);
-
-  /// Whether job `job` passed admission.
-  bool admitted(int job) const;
 
   /// Run every admitted job to completion. Call once; throws if a step's
   /// result fails verification.

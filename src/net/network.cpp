@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -48,14 +49,15 @@ EndpointId Network::attach(Endpoint* endpoint, NicId nic) {
   return static_cast<EndpointId>(endpoints_.size() - 1);
 }
 
+void check_tenant_weight(double weight) {
+  if (!std::isfinite(weight) || weight <= 0.0) {
+    throw std::invalid_argument("tenant weight must be finite and > 0");
+  }
+}
+
 void Network::set_tenants(std::vector<double> weights) {
-  for (double w : weights) {
-    if (w <= 0.0) throw std::invalid_argument("tenant weight must be > 0");
-  }
+  for (double w : weights) check_tenant_weight(w);
   tenant_weights_ = std::move(weights);
-  if (tenant_external_.size() < std::max<std::size_t>(1, n_tenants())) {
-    tenant_external_.resize(std::max<std::size_t>(1, n_tenants()));
-  }
 }
 
 void Network::set_endpoint_tenant(EndpointId ep, int tenant) {
@@ -78,41 +80,6 @@ const LinkStats& Network::tenant_link_stats(LinkId id, int tenant) const {
   const Link& link = topo_->link(id);
   const auto t = static_cast<std::size_t>(tenant);
   return t < link.tenant_stats.size() ? link.tenant_stats[t] : kZero;
-}
-
-void Network::add_tenant_traffic(int tenant, NicId nic, std::uint64_t tx_bytes,
-                                 std::uint64_t rx_bytes,
-                                 std::uint64_t tx_messages,
-                                 std::uint64_t rx_messages) {
-  if (nic < 0 || nic >= static_cast<NicId>(nics_.size())) {
-    throw std::out_of_range("unknown NIC");
-  }
-  if (tenant < 0 || static_cast<std::size_t>(tenant) >= n_tenants()) {
-    throw std::out_of_range("unknown tenant");
-  }
-  NicStats& s = nics_[nic].stats;
-  s.tx_bytes += tx_bytes;
-  s.rx_bytes += rx_bytes;
-  s.tx_messages += tx_messages;
-  s.rx_messages += rx_messages;
-  if (tenant_external_.size() <= static_cast<std::size_t>(tenant)) {
-    tenant_external_.resize(static_cast<std::size_t>(tenant) + 1);
-  }
-  NicStats& e = tenant_external_[static_cast<std::size_t>(tenant)];
-  e.tx_bytes += tx_bytes;
-  e.rx_bytes += rx_bytes;
-  e.tx_messages += tx_messages;
-  e.rx_messages += rx_messages;
-}
-
-const NicStats& Network::tenant_external(int tenant) const {
-  static const NicStats kZero{};
-  if (tenant < 0 || static_cast<std::size_t>(tenant) >= n_tenants()) {
-    throw std::out_of_range("unknown tenant");
-  }
-  return static_cast<std::size_t>(tenant) < tenant_external_.size()
-             ? tenant_external_[static_cast<std::size_t>(tenant)]
-             : kZero;
 }
 
 void Network::add_nic_flap(NicId nic, sim::Time from, sim::Time until) {

@@ -50,6 +50,10 @@ class Endpoint {
   virtual void on_message(EndpointId from, const MessagePtr& msg) = 0;
 };
 
+/// Throws std::invalid_argument unless `weight` is a usable weighted-fair
+/// share: finite and > 0. Every tenant weight passes through this one check.
+void check_tenant_weight(double weight);
+
 /// Simulated fabric: full-duplex NICs joined by a pluggable Topology.
 /// Transmission of a B-byte message occupies the sender TX for B/tx_bw,
 /// traverses the topology's path — a propagation delay plus zero or more
@@ -128,9 +132,9 @@ class Network {
   // ordering is preserved — one sender's messages share one tenant cursor.
   // With <= 1 tenant the legacy FIFO path runs byte-identically.
 
-  /// Register the tenant weight table (index = tenant id, weights > 0).
-  /// Call before traffic; one entry (or never calling) keeps the
-  /// single-tenant fast path.
+  /// Register the tenant weight table (index = tenant id, every weight
+  /// passing check_tenant_weight). Call before traffic; one entry (or
+  /// never calling) keeps the single-tenant fast path.
   void set_tenants(std::vector<double> weights);
   std::size_t n_tenants() const {
     return tenant_weights_.empty() ? 1 : tenant_weights_.size();
@@ -144,19 +148,6 @@ class Network {
   /// Per-tenant counters of one interior link (zeroes when the tenant
   /// never crossed it).
   const LinkStats& tenant_link_stats(LinkId id, int tenant) const;
-  /// Account traffic that bypassed the simulated fabric (e.g. an analytic
-  /// model charging bytes without scheduling messages) into a NIC's
-  /// counters, attributed to `tenant`. This is the only sanctioned way to
-  /// adjust NicStats from outside: fabric-owned counters (links, drops)
-  /// stay consistent because external traffic never traverses them.
-  void add_tenant_traffic(int tenant, NicId nic, std::uint64_t tx_bytes,
-                          std::uint64_t rx_bytes,
-                          std::uint64_t tx_messages = 0,
-                          std::uint64_t rx_messages = 0);
-  /// External-traffic ledger of one tenant (what add_tenant_traffic
-  /// accumulated), independent of the per-NIC totals.
-  const NicStats& tenant_external(int tenant) const;
-
   NicId nic_of(EndpointId ep) const { return endpoints_[ep].nic; }
   std::uint64_t total_dropped() const { return total_dropped_; }
 
@@ -215,11 +206,9 @@ class Network {
   std::vector<Nic> nics_;
   std::vector<Attached> endpoints_;
   /// Tenancy: empty weights = single-tenant fast path. tenant_of_ is
-  /// indexed by EndpointId (grown on attach, default tenant 0);
-  /// tenant_external_ ledgers add_tenant_traffic per tenant.
+  /// indexed by EndpointId (grown on attach, default tenant 0).
   std::vector<double> tenant_weights_;
   std::vector<int> tenant_of_;
-  std::vector<NicStats> tenant_external_;
 };
 
 }  // namespace omr::net

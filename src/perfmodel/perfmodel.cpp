@@ -57,14 +57,6 @@ double t_omnireduce_colocated(const ModelParams& p) {
   return t_engine(p, 2.0);
 }
 
-double speedup_vs_ring(const ModelParams& p) {
-  return t_ring(p) / t_omnireduce(p);
-}
-
-double speedup_vs_agsparse(const ModelParams& p) {
-  return t_agsparse(p) / t_omnireduce(p);
-}
-
 SlotRound slot_round(const SlotRoundParams& p) {
   const double n = static_cast<double>(p.n_workers);
   const double s = static_cast<double>(p.streams_on_node);

@@ -51,11 +51,6 @@ double t_omnireduce(const ModelParams& p);
 /// both roles, halving effective bandwidth: T = alpha + 2*D*S/B.
 double t_omnireduce_colocated(const ModelParams& p);
 
-/// Speedup factors from the paper's table (bandwidth-dominated regime):
-/// vs ring = 2(N-1)/(N*D); vs AGsparse = 2(N-1).
-double speedup_vs_ring(const ModelParams& p);
-double speedup_vs_agsparse(const ModelParams& p);
-
 /// One Algorithm 2 slot round on one aggregator node (§5), in the §3.4
 /// style: the bytes a round puts on each stage of the result path divided
 /// by that stage's bandwidth, summed over the stages, plus a round trip.

@@ -120,13 +120,7 @@ void RunReport::write_json(std::ostream& os, bool include_trace) const {
   os << ",\"run\":{\"n_workers\":" << n_workers
      << ",\"n_aggregators\":" << n_aggregators
      << ",\"tensor_elements\":" << tensor_elements
-     << ",\"sim_events_executed\":" << sim_events_executed;
-  if (!algorithm.empty()) {
-    os << ",\"algorithm\":\"";
-    write_escaped(os, algorithm);
-    os << "\"";
-  }
-  os << "}";
+     << ",\"sim_events_executed\":" << sim_events_executed << "}";
 
   os << ",\"workers\":{\"finish_ns\":";
   write_array(os, worker_finish);

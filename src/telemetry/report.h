@@ -82,10 +82,6 @@ struct RunReport : CollectiveStats {
   std::size_t n_workers = 0;
   std::size_t n_aggregators = 0;
   std::size_t tensor_elements = 0;
-  /// Registry name of the algorithm that produced this run ("omnireduce",
-  /// "oktopk", ...). Serialized only when non-empty, so reports from the
-  /// native engine paths stay byte-identical to earlier schema consumers.
-  std::string algorithm;
 
   // --- bytes-conservation totals (tracer rolling counters) ----------------
   /// Payload bytes observed leaving worker NICs in the trace; equals

@@ -17,10 +17,6 @@ void DenseTensor::axpy_inplace(float scale, const DenseTensor& other) {
   for (std::size_t i = 0; i < v_.size(); ++i) v_[i] += scale * other.v_[i];
 }
 
-void DenseTensor::scale_inplace(float scale) {
-  for (float& x : v_) x *= scale;
-}
-
 std::size_t DenseTensor::nnz() const {
   return static_cast<std::size_t>(
       std::count_if(v_.begin(), v_.end(), [](float x) { return x != 0.0f; }));

@@ -36,8 +36,6 @@ class DenseTensor {
   void add_inplace(const DenseTensor& other);
   /// this += scale * other.
   void axpy_inplace(float scale, const DenseTensor& other);
-  /// this *= scale.
-  void scale_inplace(float scale);
 
   /// Number of non-zero elements.
   std::size_t nnz() const;

@@ -38,6 +38,21 @@ void fill_block(DenseTensor& t, std::size_t block, std::size_t block_size,
   for (std::size_t i = lo; i < hi; ++i) t[i] = nonzero_value(rng);
 }
 
+void activate_row(DenseTensor& t, std::size_t row, std::size_t row_dim,
+                  std::size_t embedding_elements, sim::Rng& rng) {
+  const std::size_t lo = row * row_dim;
+  const std::size_t hi =
+      std::min({lo + row_dim, embedding_elements, t.size()});
+  for (std::size_t i = lo; i < hi; ++i) t[i] = nonzero_value(rng);
+}
+
+void fill_dense_tail(DenseTensor& t, std::size_t embedding_elements,
+                     double density, sim::Rng& rng) {
+  for (std::size_t i = embedding_elements; i < t.size(); ++i) {
+    if (rng.next_bool(density)) t[i] = nonzero_value(rng);
+  }
+}
+
 }  // namespace
 
 DenseTensor make_block_sparse(std::size_t n, std::size_t block_size,
@@ -104,56 +119,6 @@ std::vector<DenseTensor> make_multi_worker(std::size_t n_workers,
     }
   }
   return out;
-}
-
-DenseTensor make_element_sparse(std::size_t n, double element_sparsity,
-                                sim::Rng& rng) {
-  DenseTensor t(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!rng.next_bool(element_sparsity)) t[i] = nonzero_value(rng);
-  }
-  return t;
-}
-
-namespace {
-
-void activate_row(DenseTensor& t, std::size_t row, std::size_t row_dim,
-                  std::size_t embedding_elements, sim::Rng& rng) {
-  const std::size_t lo = row * row_dim;
-  const std::size_t hi =
-      std::min({lo + row_dim, embedding_elements, t.size()});
-  for (std::size_t i = lo; i < hi; ++i) t[i] = nonzero_value(rng);
-}
-
-void fill_dense_tail(DenseTensor& t, std::size_t embedding_elements,
-                     double density, sim::Rng& rng) {
-  for (std::size_t i = embedding_elements; i < t.size(); ++i) {
-    if (rng.next_bool(density)) t[i] = nonzero_value(rng);
-  }
-}
-
-}  // namespace
-
-DenseTensor make_embedding_gradient(std::size_t n,
-                                    std::size_t embedding_elements,
-                                    std::size_t row_dim,
-                                    std::size_t active_rows,
-                                    double dense_tail_density,
-                                    sim::Rng& rng) {
-  if (row_dim == 0) throw std::invalid_argument("row_dim must be > 0");
-  if (embedding_elements > n) {
-    throw std::invalid_argument("embedding larger than tensor");
-  }
-  DenseTensor t(n);
-  const std::size_t total_rows = embedding_elements / row_dim;
-  const std::size_t k = std::min(active_rows, total_rows);
-  if (total_rows > 0) {
-    for (std::size_t row : sample_distinct(k, total_rows, rng)) {
-      activate_row(t, row, row_dim, embedding_elements, rng);
-    }
-  }
-  fill_dense_tail(t, embedding_elements, dense_tail_density, rng);
-  return t;
 }
 
 std::vector<DenseTensor> make_multi_worker_embedding(

@@ -33,29 +33,16 @@ std::vector<DenseTensor> make_multi_worker(std::size_t n_workers,
                                            double block_sparsity,
                                            OverlapMode mode, sim::Rng& rng);
 
-/// Generate a tensor with element-level i.i.d. sparsity (zeros scattered
-/// uniformly), as produced by convolutional models (VGG/ResNet rows of
-/// Fig. 16) — block sparsity collapses to ~0 at realistic block sizes.
-DenseTensor make_element_sparse(std::size_t n, double element_sparsity,
-                                sim::Rng& rng);
-
-/// Generate an embedding-style gradient: `active_rows` runs of `row_dim`
-/// contiguous non-zero elements placed at random row-aligned offsets inside
-/// the first `embedding_elements` elements; the remaining tail (the dense
-/// part of the model) is filled with `dense_tail_density` i.i.d. non-zeros.
-/// This reproduces the clustered structure that keeps block sparsity high
-/// at packet-sized blocks (Fig. 16).
-DenseTensor make_embedding_gradient(std::size_t n,
-                                    std::size_t embedding_elements,
-                                    std::size_t row_dim,
-                                    std::size_t active_rows,
-                                    double dense_tail_density, sim::Rng& rng);
-
 /// Multi-worker embedding gradients with a "hot set": each worker activates
-/// `active_rows` rows; a fraction `hot_fraction` of each worker's rows is
-/// drawn from a small shared hot set of `hot_rows` rows (all-worker
-/// overlap), the rest drawn uniformly (mostly worker-private). This yields
-/// the skewed overlap distributions of Table 2.
+/// `active_rows` rows, runs of `row_dim` contiguous non-zero elements at
+/// row-aligned offsets inside the first `embedding_elements` elements; the
+/// remaining tail (the dense part of the model) is filled with
+/// `dense_tail_density` i.i.d. non-zeros. This clustering keeps block
+/// sparsity high at packet-sized blocks (Fig. 16). A fraction
+/// `hot_fraction` of each worker's rows is drawn from a small shared hot
+/// set of `hot_rows` rows (all-worker overlap), the rest drawn uniformly
+/// (mostly worker-private). This yields the skewed overlap distributions
+/// of Table 2.
 std::vector<DenseTensor> make_multi_worker_embedding(
     std::size_t n_workers, std::size_t n, std::size_t embedding_elements,
     std::size_t row_dim, std::size_t active_rows, std::size_t hot_rows,

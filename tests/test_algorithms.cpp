@@ -333,7 +333,7 @@ TEST(Selector, TelemetryFeedbackOverridesTheModel) {
   ASSERT_EQ(first.algorithm, "ring");
   // The fabric reports ring running 10x slower than predicted; the
   // corrected score must now favor the engine.
-  selector.observe("ring", 1 << 20, 1.0, first.predicted_seconds,
+  selector.observe("ring", "", 1 << 20, 1.0, first.predicted_seconds,
                    first.predicted_seconds * 10.0);
   const auto second = selector.choose(8, 1 << 20, 1.0, {}, colocated);
   EXPECT_EQ(second.algorithm, "omnireduce");

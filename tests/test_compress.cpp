@@ -90,11 +90,12 @@ TEST(BlockThreshold, SelectsByBlockNorm) {
 }
 
 TEST(ElementWise, TopKAndRandomK) {
+  // Element-wise selection is the block form with one-element blocks.
   DenseTensor g(std::vector<float>{0.1f, -5.0f, 3.0f, 0.2f});
-  DenseTensor top = element_top_k(g, 2);
+  DenseTensor top = block_top_k(g, 1, 2);
   EXPECT_EQ(top, DenseTensor(std::vector<float>{0, -5.0f, 3.0f, 0}));
   sim::Rng rng(5);
-  DenseTensor rnd = element_random_k(g, 2, rng);
+  DenseTensor rnd = block_random_k(g, 1, 2, rng);
   EXPECT_EQ(rnd.nnz(), 2u);
 }
 

@@ -208,6 +208,11 @@ TEST(Network, InvalidConfigThrows) {
   EXPECT_THROW(f.net.attach(nullptr, 0), std::invalid_argument);
   Recorder r;
   EXPECT_THROW(f.net.attach(&r, 99), std::out_of_range);
+  // A tenant weight must be finite and > 0.
+  for (double w : {0.0, std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(f.net.set_tenants({1.0, w}), std::invalid_argument) << w;
+  }
 }
 
 TEST(Network, NaNBandwidthIsRejected) {
@@ -261,30 +266,10 @@ TEST(Network, TraceRecordsDeliveriesAndDrops) {
   EXPECT_NEAR(static_cast<double>(f.net.total_dropped()) / n, 0.5, 0.05);
 }
 
-TEST(Network, AddTenantTrafficAccumulates) {
-  Fixture f;
-  auto [a, ra] = f.make_node();
-  (void)ra;
-  const NicId nic = f.net.nic_of(a);
-  f.net.add_tenant_traffic(0, nic, 1000, 500, 3, 2);
-  f.net.add_tenant_traffic(0, nic, 10, 20);
-  const NicStats& s = f.net.nic_stats(nic);
-  EXPECT_EQ(s.tx_bytes, 1010u);
-  EXPECT_EQ(s.rx_bytes, 520u);
-  EXPECT_EQ(s.tx_messages, 3u);
-  EXPECT_EQ(s.rx_messages, 2u);
-  // The per-tenant external ledger tracks independently of NIC totals.
-  const NicStats& ext = f.net.tenant_external(0);
-  EXPECT_EQ(ext.tx_bytes, 1010u);
-  EXPECT_EQ(ext.rx_bytes, 520u);
-  EXPECT_THROW(f.net.add_tenant_traffic(0, 99, 1, 1), std::out_of_range);
-  EXPECT_THROW(f.net.add_tenant_traffic(7, nic, 1, 1), std::out_of_range);
-}
-
-// Removal pin for the deprecated un-attributed external-traffic shim:
-// external traffic must be attributed to a tenant via add_tenant_traffic.
-// The detection idiom makes any reintroduction of the legacy signature a
-// compile-visible failure here.
+// Removal pin for the external-traffic hook: NIC counters change only
+// through simulated sends, so bytes and messages stay conserved across
+// NICs, links and drops. The detection idiom makes any reintroduction of
+// the hook's signature a compile-visible failure here.
 template <typename T, typename = void>
 struct has_legacy_external_traffic : std::false_type {};
 template <typename T>
@@ -294,9 +279,9 @@ struct has_legacy_external_traffic<
     : std::true_type {};
 
 static_assert(!has_legacy_external_traffic<Network>::value,
-              "Network::add_external_traffic was removed in favor of "
-              "add_tenant_traffic(tenant, ...); do not reintroduce the "
-              "un-attributed legacy hook");
+              "Network::add_external_traffic was removed: NIC counters "
+              "change only through simulated sends; do not reintroduce an "
+              "external-traffic hook");
 
 TEST(Network, LegacyExternalTrafficHookStaysRemoved) {
   EXPECT_FALSE(has_legacy_external_traffic<Network>::value);

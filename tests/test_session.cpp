@@ -222,58 +222,6 @@ TEST(Session, BroadcastMemberDeliversToAll) {
   EXPECT_THROW(session.broadcast(root, 4, outputs), std::invalid_argument);
 }
 
-TEST(Session, SetAlgorithmRoutesThroughRegistry) {
-  Session session(cfg16(), 4, spec2agg());
-  session.set_algorithm("omnireduce_kv");
-  EXPECT_EQ(session.algorithm(), "omnireduce_kv");
-  sim::Rng rng(21);
-  auto ts = tensor::make_multi_worker(4, 16 * 64, 16, 0.9,
-                                      tensor::OverlapMode::kRandom, rng);
-  RunStats st = session.allreduce(ts);
-  EXPECT_TRUE(st.verified);
-  EXPECT_GT(st.completion_time, 0);
-  // Registry dispatch runs on a fresh fabric: the session's own virtual
-  // time does not advance, but the collective still counts and reports.
-  EXPECT_EQ(session.now(), 0);
-  EXPECT_EQ(session.collectives_run(), 1u);
-  EXPECT_EQ(session.last_report().algorithm, "omnireduce_kv");
-}
-
-TEST(Session, SetAlgorithmUnknownNameThrows) {
-  Session session(cfg16(), 2, spec2agg());
-  EXPECT_THROW(session.set_algorithm("no_such_algorithm"),
-               std::invalid_argument);
-  EXPECT_EQ(session.algorithm(), "omnireduce");
-}
-
-TEST(Session, SetAlgorithmValidatesCapabilities) {
-  // Sparse KV simulates lossless fabrics only; the switch is rejected up
-  // front rather than at the next allreduce.
-  ClusterSpec lossy = ClusterSpec::dedicated(2);
-  lossy.fabric = fab(0.01);
-  Session session(cfg16(), 2, lossy);
-  EXPECT_THROW(session.set_algorithm("omnireduce_kv"), std::invalid_argument);
-  EXPECT_EQ(session.algorithm(), "omnireduce");
-}
-
-TEST(Session, SetAlgorithmRestoresNativePath) {
-  Session session(cfg16(), 3, spec2agg());
-  sim::Rng rng(22);
-  auto ts = tensor::make_multi_worker(3, 16 * 64, 16, 0.5,
-                                      tensor::OverlapMode::kRandom, rng);
-  session.set_algorithm("switchml");
-  EXPECT_TRUE(session.allreduce(ts).verified);
-  EXPECT_EQ(session.now(), 0);
-  session.set_algorithm("omnireduce");
-  auto ts2 = tensor::make_multi_worker(3, 16 * 64, 16, 0.5,
-                                       tensor::OverlapMode::kRandom, rng);
-  EXPECT_TRUE(session.allreduce(ts2).verified);
-  EXPECT_GT(session.now(), 0);
-  // The native path leaves the report's algorithm field empty so existing
-  // report JSON stays byte-identical.
-  EXPECT_TRUE(session.last_report().algorithm.empty());
-}
-
 TEST(Session, BroadcastMemberMatchesFreeFunction) {
   DenseTensor root(16 * 16);
   for (std::size_t i = 0; i < root.size(); ++i) {
@@ -612,6 +560,7 @@ TEST(CollectivePlan, WorkersAndAggregatorsAgreeOnOneOwnerPerStream) {
 
     ClusterSpec cluster = ClusterSpec::dedicated(sh.aggs, fab());
     cluster.telemetry.enabled = true;
+    cluster.telemetry.trace_events = true;
     Session session(cfg, 3, cluster);
     sim::Rng rng(5);
     auto tensors = tensor::make_multi_worker(
@@ -619,7 +568,7 @@ TEST(CollectivePlan, WorkersAndAggregatorsAgreeOnOneOwnerPerStream) {
     ASSERT_TRUE(session.allreduce(tensors).verified);
     std::vector<std::vector<std::uint32_t>> opened(sh.aggs);
     std::size_t aggregated = 0;
-    for (const telemetry::Event& e : session.tracer()->trace().events) {
+    for (const telemetry::Event& e : session.last_report().trace.events) {
       if (!telemetry::is_aggregator_pid(e.pid)) continue;
       const auto a =
           static_cast<std::size_t>(e.pid - telemetry::aggregator_pid(0));

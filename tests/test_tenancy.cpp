@@ -210,8 +210,10 @@ TEST(Tenancy, SlotPoolRejectsOversubscribedJob) {
 
   const int ja = fabric.add_job(a, ta);
   const int jb = fabric.add_job(b, tb);
-  EXPECT_TRUE(fabric.admitted(ja));
-  EXPECT_FALSE(fabric.admitted(jb));
+  // Admission is decided when the job is added, before anything runs.
+  const telemetry::FabricReport added = fabric.report();
+  EXPECT_TRUE(added.jobs[static_cast<std::size_t>(ja)].admitted);
+  EXPECT_FALSE(added.jobs[static_cast<std::size_t>(jb)].admitted);
 
   fabric.run();  // only the admitted job runs; the rejected one is inert
 
@@ -383,8 +385,13 @@ TEST(Tenancy, MalformedJobSpecsThrow) {
   EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument);
 
   bad.worker_machines = {0, 1};
-  bad.weight = 0.0;
-  EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument);
+  // A weight must be a finite positive share: +inf or NaN would reach the
+  // weighted-fair link schedule.
+  for (double w : {0.0, std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    bad.weight = w;
+    EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument) << w;
+  }
 
   bad.weight = 1.0;
   bad.membership.push_back({/*before_step=*/0, 0, /*join=*/false});

@@ -606,32 +606,6 @@ TEST(Generators, OverlapNoneThrowsWhenInfeasible) {
       std::invalid_argument);
 }
 
-TEST(Generators, ElementSparseApproximatesTarget) {
-  sim::Rng rng(6);
-  DenseTensor t = make_element_sparse(100000, 0.3, rng);
-  EXPECT_NEAR(t.sparsity(), 0.3, 0.01);
-  // i.i.d. zeros at 30%: every 256-block is almost surely non-zero.
-  EXPECT_DOUBLE_EQ(block_sparsity(t, 256), 0.0);
-}
-
-TEST(Generators, EmbeddingGradientIsRowClustered) {
-  sim::Rng rng(7);
-  const std::size_t n = 1 << 20;
-  DenseTensor t = make_embedding_gradient(n, n, 1024, 50, 0.0, rng);
-  // 50 rows of 1024 non-zeros.
-  EXPECT_EQ(t.nnz(), 50u * 1024u);
-  // Those rows are aligned: they cover exactly 50 * 4 blocks of 256.
-  BlockBitmap bm(t.span(), 256);
-  EXPECT_EQ(bm.nonzero_count(), 200u);
-}
-
-TEST(Generators, EmbeddingGradientDenseTail) {
-  sim::Rng rng(8);
-  const std::size_t n = 100000;
-  DenseTensor t = make_embedding_gradient(n, 0, 64, 0, 1.0, rng);
-  EXPECT_EQ(t.nnz(), n);  // dense tail fully dense
-}
-
 TEST(Generators, MultiWorkerEmbeddingHotRowsOverlap) {
   sim::Rng rng(9);
   const std::size_t n = 1 << 18;
@@ -640,8 +614,20 @@ TEST(Generators, MultiWorkerEmbeddingHotRowsOverlap) {
   // worker activates only hot rows (at most 8 distinct), so every non-zero
   // block is shared by all workers.
   std::set<std::vector<std::uint8_t>> distinct;
-  for (const auto& t : ts) distinct.insert(BlockBitmap(t.span(), 256).bits());
+  for (const auto& t : ts) {
+    const BlockBitmap bm(t.span(), 256);
+    distinct.insert(bm.bits());
+    // Rows are row-aligned runs: every non-zero 256-block is a full row.
+    EXPECT_EQ(t.nnz(), 256u * bm.nonzero_count());
+  }
   EXPECT_EQ(distinct.size(), 1u);
+
+  // No embedding rows and a tail density of 1: every element is non-zero.
+  const std::size_t m = 100000;
+  for (const auto& t : make_multi_worker_embedding(2, m, 0, 64, 0, 0, 0.0,
+                                                   1.0, rng)) {
+    EXPECT_EQ(t.nnz(), m);
+  }
 }
 
 }  // namespace

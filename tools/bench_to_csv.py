@@ -30,7 +30,6 @@ REPORT_COLUMNS = [
     "n_workers",
     "n_aggregators",
     "tensor_elements",
-    "algorithm",
     "total_messages",
     "retransmissions",
     "dropped_messages",
