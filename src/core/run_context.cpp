@@ -163,12 +163,6 @@ std::unique_ptr<net::Topology> cluster_topology(const Config& cfg,
 
 }  // namespace
 
-RunContext::RunContext(const TopologySpec& topology, sim::Time one_way_latency,
-                       std::vector<int> rack_of_nic, std::uint64_t seed)
-    : network_(simulator_,
-               make_topology(topology, one_way_latency, std::move(rack_of_nic)),
-               seed) {}
-
 RunContext::RunContext(const Config& cfg, std::size_t n_workers,
                        const ClusterSpec& cluster, bool traced)
     : cfg_(cfg),

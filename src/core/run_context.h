@@ -86,19 +86,15 @@ CollectivePlan plan_collective(
     const std::vector<tensor::DenseTensor>* verify_inputs = nullptr,
     const std::vector<std::uint8_t>& active = {});
 
-/// The simulated run context every engine run path shares: it owns the
-/// sim::Simulator, the net::Network over one topology, the NICs, and the
-/// optional Tracer and FaultController. One-shot runs (run_allreduce,
-/// run_allreduce_report) build a fresh context per call, a Session keeps
-/// one for its lifetime, and the multi-tenant Fabric builds the bare
-/// substrate and wires its jobs onto it.
+/// The simulated run context of one job's collectives: it owns the
+/// sim::Simulator, the net::Network over one topology, the NICs, the
+/// optional Tracer and FaultController, and the job's wired workers and
+/// aggregators. One-shot runs (run_allreduce, run_allreduce_report) build
+/// a fresh context per call and a Session keeps one for its lifetime. The
+/// multi-tenant Fabric builds its own simulator and network the same way
+/// and shares plan_collective and ReferenceCheck with it.
 class RunContext {
  public:
-  /// Bare substrate: a simulator and a network over make_topology(topology,
-  /// one_way_latency, rack_of_nic); the caller adds NICs and endpoints.
-  RunContext(const TopologySpec& topology, sim::Time one_way_latency,
-             std::vector<int> rack_of_nic, std::uint64_t seed);
-
   /// One job's cluster: the substrate `cluster` describes with its fabric
   /// loss, n_workers worker NICs then the dedicated aggregator NICs, a
   /// Tracer when `traced` and cluster.telemetry is enabled, a

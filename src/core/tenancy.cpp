@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/aggregator.h"
+#include "core/fabric.h"
 #include "core/messages.h"
 #include "core/run_context.h"
 #include "core/stream_layout.h"
@@ -16,7 +17,7 @@ namespace omr::core {
 namespace {
 
 /// Job control-plane message. Control traffic rides the simulated fabric
-/// itself (64-byte frames between the JobController and its agents), so
+/// itself (64-byte frames between a training job's controller and its agents), so
 /// every cross-machine effect of step sequencing flows through
 /// Network::send and pays wire time like data traffic.
 struct JobCtl final : net::Message {
@@ -36,76 +37,98 @@ struct JobCtl final : net::Message {
   // snapshots them the moment the worker finishes).
   sim::Time finish = 0;
   std::uint64_t data_bytes = 0;
-  std::uint64_t acks = 0;
   std::uint64_t retransmissions = 0;
 
   std::size_t wire_bytes() const override { return 64; }
 };
 
-std::vector<int> resolve_machine_racks(const TenantFabricSpec& spec) {
-  if (!spec.topology.two_tier()) return {};
-  std::vector<int> racks(spec.n_machines, 0);
-  if (!spec.machine_racks.empty()) {
-    if (spec.machine_racks.size() != spec.n_machines) {
-      throw std::invalid_argument("machine_racks size != machine count");
-    }
-    racks = spec.machine_racks;
-    for (int r : racks) {
-      if (r < 0 || static_cast<std::size_t>(r) >= spec.topology.n_racks) {
-        throw std::invalid_argument("machine rack out of range");
-      }
-    }
-    return racks;
+/// The fabric's topology: one NIC per machine, each machine in the rack
+/// machine_racks gives it (a contiguous fill when empty), by the rule that
+/// places worker NICs.
+std::unique_ptr<net::Topology> fabric_topology(const TenantFabricSpec& spec) {
+  if (spec.n_machines == 0) {
+    throw std::invalid_argument("fabric needs at least one machine");
   }
-  for (std::size_t i = 0; i < spec.n_machines; ++i) {
-    racks[i] = static_cast<int>(i * spec.topology.n_racks / spec.n_machines);
+  if (spec.topology.spine_lossy()) {
+    // Fabric-level loss draws one shared RNG stream, which the multi-job
+    // determinism guarantees cannot preserve.
+    throw std::invalid_argument(
+        "multi-tenant fabric does not support a lossy spine");
   }
-  return racks;
+  if (!spec.topology.two_tier()) {
+    return make_topology(spec.topology, spec.one_way_latency, {});
+  }
+  if (!spec.machine_racks.empty() &&
+      spec.machine_racks.size() != spec.n_machines) {
+    throw std::invalid_argument("machine_racks size != machine count");
+  }
+  TopologySpec topo = spec.topology;
+  topo.worker_racks = spec.machine_racks;
+  return make_topology(topo, spec.one_way_latency,
+                       resolve_nic_racks(topo, spec.n_machines, 0));
 }
 
-}  // namespace
+/// A training tenant: one collective per step over the step's active
+/// workers, sequenced by a controller plus one agent per worker and per
+/// aggregator, all real endpoints on the job's machines.
+class TrainingJob final : public FabricJob {
+ public:
+  /// Validate `spec` against the fabric's machine count and `tensors`, and
+  /// plan every step's membership and the job's switch-slot demand.
+  /// Throws std::invalid_argument on a malformed spec; attaches nothing.
+  TrainingJob(JobSpec spec, Fabric::StepTensors& tensors,
+              std::size_t n_machines, const device::DeviceModel& device);
+  ~TrainingJob() override;
 
-// ---------------------------------------------------------------------------
-// Per-job state
+  const JobSpec& spec() const { return spec_; }
+  /// Switch slots the job needs: its peak stream count over all steps.
+  std::size_t slot_demand() const { return slot_demand_; }
 
-struct Fabric::JobState {
-  /// One step's collective plan plus its membership, precomputed at
-  /// add_job so the in-run control plane only reads immutable plans.
+  void attach(net::Network& net,
+              const std::vector<net::NicId>& machine_nics) override;
+  std::vector<net::EndpointId> endpoints() const override;
+  void kickoff() override;
+  bool done() const override { return done_; }
+  void finalize() override;
+  void fill_report(telemetry::FabricJobSummary& row,
+                   telemetry::FabricReport& out) const override;
+
+ private:
+  /// One step's collective plan plus its membership. The membership is
+  /// planned at construction and the collective at attach, so the in-run
+  /// control plane only reads immutable plans.
   struct StepPlan : CollectivePlan {
     std::vector<std::uint8_t> active;  // per job worker
     std::size_t active_count = 0;
     std::vector<std::size_t> joiners;  // workers joining before this step
+    std::size_t elements = 0;          // per active worker's tensor
   };
+  class WorkerAgent;
+  class AggAgent;
+  class Controller;
 
-  JobSpec spec;
-  int index = 0;
-  bool admitted = true;
-  std::string rejection;
-  StepTensors* tensors = nullptr;
-  const device::DeviceModel* device = nullptr;
-  net::Network* net = nullptr;
-  std::size_t controller_machine = 0;
+  JobSpec spec_;
+  Fabric::StepTensors& tensors_;
+  const device::DeviceModel& device_;
+  std::vector<StepPlan> steps_;
+  std::size_t slot_demand_ = 0;
 
-  std::vector<StepPlan> steps;
-
-  ProtocolWiring wiring;
-  std::vector<std::unique_ptr<WorkerAgent>> worker_agents;
-  std::vector<std::unique_ptr<AggAgent>> agg_agents;
-  std::unique_ptr<JobController> controller;
-  net::EndpointId controller_ep = -1;
+  net::Network* net_ = nullptr;
+  ProtocolWiring wiring_;
+  std::vector<std::unique_ptr<WorkerAgent>> worker_agents_;
+  std::vector<std::unique_ptr<AggAgent>> agg_agents_;
+  std::unique_ptr<Controller> controller_;
 
   // Outcome, accumulated by the controller as steps complete.
-  bool done = false;
-  sim::Time finish = 0;
-  std::vector<sim::Time> step_completion;
-  std::uint64_t data_bytes = 0;
-  std::uint64_t acks = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t duplicate_resends = 0;
-  std::uint64_t resyncs = 0;
-  std::uint64_t stale_drops = 0;
-  bool verified = false;
+  bool done_ = false;
+  sim::Time finish_ = 0;
+  std::vector<sim::Time> step_completion_;
+  std::uint64_t data_bytes_ = 0;
+  std::uint64_t retransmissions_ = 0;
+  std::uint64_t rounds_ = 0;
+  std::uint64_t resyncs_ = 0;
+  std::uint64_t stale_drops_ = 0;
+  bool verified_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -115,9 +138,9 @@ struct Fabric::JobState {
 /// Worker, and reports kDone the moment the worker's on_done hook fires.
 /// Lives on the same NIC as its worker, so its direct Worker calls stay
 /// on one machine.
-class Fabric::WorkerAgent final : public net::Endpoint {
+class TrainingJob::WorkerAgent final : public net::Endpoint {
  public:
-  WorkerAgent(JobState& job, std::size_t w) : job_(job), w_(w) {}
+  WorkerAgent(TrainingJob& job, std::size_t w) : job_(job), w_(w) {}
 
   void on_message(net::EndpointId from, const net::MessagePtr& msg) override;
   /// Worker::set_on_done hook: snapshot the step's counters and report.
@@ -129,7 +152,7 @@ class Fabric::WorkerAgent final : public net::Endpoint {
   void begin_join(std::uint32_t step);
   void send_ready();
 
-  JobState& job_;
+  TrainingJob& job_;
   std::size_t w_;
   std::uint32_t step_ = 0;
   std::size_t resyncs_pending_ = 0;
@@ -139,9 +162,9 @@ class Fabric::WorkerAgent final : public net::Endpoint {
 /// ack (rather than the controller calling into the aggregator directly)
 /// both keeps all cross-machine effects on the simulated wire and
 /// guarantees no worker data can race the slot registration.
-class Fabric::AggAgent final : public net::Endpoint {
+class TrainingJob::AggAgent final : public net::Endpoint {
  public:
-  AggAgent(JobState& job, std::size_t a) : job_(job), a_(a) {}
+  AggAgent(TrainingJob& job, std::size_t a) : job_(job), a_(a) {}
 
   void on_message(net::EndpointId from, const net::MessagePtr& msg) override;
 
@@ -149,19 +172,18 @@ class Fabric::AggAgent final : public net::Endpoint {
   // Per-collective aggregator counters of completed steps, banked at each
   // kSetup before begin_collective() resets them.
   std::uint64_t rounds = 0;
-  std::uint64_t duplicate_resends = 0;
   std::uint64_t resyncs = 0;
 
  private:
-  JobState& job_;
+  TrainingJob& job_;
   std::size_t a_;
 };
 
 /// Per-job sequencer: joins -> setup -> start for every step, then the
 /// next step once all active workers reported done.
-class Fabric::JobController final : public net::Endpoint {
+class TrainingJob::Controller final : public net::Endpoint {
  public:
-  explicit JobController(JobState& job) : job_(job) {}
+  explicit Controller(TrainingJob& job) : job_(job) {}
 
   void kickoff() { begin_step(0); }
   void on_message(net::EndpointId from, const net::MessagePtr& msg) override;
@@ -173,7 +195,7 @@ class Fabric::JobController final : public net::Endpoint {
   void send_setup();
   void start_workers();
 
-  JobState& job_;
+  TrainingJob& job_;
   std::size_t step_ = 0;
   std::size_t joins_pending_ = 0;
   std::size_t acks_pending_ = 0;
@@ -183,8 +205,8 @@ class Fabric::JobController final : public net::Endpoint {
 
 // --- WorkerAgent -----------------------------------------------------------
 
-void Fabric::WorkerAgent::on_message(net::EndpointId /*from*/,
-                                     const net::MessagePtr& msg) {
+void TrainingJob::WorkerAgent::on_message(net::EndpointId /*from*/,
+                                          const net::MessagePtr& msg) {
   if (net::message_cast<ResyncResponse>(msg.get()) != nullptr) {
     // One stream's worth of join catch-up state arrived (the bytes were
     // charged on the wire; the payload itself is superseded by the fresh
@@ -202,10 +224,10 @@ void Fabric::WorkerAgent::on_message(net::EndpointId /*from*/,
   switch (ctl->kind) {
     case JobCtl::kStart: {
       step_ = ctl->step;
-      const JobState::StepPlan& plan = job_.steps[step_];
-      Worker& worker = *job_.wiring.workers[w_];
+      const StepPlan& plan = job_.steps_[step_];
+      Worker& worker = *job_.wiring_.workers[w_];
       worker.set_epoch(static_cast<std::uint8_t>(step_ & 0xff));
-      worker.start((*job_.tensors)[step_][w_], plan, *job_.device);
+      worker.start(job_.tensors_[step_][w_], plan, job_.device_);
       return;
     }
     case JobCtl::kJoin:
@@ -217,21 +239,21 @@ void Fabric::WorkerAgent::on_message(net::EndpointId /*from*/,
   }
 }
 
-void Fabric::WorkerAgent::send_ready() {
+void TrainingJob::WorkerAgent::send_ready() {
   auto ready = std::make_shared<JobCtl>();
   ready->kind = JobCtl::kJoinReady;
   ready->step = step_;
   ready->slot = static_cast<std::uint32_t>(w_);
-  job_.net->send(ep, job_.controller->ep, std::move(ready));
+  job_.net_->send(ep, job_.controller_->ep, std::move(ready));
 }
 
-void Fabric::WorkerAgent::begin_join(std::uint32_t step) {
+void TrainingJob::WorkerAgent::begin_join(std::uint32_t step) {
   // Catch up on the state the job built while we were absent: fetch every
   // stream's last emitted result of the previous step from its owning
   // aggregator — the same ResyncRequest handshake a crash-restarted worker
   // uses, here modeling the state transfer a late joiner needs before it
   // can contribute.
-  const JobState::StepPlan& prev = job_.steps[step - 1];
+  const StepPlan& prev = job_.steps_[step - 1];
   resyncs_pending_ = prev.layout.streams.size();
   if (resyncs_pending_ == 0) {
     send_ready();
@@ -241,39 +263,37 @@ void Fabric::WorkerAgent::begin_join(std::uint32_t step) {
     auto rq = std::make_shared<ResyncRequest>();
     rq->stream = static_cast<std::uint32_t>(s);
     rq->wid = static_cast<std::uint32_t>(w_);
-    job_.net->send(ep, prev.owner_ep(s), std::move(rq));
+    job_.net_->send(ep, prev.owner_ep(s), std::move(rq));
   }
 }
 
-void Fabric::WorkerAgent::worker_done() {
-  const Worker& worker = *job_.wiring.workers[w_];
+void TrainingJob::WorkerAgent::worker_done() {
+  const Worker& worker = *job_.wiring_.workers[w_];
   auto done = std::make_shared<JobCtl>();
   done->kind = JobCtl::kDone;
   done->step = step_;
   done->slot = static_cast<std::uint32_t>(w_);
   done->finish = worker.finish_time();
   done->data_bytes = worker.data_bytes_sent();
-  done->acks = worker.acks_sent();
   done->retransmissions = worker.retransmissions();
-  job_.net->send(ep, job_.controller->ep, std::move(done));
+  job_.net_->send(ep, job_.controller_->ep, std::move(done));
 }
 
 // --- AggAgent --------------------------------------------------------------
 
-void Fabric::AggAgent::on_message(net::EndpointId /*from*/,
-                                  const net::MessagePtr& msg) {
+void TrainingJob::AggAgent::on_message(net::EndpointId /*from*/,
+                                       const net::MessagePtr& msg) {
   const auto* ctl = net::message_cast<JobCtl>(msg.get());
   if (ctl == nullptr || ctl->kind != JobCtl::kSetup) {
     throw std::logic_error("aggregator agent expects only setup messages");
   }
-  Aggregator& agg = *job_.wiring.aggregators[a_];
+  Aggregator& agg = *job_.wiring_.aggregators[a_];
   // Bank the finished step's per-collective counters before the reset.
   rounds += agg.rounds_completed();
-  duplicate_resends += agg.duplicate_resends();
   resyncs += agg.resyncs_served();
   agg.begin_collective();
   agg.set_epoch(static_cast<std::uint8_t>(ctl->step & 0xff));
-  const JobState::StepPlan& plan = job_.steps[ctl->step];
+  const StepPlan& plan = job_.steps_[ctl->step];
   agg.set_active_workers(plan.active);
   for (std::size_t s = 0; s < plan.owner.size(); ++s) {
     if (plan.owner[s] != a_) continue;
@@ -283,15 +303,15 @@ void Fabric::AggAgent::on_message(net::EndpointId /*from*/,
   ack->kind = JobCtl::kSetupAck;
   ack->step = ctl->step;
   ack->slot = static_cast<std::uint32_t>(a_);
-  job_.net->send(ep, job_.controller->ep, std::move(ack));
+  job_.net_->send(ep, job_.controller_->ep, std::move(ack));
 }
 
-// --- JobController ---------------------------------------------------------
+// --- Controller ------------------------------------------------------------
 
-void Fabric::JobController::begin_step(std::size_t s) {
+void TrainingJob::Controller::begin_step(std::size_t s) {
   step_ = s;
   step_finish_ = 0;
-  const JobState::StepPlan& plan = job_.steps[s];
+  const StepPlan& plan = job_.steps_[s];
   joins_pending_ = plan.joiners.size();
   if (joins_pending_ == 0) {
     send_setup();
@@ -302,22 +322,22 @@ void Fabric::JobController::begin_step(std::size_t s) {
     join->kind = JobCtl::kJoin;
     join->step = static_cast<std::uint32_t>(s);
     join->slot = static_cast<std::uint32_t>(w);
-    job_.net->send(ep, job_.worker_agents[w]->ep, std::move(join));
+    job_.net_->send(ep, job_.worker_agents_[w]->ep, std::move(join));
   }
 }
 
-void Fabric::JobController::send_setup() {
-  acks_pending_ = job_.agg_agents.size();
-  for (const auto& agent : job_.agg_agents) {
+void TrainingJob::Controller::send_setup() {
+  acks_pending_ = job_.agg_agents_.size();
+  for (const auto& agent : job_.agg_agents_) {
     auto setup = std::make_shared<JobCtl>();
     setup->kind = JobCtl::kSetup;
     setup->step = static_cast<std::uint32_t>(step_);
-    job_.net->send(ep, agent->ep, std::move(setup));
+    job_.net_->send(ep, agent->ep, std::move(setup));
   }
 }
 
-void Fabric::JobController::start_workers() {
-  const JobState::StepPlan& plan = job_.steps[step_];
+void TrainingJob::Controller::start_workers() {
+  const StepPlan& plan = job_.steps_[step_];
   dones_pending_ = plan.active_count;
   for (std::size_t w = 0; w < plan.active.size(); ++w) {
     if (!plan.active[w]) continue;
@@ -325,12 +345,12 @@ void Fabric::JobController::start_workers() {
     start->kind = JobCtl::kStart;
     start->step = static_cast<std::uint32_t>(step_);
     start->slot = static_cast<std::uint32_t>(w);
-    job_.net->send(ep, job_.worker_agents[w]->ep, std::move(start));
+    job_.net_->send(ep, job_.worker_agents_[w]->ep, std::move(start));
   }
 }
 
-void Fabric::JobController::on_message(net::EndpointId /*from*/,
-                                       const net::MessagePtr& msg) {
+void TrainingJob::Controller::on_message(net::EndpointId /*from*/,
+                                         const net::MessagePtr& msg) {
   const auto* ctl = net::message_cast<JobCtl>(msg.get());
   if (ctl == nullptr) {
     throw std::logic_error("job controller received unknown message");
@@ -352,17 +372,16 @@ void Fabric::JobController::on_message(net::EndpointId /*from*/,
       if (dones_pending_ == 0) {
         throw std::logic_error("unexpected step-done");
       }
-      job_.data_bytes += ctl->data_bytes;
-      job_.acks += ctl->acks;
-      job_.retransmissions += ctl->retransmissions;
+      job_.data_bytes_ += ctl->data_bytes;
+      job_.retransmissions_ += ctl->retransmissions;
       step_finish_ = std::max(step_finish_, ctl->finish);
       if (--dones_pending_ > 0) return;
-      job_.step_completion.push_back(step_finish_);
-      job_.finish = step_finish_;
-      if (step_ + 1 < job_.steps.size()) {
+      job_.step_completion_.push_back(step_finish_);
+      job_.finish_ = step_finish_;
+      if (step_ + 1 < job_.steps_.size()) {
         begin_step(step_ + 1);
       } else {
-        job_.done = true;
+        job_.done_ = true;
       }
       return;
     }
@@ -371,49 +390,24 @@ void Fabric::JobController::on_message(net::EndpointId /*from*/,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Fabric
+// --- TrainingJob -----------------------------------------------------------
 
-Fabric::Fabric(TenantFabricSpec spec)
-    : spec_(std::move(spec)), slot_pool_(spec_.switch_slots) {
-  if (spec_.n_machines == 0) {
-    throw std::invalid_argument("fabric needs at least one machine");
-  }
-  if (spec_.topology.spine_lossy()) {
-    // Fabric-level loss draws one shared RNG stream, which the multi-job
-    // determinism guarantees cannot preserve.
-    throw std::invalid_argument(
-        "multi-tenant fabric does not support a lossy spine");
-  }
-  ctx_ = std::make_unique<RunContext>(spec_.topology, spec_.one_way_latency,
-                                      resolve_machine_racks(spec_),
-                                      spec_.seed);
-  machine_nics_.reserve(spec_.n_machines);
-  for (std::size_t m = 0; m < spec_.n_machines; ++m) {
-    machine_nics_.push_back(network().add_nic({spec_.machine_bandwidth_bps,
-                                               spec_.machine_bandwidth_bps,
-                                               spec_.machine_rx_overhead_ns}));
-  }
-}
-
-Fabric::~Fabric() = default;
-
-net::Network& Fabric::network() { return ctx_->network(); }
-
-int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
-  if (ran_) throw std::logic_error("add_job after run");
-  const std::size_t n_workers = spec.worker_machines.size();
-  const std::size_t n_aggs = spec.aggregator_machines.size();
+TrainingJob::TrainingJob(JobSpec spec, Fabric::StepTensors& tensors,
+                         std::size_t n_machines,
+                         const device::DeviceModel& device)
+    : spec_(std::move(spec)), tensors_(tensors), device_(device) {
+  const std::size_t n_workers = spec_.worker_machines.size();
   if (n_workers == 0) throw std::invalid_argument("job has no workers");
-  if (n_aggs == 0) throw std::invalid_argument("job has no aggregators");
-  net::check_tenant_weight(spec.weight);
-  for (std::size_t m : spec.worker_machines) {
-    if (m >= spec_.n_machines) {
+  if (spec_.aggregator_machines.empty()) {
+    throw std::invalid_argument("job has no aggregators");
+  }
+  for (std::size_t m : spec_.worker_machines) {
+    if (m >= n_machines) {
       throw std::invalid_argument("worker machine out of range");
     }
   }
-  for (std::size_t m : spec.aggregator_machines) {
-    if (m >= spec_.n_machines) {
+  for (std::size_t m : spec_.aggregator_machines) {
+    if (m >= n_machines) {
       throw std::invalid_argument("aggregator machine out of range");
     }
   }
@@ -423,29 +417,21 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
       throw std::invalid_argument("step tensor count != worker count");
     }
   }
-  if (!spec.initial_active.empty() &&
-      spec.initial_active.size() != n_workers) {
+  if (!spec_.initial_active.empty() &&
+      spec_.initial_active.size() != n_workers) {
     throw std::invalid_argument("initial_active size != worker count");
   }
-  if (std::any_of(spec.initial_active.begin(), spec.initial_active.end(),
+  if (std::any_of(spec_.initial_active.begin(), spec_.initial_active.end(),
                   [](std::uint8_t a) { return a > 1; })) {
     throw std::invalid_argument("initial_active entries must be 0 or 1");
   }
 
-  auto job = std::make_unique<JobState>();
-  const int index = next_index_++;
-  job->index = index;
-  job->tensors = &tensors;
-  job->device = &spec_.device;
-  job->net = &network();
-  job->controller_machine = spec.worker_machines.front();
-
   // --- membership schedule -> per-step active sets -------------------------
   const std::size_t n_steps = tensors.size();
   std::vector<std::uint8_t> active =
-      spec.initial_active.empty() ? std::vector<std::uint8_t>(n_workers, 1)
-                                  : spec.initial_active;
-  std::vector<JobMembershipEvent> events = spec.membership;
+      spec_.initial_active.empty() ? std::vector<std::uint8_t>(n_workers, 1)
+                                   : spec_.initial_active;
+  std::vector<JobMembershipEvent> events = spec_.membership;
   std::stable_sort(
       events.begin(), events.end(),
       [](const JobMembershipEvent& a, const JobMembershipEvent& b) {
@@ -461,12 +447,10 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
           "steps); fold step-0 membership into initial_active");
     }
   }
-  job->steps.resize(n_steps);
-  std::vector<std::size_t> step_elements(n_steps, 0);
-  std::size_t demand = 0;  // switch slots: peak stream count over all steps
+  steps_.resize(n_steps);
   std::size_t ev = 0;
   for (std::size_t s = 0; s < n_steps; ++s) {
-    JobState::StepPlan& plan = job->steps[s];
+    StepPlan& plan = steps_[s];
     for (; ev < events.size() && events[ev].before_step == s; ++ev) {
       const JobMembershipEvent& e = events[ev];
       if (e.join == static_cast<bool>(active[e.worker])) {
@@ -486,71 +470,158 @@ int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
 
     // Step geometry: the active members' (identically sized) tensors.
     const auto first = std::find(active.begin(), active.end(), 1);
-    step_elements[s] = tensors[s][first - active.begin()].size();
+    plan.elements = tensors[s][first - active.begin()].size();
     for (std::size_t w = 0; w < n_workers; ++w) {
-      if (active[w] && tensors[s][w].size() != step_elements[s]) {
+      if (active[w] && tensors[s][w].size() != plan.elements) {
         throw std::invalid_argument("tensor size mismatch within a step");
       }
     }
-    demand = std::max(demand, StreamLayout::build(step_elements[s], spec.config)
-                                  .streams.size());
+    slot_demand_ = std::max(
+        slot_demand_,
+        StreamLayout::build(plan.elements, spec_.config).streams.size());
   }
+}
 
-  // --- admission: switch-slot pool -----------------------------------------
-  // Jobs aggregating on the switch data plane consume programmable-switch
-  // slots; the pool partitions them per job and rejects what cannot fit.
-  if (spec.config.switch_multicast && !slot_pool_.reserve(index, demand)) {
-    job->admitted = false;
-    job->rejection = "switch slot pool exhausted: need " +
-                     std::to_string(demand) + ", available " +
-                     std::to_string(slot_pool_.available()) + " of " +
-                     std::to_string(slot_pool_.total());
-    job->spec = std::move(spec);
-    jobs_.push_back(std::move(job));
-    return index;
-  }
+TrainingJob::~TrainingJob() = default;
 
-  // --- wiring: protocol endpoints + control plane --------------------------
+void TrainingJob::attach(net::Network& net,
+                         const std::vector<net::NicId>& machine_nics) {
+  net_ = &net;
   std::vector<net::NicId> worker_nics;
-  for (std::size_t m : spec.worker_machines) {
-    worker_nics.push_back(machine_nics_[m]);
+  for (std::size_t m : spec_.worker_machines) {
+    worker_nics.push_back(machine_nics[m]);
   }
   std::vector<net::NicId> agg_nics;
-  for (std::size_t m : spec.aggregator_machines) {
-    agg_nics.push_back(machine_nics_[m]);
+  for (std::size_t m : spec_.aggregator_machines) {
+    agg_nics.push_back(machine_nics[m]);
   }
-  job->wiring = wire_protocol(spec.config, network(), worker_nics, agg_nics);
-  job->controller = std::make_unique<JobController>(*job);
-  job->controller_ep = network().attach(job->controller.get(),
-                                        machine_nics_[job->controller_machine]);
-  job->controller->ep = job->controller_ep;
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    job->worker_agents.push_back(std::make_unique<WorkerAgent>(*job, w));
-    job->worker_agents.back()->ep =
-        network().attach(job->worker_agents.back().get(),
-                         machine_nics_[spec.worker_machines[w]]);
-    WorkerAgent* agent = job->worker_agents.back().get();
-    job->wiring.workers[w]->set_on_done(
+  // Protocol endpoints, then the control plane on the first worker's
+  // machine, then one agent per worker and per aggregator.
+  wiring_ = wire_protocol(spec_.config, net, worker_nics, agg_nics);
+  controller_ = std::make_unique<Controller>(*this);
+  controller_->ep = net.attach(controller_.get(), worker_nics.front());
+  for (std::size_t w = 0; w < worker_nics.size(); ++w) {
+    worker_agents_.push_back(std::make_unique<WorkerAgent>(*this, w));
+    WorkerAgent* agent = worker_agents_.back().get();
+    agent->ep = net.attach(agent, worker_nics[w]);
+    wiring_.workers[w]->set_on_done(
         [agent](Worker&) { agent->worker_done(); });
   }
-  for (std::size_t a = 0; a < n_aggs; ++a) {
-    job->agg_agents.push_back(std::make_unique<AggAgent>(*job, a));
-    job->agg_agents.back()->ep =
-        network().attach(job->agg_agents.back().get(),
-                         machine_nics_[spec.aggregator_machines[a]]);
+  for (std::size_t a = 0; a < agg_nics.size(); ++a) {
+    agg_agents_.push_back(std::make_unique<AggAgent>(*this, a));
+    agg_agents_.back()->ep = net.attach(agg_agents_.back().get(), agg_nics[a]);
   }
 
   // Each step is planned as a single-job collective over its active
   // members: same stream ownership, timeout and reference check.
-  for (std::size_t s = 0; s < n_steps; ++s) {
-    JobState::StepPlan& step = job->steps[s];
+  for (std::size_t s = 0; s < steps_.size(); ++s) {
+    StepPlan& step = steps_[s];
     static_cast<CollectivePlan&>(step) = plan_collective(
-        spec.config, step_elements[s], network(), worker_nics, agg_nics,
-        job->wiring.agg_eps, spec.verify ? &tensors[s] : nullptr, step.active);
+        spec_.config, step.elements, net, worker_nics, agg_nics,
+        wiring_.agg_eps, spec_.verify ? &tensors_[s] : nullptr, step.active);
   }
+}
 
-  job->spec = std::move(spec);
-  jobs_.push_back(std::move(job));
+std::vector<net::EndpointId> TrainingJob::endpoints() const {
+  std::vector<net::EndpointId> eps = wiring_.worker_eps;
+  eps.insert(eps.end(), wiring_.agg_eps.begin(), wiring_.agg_eps.end());
+  for (const auto& agent : worker_agents_) eps.push_back(agent->ep);
+  for (const auto& agent : agg_agents_) eps.push_back(agent->ep);
+  eps.push_back(controller_->ep);
+  return eps;
+}
+
+void TrainingJob::kickoff() { controller_->kickoff(); }
+
+void TrainingJob::finalize() {
+  // Final counter sweep: agents banked every completed step's aggregator
+  // counters except the last (no further kSetup resets them), which is
+  // still live in the aggregators. Runs on the caller's thread, post-run.
+  for (std::size_t a = 0; a < wiring_.aggregators.size(); ++a) {
+    const Aggregator& agg = *wiring_.aggregators[a];
+    rounds_ += agg_agents_[a]->rounds + agg.rounds_completed();
+    resyncs_ += agg_agents_[a]->resyncs + agg.resyncs_served();
+    stale_drops_ += agg.stale_drops();
+  }
+  for (const auto& w : wiring_.workers) stale_drops_ += w->stale_results();
+
+  if (!spec_.verify) return;
+  const Config& cfg = spec_.config;
+  // A deterministic-reduction sum without value quantization folds in
+  // ascending worker-id order — exactly reference_reduce's association —
+  // so elastic runs are checked for bit-exact equality.
+  const bool exact = cfg.deterministic_reduction &&
+                     cfg.op == ReduceOp::kSum && !cfg.codec.enabled() &&
+                     !cfg.fixed_point;
+  for (std::size_t s = 0; s < steps_.size(); ++s) {
+    const StepPlan& plan = steps_[s];
+    const double base_tol =
+        exact ? 0.0 : 1e-4 * static_cast<double>(plan.active_count);
+    if (!plan.check->check(tensors_[s], base_tol).ok) {
+      throw std::logic_error("job \"" + spec_.name + "\" step " +
+                             std::to_string(s) +
+                             " result mismatch vs reference");
+    }
+  }
+  verified_ = true;
+}
+
+void TrainingJob::fill_report(telemetry::FabricJobSummary& row,
+                              telemetry::FabricReport& /*out*/) const {
+  row.finish = finish_;
+  row.steps = steps_.size();
+  row.data_bytes = data_bytes_;
+  row.rounds = rounds_;
+  row.retransmissions = retransmissions_;
+  row.resyncs = resyncs_;
+  row.stale_drops = stale_drops_;
+  row.verified = verified_;
+  row.step_completion = step_completion_;
+  for (const StepPlan& plan : steps_) {
+    row.step_active.push_back(plan.active_count);
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Fabric
+
+Fabric::Fabric(TenantFabricSpec spec)
+    : spec_(std::move(spec)),
+      network_(simulator_, fabric_topology(spec_), spec_.seed),
+      slot_pool_(spec_.switch_slots) {
+  machine_nics_.reserve(spec_.n_machines);
+  for (std::size_t m = 0; m < spec_.n_machines; ++m) {
+    machine_nics_.push_back(network_.add_nic({spec_.machine_bandwidth_bps,
+                                              spec_.machine_bandwidth_bps,
+                                              spec_.machine_rx_overhead_ns}));
+  }
+}
+
+Fabric::~Fabric() = default;
+
+int Fabric::add_job(JobSpec spec, StepTensors& tensors) {
+  if (ran_) throw std::logic_error("add_job after run");
+  net::check_tenant_weight(spec.weight);
+  auto job = std::make_unique<TrainingJob>(std::move(spec), tensors,
+                                           spec_.n_machines, spec_.device);
+  const JobSpec& js = job->spec();
+  const int index = static_cast<int>(tenants_.size());
+  Tenant tenant{{js.name, js.weight, js.start_at}, job.get(), {}};
+  // Jobs aggregating on the switch data plane consume programmable-switch
+  // slots; the pool partitions them per job and rejects what cannot fit.
+  if (js.config.switch_multicast &&
+      !slot_pool_.reserve(index, job->slot_demand())) {
+    tenant.rejection = "switch slot pool exhausted: need " +
+                       std::to_string(job->slot_demand()) + ", available " +
+                       std::to_string(slot_pool_.available()) + " of " +
+                       std::to_string(slot_pool_.total());
+  } else {
+    job->attach(network_, machine_nics_);
+  }
+  tenants_.push_back(std::move(tenant));
+  training_jobs_.push_back(std::move(job));
   return index;
 }
 
@@ -560,223 +631,93 @@ int Fabric::add_custom_job(const CustomJobSpec& spec, FabricJob& job) {
     throw std::invalid_argument("custom job needs a name");
   }
   net::check_tenant_weight(spec.weight);
-  const int index = next_index_++;
-  job.attach(network(), machine_nics_);
-  CustomState state;
-  state.spec = spec;
-  state.index = index;
-  state.job = &job;
-  custom_.push_back(std::move(state));
-  return index;
-}
-
-std::vector<Fabric::Kick> Fabric::kickoff_order() {
-  std::vector<Kick> kicks;
-  kicks.reserve(jobs_.size() + custom_.size());
-  for (const auto& job : jobs_) {
-    if (!job->admitted) continue;
-    JobController* controller = job->controller.get();
-    kicks.push_back({job->index, job->spec.start_at,
-                     [controller] { controller->kickoff(); }});
-  }
-  for (const auto& c : custom_) {
-    FabricJob* job = c.job;
-    kicks.push_back({c.index, c.spec.start_at, [job] { job->kickoff(); }});
-  }
-  // Tenant-index order == add order across both job kinds: kickoffs fire
-  // in this order.
-  std::sort(kicks.begin(), kicks.end(),
-            [](const Kick& a, const Kick& b) { return a.index < b.index; });
-  return kicks;
+  job.attach(network_, machine_nics_);
+  tenants_.push_back({spec, &job, {}});
+  return static_cast<int>(tenants_.size()) - 1;
 }
 
 void Fabric::run() {
   if (ran_) throw std::logic_error("Fabric::run called twice");
   ran_ = true;
-  if (jobs_.empty() && custom_.empty()) return;
+  if (tenants_.empty()) return;
 
-  // Tenant registration: tenant id == job index (rejected jobs keep their
-  // id but never send). A single job keeps the single-tenant fast path —
-  // links then schedule byte-identically to a plain engine run.
-  std::vector<double> weights(static_cast<std::size_t>(next_index_), 1.0);
-  for (const auto& job : jobs_) {
-    weights[static_cast<std::size_t>(job->index)] = job->spec.weight;
-  }
-  for (const auto& c : custom_) {
-    weights[static_cast<std::size_t>(c.index)] = c.spec.weight;
-  }
-  network().set_tenants(std::move(weights));
-  for (const auto& c : custom_) {
-    for (net::EndpointId e : c.job->endpoints()) {
-      network().set_endpoint_tenant(e, c.index);
+  // Tenant registration: tenant id == tenant index (rejected jobs keep
+  // their id but never send). A single tenant keeps the single-tenant fast
+  // path — links then schedule byte-identically to a plain engine run.
+  std::vector<double> weights;
+  weights.reserve(tenants_.size());
+  for (const Tenant& t : tenants_) weights.push_back(t.spec.weight);
+  network_.set_tenants(std::move(weights));
+  for (std::size_t i = 0; i < tenants_.size(); ++i) {
+    if (!tenants_[i].admitted()) continue;
+    for (net::EndpointId e : tenants_[i].job->endpoints()) {
+      network_.set_endpoint_tenant(e, static_cast<int>(i));
     }
-  }
-  for (const auto& job : jobs_) {
-    if (!job->admitted) continue;
-    for (net::EndpointId e : job->wiring.worker_eps) {
-      network().set_endpoint_tenant(e, job->index);
-    }
-    for (net::EndpointId e : job->wiring.agg_eps) {
-      network().set_endpoint_tenant(e, job->index);
-    }
-    for (const auto& agent : job->worker_agents) {
-      network().set_endpoint_tenant(agent->ep, job->index);
-    }
-    for (const auto& agent : job->agg_agents) {
-      network().set_endpoint_tenant(agent->ep, job->index);
-    }
-    network().set_endpoint_tenant(job->controller_ep, job->index);
   }
 
-  for (const Kick& k : kickoff_order()) {
-    if (k.start_at == 0) {
-      k.fn();
+  // Kickoffs fire in tenant-index order.
+  for (const Tenant& t : tenants_) {
+    if (!t.admitted()) continue;
+    FabricJob* job = t.job;
+    if (t.spec.start_at == 0) {
+      job->kickoff();
     } else {
-      ctx_->simulator().schedule_at(k.start_at, k.fn);
+      simulator_.schedule_at(t.spec.start_at, [job] { job->kickoff(); });
     }
   }
-  ctx_->simulator().run();
+  simulator_.run();
 
-  for (const auto& job : jobs_) {
-    if (!job->admitted) continue;
-    if (!job->done) {
-      throw std::logic_error("job \"" + job->spec.name +
+  for (const Tenant& t : tenants_) {
+    if (!t.admitted()) continue;
+    if (!t.job->done()) {
+      throw std::logic_error("job \"" + t.spec.name +
                              "\" did not complete (protocol stall)");
     }
-    finish_job(*job);
+    t.job->finalize();
   }
-  for (const auto& c : custom_) {
-    if (!c.job->done()) {
-      throw std::logic_error("job \"" + c.spec.name +
-                             "\" did not complete (protocol stall)");
-    }
-    c.job->finalize();
-  }
-}
-
-void Fabric::finish_job(JobState& job) {
-  // Final counter sweep: agents banked every completed step's aggregator
-  // counters except the last (no further kSetup resets them), which is
-  // still live in the aggregators. Runs on the caller's thread, post-run.
-  const ProtocolWiring& wiring = job.wiring;
-  for (std::size_t a = 0; a < wiring.aggregators.size(); ++a) {
-    job.rounds +=
-        job.agg_agents[a]->rounds + wiring.aggregators[a]->rounds_completed();
-    job.duplicate_resends += job.agg_agents[a]->duplicate_resends +
-                             wiring.aggregators[a]->duplicate_resends();
-    job.resyncs +=
-        job.agg_agents[a]->resyncs + wiring.aggregators[a]->resyncs_served();
-    job.stale_drops += wiring.aggregators[a]->stale_drops();
-  }
-  for (const auto& w : wiring.workers) job.stale_drops += w->stale_results();
-
-  if (!job.spec.verify) return;
-  const Config& cfg = job.spec.config;
-  // A deterministic-reduction sum without value quantization folds in
-  // ascending worker-id order — exactly reference_reduce's association —
-  // so elastic runs are checked for bit-exact equality.
-  const bool exact = cfg.deterministic_reduction &&
-                     cfg.op == ReduceOp::kSum && !cfg.codec.enabled() &&
-                     !cfg.fixed_point;
-  for (std::size_t s = 0; s < job.steps.size(); ++s) {
-    const JobState::StepPlan& plan = job.steps[s];
-    const double base_tol =
-        exact ? 0.0 : 1e-4 * static_cast<double>(plan.active_count);
-    if (!plan.check->check((*job.tensors)[s], base_tol).ok) {
-      throw std::logic_error("job \"" + job.spec.name + "\" step " +
-                             std::to_string(s) +
-                             " result mismatch vs reference");
-    }
-  }
-  job.verified = true;
 }
 
 telemetry::FabricReport Fabric::report() const {
-  const net::Network& net = ctx_->network();
+  const net::Topology& topo = network_.topology();
   telemetry::FabricReport out;
-  out.topology = net.topology().kind();
+  out.topology = topo.kind();
   out.n_machines = spec_.n_machines;
   out.switch_slots = spec_.switch_slots;
-  std::vector<std::pair<int, telemetry::FabricJobSummary>> rows;
-  rows.reserve(jobs_.size() + custom_.size());
-  for (const auto& job : jobs_) {
-    telemetry::FabricJobSummary s;
-    s.name = job->spec.name;
-    s.admitted = job->admitted;
-    s.rejection = job->rejection;
-    s.weight = job->spec.weight;
-    s.start_at = job->spec.start_at;
-    s.finish = job->finish;
-    s.steps = job->steps.size();
-    s.data_bytes = job->data_bytes;
-    s.rounds = job->rounds;
-    s.retransmissions = job->retransmissions;
-    s.resyncs = job->resyncs;
-    s.stale_drops = job->stale_drops;
-    s.verified = job->verified;
-    s.step_completion = job->step_completion;
-    for (const auto& plan : job->steps) {
-      s.step_active.push_back(plan.active_count);
-    }
-    rows.emplace_back(job->index, std::move(s));
+  for (const Tenant& t : tenants_) {
+    telemetry::FabricJobSummary row;
+    row.name = t.spec.name;
+    row.admitted = t.admitted();
+    row.rejection = t.rejection;
+    row.weight = t.spec.weight;
+    row.start_at = t.spec.start_at;
+    t.job->fill_report(row, out);
+    out.jobs.push_back(std::move(row));
   }
-  for (const auto& c : custom_) {
-    telemetry::FabricJobSummary s;
-    s.name = c.spec.name;
-    s.kind = c.job->kind();
-    s.admitted = true;
-    s.weight = c.spec.weight;
-    s.start_at = c.spec.start_at;
-    s.finish = c.job->finish_time();
-    // finalize() throws on any invariant violation, so a run that got
-    // this far is verified by construction.
-    s.verified = ran_;
-    rows.emplace_back(c.index, std::move(s));
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& row : rows) out.jobs.push_back(std::move(row.second));
 
   // Per-(link, tenant) traffic split plus a Jain fairness index over the
   // busiest contended link's weight-normalized bytes.
-  struct TenantRow {
-    int index;
-    const std::string* name;
-    double weight;
-  };
-  std::vector<TenantRow> tenants;
-  tenants.reserve(jobs_.size() + custom_.size());
-  for (const auto& job : jobs_) {
-    tenants.push_back({job->index, &job->spec.name, job->spec.weight});
-  }
-  for (const auto& c : custom_) {
-    tenants.push_back({c.index, &c.spec.name, c.spec.weight});
-  }
-  std::sort(tenants.begin(), tenants.end(),
-            [](const TenantRow& a, const TenantRow& b) {
-              return a.index < b.index;
-            });
-  const net::Topology& topo = net.topology();
   double best_total = 0.0;
   std::vector<double> best_shares;
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
     const auto id = static_cast<net::LinkId>(l);
     std::vector<double> shares;
     double total = 0.0;
-    for (const TenantRow& tenant : tenants) {
-      const net::LinkStats& st = net.tenant_link_stats(id, tenant.index);
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      const net::LinkStats& st =
+          network_.tenant_link_stats(id, static_cast<int>(i));
       if (st.tx_bytes == 0 && st.tx_messages == 0 &&
           st.dropped_messages == 0) {
         continue;
       }
       telemetry::TenantLinkShare row;
       row.link = topo.link_name(id);
-      row.job = *tenant.name;
+      row.job = tenants_[i].spec.name;
       row.tx_bytes = st.tx_bytes;
       row.tx_messages = st.tx_messages;
       row.dropped_messages = st.dropped_messages;
       out.link_shares.push_back(std::move(row));
-      shares.push_back(static_cast<double>(st.tx_bytes) / tenant.weight);
+      shares.push_back(static_cast<double>(st.tx_bytes) /
+                       tenants_[i].spec.weight);
       total += static_cast<double>(st.tx_bytes);
     }
     if (shares.size() >= 2 && total > best_total) {
@@ -794,7 +735,6 @@ telemetry::FabricReport Fabric::report() const {
     out.fairness_index =
         (sum * sum) / (static_cast<double>(best_shares.size()) * sum_sq);
   }
-  for (const auto& c : custom_) c.job->fill_report(out);
   return out;
 }
 

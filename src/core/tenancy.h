@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,10 +17,6 @@
 #include "tensor/dense.h"
 
 namespace omr::core {
-
-class Worker;
-class Aggregator;
-class RunContext;
 
 /// The shared physical substrate of a multi-tenant run: N machines (one
 /// NIC each) joined by a topology, plus the switch-slot budget jobs draw
@@ -82,34 +77,35 @@ struct JobSpec {
   bool verify = true;
 };
 
-/// A non-collective tenant of a Fabric — e.g. the src/serve parameter-
-/// server serving tier. Implementations attach their endpoints in
-/// attach(), then drive themselves entirely through Network::send plus
-/// timers on the network's simulator. The Fabric owns scheduling (kickoff
-/// at CustomJobSpec::start_at) and tenant attribution (weighted-fair link
-/// shares); the job owns its protocol and telemetry.
+/// One tenant of a Fabric. Training jobs (Fabric::add_job) and custom jobs
+/// such as the src/serve serving tier (Fabric::add_custom_job) both
+/// implement it. A job attaches its endpoints in attach(), then drives
+/// itself entirely through Network::send plus timers on the network's
+/// simulator. The Fabric owns scheduling (kickoff at the tenant's start_at)
+/// and tenant attribution (weighted-fair link shares); the job owns its
+/// protocol and telemetry.
 class FabricJob {
  public:
   virtual ~FabricJob() = default;
-  /// Job-kind tag for the report's job rows ("serve", ...).
-  virtual const char* kind() const = 0;
   /// Create and attach this job's endpoints; machine_nics[m] is fabric
-  /// machine m's NIC. Called once, by Fabric::add_custom_job.
+  /// machine m's NIC. Called once, when the job is added. Throw before
+  /// attaching any endpoint, so a failed add leaves the fabric unchanged.
   virtual void attach(net::Network& net,
                       const std::vector<net::NicId>& machine_nics) = 0;
   /// Every endpoint attach() created (for tenant attribution).
   virtual std::vector<net::EndpointId> endpoints() const = 0;
-  /// Begin the job (invoked at CustomJobSpec::start_at).
+  /// Begin the job (invoked at the tenant's start_at).
   virtual void kickoff() = 0;
   /// Whether the job ran to completion once the simulator drained.
   virtual bool done() const = 0;
-  virtual sim::Time finish_time() const = 0;
   /// Post-run, single-threaded: verify invariants (throw on violation)
   /// and bank counters for fill_report().
   virtual void finalize() = 0;
-  /// Append job-kind sections (e.g. a telemetry::ServeReport) to the
-  /// fabric report. Called after finalize().
-  virtual void fill_report(telemetry::FabricReport& out) const = 0;
+  /// Fill this job's report row, whose tenancy envelope (name, weight,
+  /// start_at, admission) the Fabric has set, and append job-kind sections
+  /// (e.g. a telemetry::ServeReport) to the fabric report.
+  virtual void fill_report(telemetry::FabricJobSummary& row,
+                           telemetry::FabricReport& out) const = 0;
 };
 
 /// Fabric-level envelope of a custom job: the tenancy fields a FabricJob
@@ -121,16 +117,18 @@ struct CustomJobSpec {
   sim::Time start_at = 0;
 };
 
-/// Multi-tenant run: one RunContext substrate (simulator + network, built
-/// by the same topology builder as run_allreduce and Session) shared by N
-/// concurrent jobs, each wired with wire_protocol like a single-job run.
+/// Multi-tenant run: one simulator and one network over make_topology (the
+/// topology builder of run_allreduce and Session), one NIC per machine, and
+/// N concurrent tenants. Every tenant is a FabricJob; its tenant index is
+/// its add order, shared by add_job and add_custom_job.
 ///
-/// Steps of a job are sequenced by a per-job control plane whose messages
-/// travel the simulated fabric itself (a JobController plus one agent per
+/// A training job is wired with wire_protocol like a single-job run. Its
+/// steps are sequenced by a per-job control plane whose messages travel
+/// the simulated fabric itself (a controller plus one agent per
 /// worker/aggregator machine), so every cross-machine effect flows through
-/// Network::send. Contended interior links are shared weighted-fair by job
-/// weight (net::Network::set_tenants); machine NICs stay FIFO, as real
-/// hosts are.
+/// Network::send. Contended interior links are shared weighted-fair by
+/// tenant weight (net::Network::set_tenants); machine NICs stay FIFO, as
+/// real hosts are.
 ///
 /// Usage:
 ///   Fabric fabric(spec);
@@ -149,22 +147,22 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Register a job. `tensors` must outlive run(). Returns the job index.
-  /// A job the switch-slot pool cannot admit is recorded as rejected (see
-  /// report()) and does not run; add_job itself only throws on malformed
-  /// specs (bad machine index, bad membership schedule, size mismatches).
+  /// Register a training job. `tensors` must outlive run(). Returns the
+  /// tenant index. A job the switch-slot pool cannot admit is recorded as
+  /// rejected (see report()) and does not run; add_job itself only throws
+  /// on malformed specs (bad machine index, bad membership schedule, size
+  /// mismatches), and then adds no tenant.
   int add_job(JobSpec spec, StepTensors& tensors);
 
   /// Register a custom (non-collective) job, e.g. a serve::ServingJob.
   /// The job must outlive run(); its endpoints are attached immediately.
   /// Custom jobs use no switch-aggregation slots, so admission never
-  /// rejects them. Returns the job's tenant index — one index space
-  /// shared with add_job, so link shares and kickoff order interleave
-  /// deterministically with training jobs.
+  /// rejects them. Returns the tenant index; a job whose attach() throws
+  /// adds no tenant.
   int add_custom_job(const CustomJobSpec& spec, FabricJob& job);
 
-  /// Run every admitted job to completion. Call once; throws if a step's
-  /// result fails verification.
+  /// Run every admitted job to completion. Call once; throws if a job
+  /// stalls or fails its checks.
   void run();
 
   /// Fabric-level outcome: per-job summaries, the per-(link, job) traffic
@@ -172,38 +170,26 @@ class Fabric {
   /// weight-normalized bytes on the busiest shared link.
   telemetry::FabricReport report() const;
 
-  net::Network& network();
+  net::Network& network() { return network_; }
 
  private:
-  struct JobState;
-  class JobController;
-  class WorkerAgent;
-  class AggAgent;
-
-  /// One custom (FabricJob) tenant.
-  struct CustomState {
+  /// One tenant, in tenant-index order. A rejected training job keeps its
+  /// index, weight and report row but is never attached or run.
+  struct Tenant {
     CustomJobSpec spec;
-    int index = 0;
     FabricJob* job = nullptr;
-  };
-  /// One kickoff action, ordered by tenant index across training and
-  /// custom jobs.
-  struct Kick {
-    int index = 0;
-    sim::Time start_at = 0;
-    std::function<void()> fn;
-  };
+    std::string rejection;  // empty when admitted
 
-  std::vector<Kick> kickoff_order();
-  void finish_job(JobState& job);  // post-run verify + counter sweep
+    bool admitted() const { return rejection.empty(); }
+  };
 
   TenantFabricSpec spec_;
-  std::unique_ptr<RunContext> ctx_;
+  sim::Simulator simulator_;
+  net::Network network_;  // keeps a pointer to simulator_
   std::vector<net::NicId> machine_nics_;
   innet::SlotPool slot_pool_;
-  std::vector<std::unique_ptr<JobState>> jobs_;
-  std::vector<CustomState> custom_;
-  int next_index_ = 0;  // shared tenant-index space (training + custom)
+  std::vector<std::unique_ptr<FabricJob>> training_jobs_;
+  std::vector<Tenant> tenants_;
   bool ran_ = false;
 };
 

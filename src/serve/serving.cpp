@@ -406,7 +406,6 @@ net::EndpointId ServingJob::controller_ep() const { return controller_->ep; }
 void ServingJob::attach(net::Network& net,
                         const std::vector<net::NicId>& machine_nics) {
   if (net_ != nullptr) throw std::logic_error("serving job attached twice");
-  net_ = &net;
   for (std::size_t m : client_machines_) {
     if (m >= machine_nics.size()) {
       throw std::invalid_argument("client machine out of range");
@@ -417,6 +416,7 @@ void ServingJob::attach(net::Network& net,
       throw std::invalid_argument("shard machine out of range");
     }
   }
+  net_ = &net;
   sim::Rng master(spec_.seed);
   for (std::size_t c = 0; c < spec_.n_clients; ++c) {
     clients_.push_back(
@@ -449,10 +449,6 @@ void ServingJob::kickoff() {
 
 bool ServingJob::done() const {
   return controller_ != nullptr && controller_->done;
-}
-
-sim::Time ServingJob::finish_time() const {
-  return controller_ != nullptr ? controller_->finish : 0;
 }
 
 void ServingJob::finalize() {
@@ -554,9 +550,14 @@ void ServingJob::finalize() {
     fail("hits + misses != lookups");
   }
   report_ = std::move(r);
+  finalized_ = true;
 }
 
-void ServingJob::fill_report(telemetry::FabricReport& out) const {
+void ServingJob::fill_report(telemetry::FabricJobSummary& row,
+                             telemetry::FabricReport& out) const {
+  row.kind = "serve";
+  row.finish = controller_ != nullptr ? controller_->finish : 0;
+  row.verified = finalized_;
   out.serve.push_back(report_);
 }
 

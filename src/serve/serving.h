@@ -51,15 +51,14 @@ class ServingJob final : public core::FabricJob {
   ServingJob& operator=(const ServingJob&) = delete;
 
   // --- core::FabricJob -----------------------------------------------------
-  const char* kind() const override { return "serve"; }
   void attach(net::Network& net,
               const std::vector<net::NicId>& machine_nics) override;
   std::vector<net::EndpointId> endpoints() const override;
   void kickoff() override;
   bool done() const override;
-  sim::Time finish_time() const override;
   void finalize() override;
-  void fill_report(telemetry::FabricReport& out) const override;
+  void fill_report(telemetry::FabricJobSummary& row,
+                   telemetry::FabricReport& out) const override;
 
   /// Telemetry of the finished run (valid after Fabric::run()).
   const telemetry::ServeReport& serve_report() const { return report_; }
@@ -87,6 +86,7 @@ class ServingJob final : public core::FabricJob {
   std::vector<net::EndpointId> shard_eps_;
   std::vector<net::EndpointId> all_eps_;
   telemetry::ServeReport report_;
+  bool finalized_ = false;  // finalize() passed its conservation checks
 };
 
 }  // namespace omr::serve

@@ -648,6 +648,39 @@ TEST(Serving, MalformedServeSpecsThrow) {
   EXPECT_THROW(fabric.add_custom_job({"serve"}, job), std::invalid_argument);
 }
 
+// A custom job whose attach throws adds no tenant: a training job added
+// after it gets tenant index 0, keeps the single-tenant path, and the
+// fabric reports exactly what that job alone reports.
+TEST(Serving, FailedCustomJobAddLeavesNoTenant) {
+  core::ServeSpec s;
+  s.n_clients = 2;
+  s.n_shards = 2;
+  auto run = [&s](bool failed_add) {
+    ServingJob serving(s, {0, 1}, {2, 99});
+    core::TenantFabricSpec fspec;
+    fspec.n_machines = 8;
+    fspec.topology = core::TopologySpec::two_tier_racks(2, 8.0);
+    core::Fabric fabric(fspec);
+    if (failed_add) {
+      EXPECT_THROW(fabric.add_custom_job({"serve"}, serving),
+                   std::invalid_argument);
+    }
+    core::JobSpec job;
+    job.name = "trainer";
+    job.config.deterministic_reduction = true;
+    job.worker_machines = {0, 1, 4, 5};
+    job.aggregator_machines = {3};
+    auto tensors = make_steps(2, 4, 16384, 0.5, 11);
+    EXPECT_EQ(fabric.add_job(job, tensors), 0);
+    fabric.run();
+    EXPECT_EQ(fabric.network().n_tenants(), 1u);
+    std::ostringstream os;
+    fabric.report().write_json(os);
+    return os.str();
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
 // --- golden pin ------------------------------------------------------------
 
 // The PR-9 tenancy goldens, byte for byte: adding the serving tier (the

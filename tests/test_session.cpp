@@ -9,6 +9,7 @@
 
 #include "core/aggregator.h"
 #include "core/collectives.h"
+#include "core/fabric.h"
 #include "core/run_context.h"
 #include "core/session.h"
 #include "net/network.h"
@@ -536,19 +537,21 @@ TEST(CollectivePlan, WorkersAndAggregatorsAgreeOnOneOwnerPerStream) {
     cfg.num_streams = sh.streams;
     const std::size_t n = 16 * 64;  // 64 blocks: no stream is empty
 
-    RunContext bare(TopologySpec{}, sim::microseconds(5), {}, 1);
+    sim::Simulator simulator;
+    net::Network bare(
+        simulator, make_topology(TopologySpec{}, sim::microseconds(5), {}), 1);
     std::vector<net::NicId> worker_nics;
     std::vector<net::NicId> agg_nics;
     std::vector<net::EndpointId> agg_eps;
     for (std::size_t w = 0; w < 3; ++w) {
-      worker_nics.push_back(bare.network().add_nic({}));
+      worker_nics.push_back(bare.add_nic({}));
     }
     for (std::size_t a = 0; a < sh.aggs; ++a) {
-      agg_nics.push_back(bare.network().add_nic({}));
+      agg_nics.push_back(bare.add_nic({}));
       agg_eps.push_back(static_cast<net::EndpointId>(100 + a));
     }
-    const CollectivePlan plan = plan_collective(
-        cfg, n, bare.network(), worker_nics, agg_nics, agg_eps);
+    const CollectivePlan plan =
+        plan_collective(cfg, n, bare, worker_nics, agg_nics, agg_eps);
     ASSERT_EQ(plan.owner.size(), sh.streams);
     std::vector<std::size_t> counts(sh.aggs, 0);
     for (std::size_t s = 0; s < sh.streams; ++s) {

@@ -316,7 +316,9 @@ TEST(Telemetry, LossyTraceIsValidChromeJsonWithMatchingCounts) {
         static_cast<std::int64_t>(e.at("tid").number));
     const double ts = e.at("ts").number;
     auto it = last_ts.find(lane);
-    if (it != last_ts.end()) EXPECT_GE(ts, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(ts, it->second);
+    }
     last_ts[lane] = ts;
   }
   // 4 workers + 2 aggregators + driver.

@@ -437,5 +437,33 @@ TEST(Tenancy, ImpossibleSpineLossSpecsThrow) {
   EXPECT_THROW(Fabric{spec}, std::invalid_argument);
 }
 
+TEST(Tenancy, MachineRacksAreValidatedAndPlaced) {
+  TenantFabricSpec spec;
+  spec.n_machines = 4;
+  spec.topology = TopologySpec::two_tier_racks(2, 2.0);
+  auto racks = [](Fabric& fabric) {
+    const auto& topo =
+        dynamic_cast<const net::TwoTierFabric&>(fabric.network().topology());
+    std::vector<int> out;
+    for (net::NicId nic = 0; nic < 4; ++nic) out.push_back(topo.rack_of(nic));
+    return out;
+  };
+  {
+    Fabric fabric(spec);  // empty machine_racks: contiguous fill
+    EXPECT_EQ(racks(fabric), (std::vector<int>{0, 0, 1, 1}));
+  }
+  spec.machine_racks = {1, 0, 1, 0};
+  {
+    Fabric fabric(spec);
+    EXPECT_EQ(racks(fabric), spec.machine_racks);
+  }
+  spec.machine_racks = {0, 1, 1};  // one rack short of the machine count
+  EXPECT_THROW(Fabric{spec}, std::invalid_argument);
+  for (int bad : {2, -1}) {
+    spec.machine_racks = {0, 1, bad, 1};  // rack outside the 2 racks
+    EXPECT_THROW(Fabric{spec}, std::invalid_argument) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace omr::core

@@ -66,26 +66,29 @@ RunStats run_cell(const Cell& c, const ClusterSpec& cluster) {
 // shard on every worker NIC (colocated).
 RetransmitTimeout cell_timeout(const Cell& c, const Config& cfg) {
   const TopologySpec topo = cell_cluster(c).topology;
-  RunContext ctx(topo, sim::microseconds(10),
-                 topo.two_tier()
-                     ? resolve_nic_racks(topo, c.workers, c.aggregators)
-                     : std::vector<int>{},
-                 1);
+  sim::Simulator simulator;
+  net::Network net(simulator,
+                   make_topology(topo, sim::microseconds(10),
+                                 topo.two_tier() ? resolve_nic_racks(
+                                                       topo, c.workers,
+                                                       c.aggregators)
+                                                 : std::vector<int>{}),
+                   1);
   std::vector<net::NicId> workers, aggs;
   for (std::size_t w = 0; w < c.workers; ++w) {
-    workers.push_back(ctx.network().add_nic({}));
+    workers.push_back(net.add_nic({}));
   }
   for (std::size_t a = 0; a < c.aggregators; ++a) {
-    aggs.push_back(ctx.network().add_nic({}));
+    aggs.push_back(net.add_nic({}));
   }
   if (c.aggregators == 0) aggs = workers;
   // Stream ownership comes from the collective's plan; its endpoint ids
   // are placeholders (the timeout reads only the per-aggregator counts).
   const CollectivePlan plan =
-      plan_collective(cfg, kElements, ctx.network(), workers, aggs,
+      plan_collective(cfg, kElements, net, workers, aggs,
                       std::vector<net::EndpointId>(aggs.size()));
-  return size_retransmit_timeout(cfg, plan.layout, plan.streams_on_agg,
-                                 ctx.network(), workers, aggs);
+  return size_retransmit_timeout(cfg, plan.layout, plan.streams_on_agg, net,
+                                 workers, aggs);
 }
 
 const Cell kLosslessCells[] = {{16, 4, 0.0}, {16, 4, 2.0}, {16, 4, 8.0},

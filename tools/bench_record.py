@@ -15,6 +15,13 @@ smoke flag, mode-specific totals and a `results` list.
          benches' --out documents are embedded (the serving one checked
          against its schema). Writes BENCH_e2e.json.
 
+         With --expect <record> it checks instead of recording: it runs
+         each binary once at OMR_MB=4 OMR_JOBS=1, concurrently on the
+         host CPUs (it keeps no wall-clock), compares its exit code and
+         stdout and report sha256 with the record's row, and names every
+         binary whose digest moved, that is missing, or that the record
+         lacks. It writes a record only when --out is given.
+
   pairs  Runs bench_hotpath_wallclock and --baseline-exe (the same
          harness built at the baseline commit) serially, in alternating
          pairs; the first pair runs the baseline first. Per row it records
@@ -29,15 +36,18 @@ a Release build:
   cmake -B build -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
   tools/bench_record.py suite
   tools/bench_record.py suite --only bench_fig_serving --smoke --out s.json
+  tools/bench_record.py suite --expect BENCH_e2e.json
   tools/bench_record.py pairs --pairs 10 \\
       --baseline-exe <baseline build>/bench/bench_hotpath_wallclock
   tools/bench_record.py --self-test
 
-The record is written in every case; the exit code is 1 when a bench
-fails, a check fails or outputs diverge.
+A record is written in every case but --expect without --out; the exit
+code is 1 when a bench fails, a check fails, outputs diverge or a digest
+moved.
 """
 
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -330,6 +340,57 @@ def record_suite(build_dir, only, smoke, host_cpus):
     return totals, results, problems
 
 
+# The fields of a suite row that must not move between builds.
+DIGEST_KEYS = ("exit_code", "stdout_sha256", "report_sha256")
+
+
+def digest_problems(expected, row):
+    """What moved in `row` against the record's row of the same bench."""
+    if row.get("missing"):
+        return ["binary not built"]
+    if expected is None:
+        return ["no row in the record"]
+    return [f"{k} moved" for k in DIGEST_KEYS if row[k] != expected.get(k)]
+
+
+def check_suite(build_dir, record, names, jobs):
+    """Run every bench in `names` once, `jobs` at a time, and compare its
+    digests with `record`. Returns the rows and one problem per bench that
+    moved, is missing, or is in only one of `names` and the record."""
+    problems = []
+    if record.get("omr_mb") != OMR_MB:
+        problems.append(f"record made at OMR_MB={record.get('omr_mb')}, "
+                        f"checked at {OMR_MB}")
+    want = {r["bench"]: r for r in record.get("results", [])}
+    problems += [f"{n}: in the record but not a suite bench"
+                 for n in sorted(set(want) - set(names))]
+
+    def one(name):
+        exe = os.path.join(build_dir, "bench", name)
+        if not os.path.exists(exe):
+            return {"bench": name, "missing": True}
+        args = ["--out", "doc.json"] if name in DOC_BENCHES else []
+        if record.get("smoke") and name in DOC_BENCHES:
+            args.append("--smoke")
+        with tempfile.TemporaryDirectory() as cwd:
+            run = run_bench(exe, 1, args, cwd)
+        return {"bench": name, "exit_code": run.exit_code,
+                "stdout_sha256": sha256(run.stdout),
+                "report_sha256": sha256(run.report)}
+
+    # Longest first (by the record's wall-clock), so the pool drains evenly.
+    order = sorted(names, key=lambda n: -want.get(n, {}).get("wall_s", 0))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        done = dict(zip(order, pool.map(one, order)))
+    rows = []
+    for name in names:
+        row = done[name]
+        row["problems"] = digest_problems(want.get(name), row)
+        problems += [f"{name}: {p}" for p in row["problems"]]
+        rows.append(row)
+    return rows, problems
+
+
 # --- pairs -------------------------------------------------------------------
 
 def run_harness(exe, label, smoke):
@@ -520,6 +581,39 @@ def self_test():
          not outputs_identical(serial, Run(1.0, 0, b"table\n", b"[1]"))),
     ]
 
+    with tempfile.TemporaryDirectory() as build:
+        os.mkdir(os.path.join(build, "bench"))
+        exe = os.path.join(build, "bench", "bench_a")
+        with open(exe, "w") as f:
+            f.write("#!/bin/sh\necho table\n")
+        os.chmod(exe, 0o755)
+
+        def record(stdout, *benches):
+            rows = [{"bench": b, "exit_code": 0, "stdout_sha256":
+                     sha256(stdout), "report_sha256": None} for b in benches]
+            return {"omr_mb": OMR_MB, "smoke": False, "results": rows}
+
+        names = ["bench_a"]
+        rows, same = check_suite(build, record(b"table\n", "bench_a"),
+                                 names, 2)
+        _, moved = check_suite(build, record(b"tablE\n", "bench_a"), names,
+                               2)
+        _, missing = check_suite(
+            build, record(b"table\n", "bench_a", "bench_b"),
+            ["bench_a", "bench_b"], 2)
+        _, stale = check_suite(build, record(b"table\n", "bench_a",
+                                             "bench_gone"), names, 2)
+    checks += [
+        ("expect: equal digests pass",
+         same == [] and rows[0]["problems"] == []),
+        ("expect: a moved stdout digest names its binary",
+         moved == ["bench_a: stdout_sha256 moved"]),
+        ("expect: a missing binary is named, the rest still checked",
+         missing == ["bench_b: binary not built"]),
+        ("expect: a record row with no suite bench is named",
+         stale == ["bench_gone: in the record but not a suite bench"]),
+    ]
+
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
@@ -537,6 +631,9 @@ def main():
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--out", help="record path (default BENCH_e2e.json "
                                   "for suite, BENCH_hotpaths.json for pairs)")
+    ap.add_argument("--expect", metavar="RECORD",
+                    help="suite: check the digests against RECORD instead "
+                         "of recording")
     ap.add_argument("--only", action="append",
                     help="suite: run only this bench (repeatable)")
     ap.add_argument("--smoke", action="store_true",
@@ -556,6 +653,8 @@ def main():
         ap.error("pairs needs --baseline-exe")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.expect and args.mode != "suite":
+        ap.error("--expect is a suite option")
 
     build_dir = os.path.join(REPO, args.build_dir)
     host_cpus = detect_host_cpus()
@@ -568,7 +667,19 @@ def main():
         "build_type": build_type(build_dir),
         "smoke": args.smoke,
     }
-    if args.mode == "suite":
+    if args.expect:
+        with open(os.path.join(REPO, args.expect)) as f:
+            record = json.load(f)
+        if args.only:
+            record["results"] = [r for r in record.get("results", [])
+                                 if r["bench"] in args.only]
+        results, problems = check_suite(build_dir, record,
+                                        suite_benches(args.only), host_cpus)
+        for row in results:
+            print(f"{row['bench']:34s} "
+                  f"{'; '.join(row['problems']) or 'ok'}")
+        totals = {"omr_mb": OMR_MB, "expect": args.expect}
+    elif args.mode == "suite":
         totals, results, problems = record_suite(
             build_dir, args.only, args.smoke, host_cpus)
     else:
@@ -576,12 +687,14 @@ def main():
             build_dir, args.baseline_exe, args.pairs, args.smoke)
     doc.update(totals, results=results)
 
-    out = os.path.join(REPO, args.out or (
-        "BENCH_e2e.json" if args.mode == "suite" else "BENCH_hotpaths.json"))
-    with open(out, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    print(f"wrote {out}")
+    if args.out or not args.expect:
+        out = os.path.join(REPO, args.out or (
+            "BENCH_e2e.json" if args.mode == "suite" else
+            "BENCH_hotpaths.json"))
+        with open(out, "w") as f:
+            json.dump(doc, f, indent=2)
+            f.write("\n")
+        print(f"wrote {out}")
     if problems:
         print("FAIL:\n  " + "\n  ".join(problems))
         return 1
