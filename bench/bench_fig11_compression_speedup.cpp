@@ -54,7 +54,7 @@ int main() {
   bench::banner("Figure 11",
                 "Block compression: accuracy (F1) and BERT speedup, k=1%");
   const ddl::TrainerConfig cfg = trainer_config();
-  const std::size_t bs = cfg.embed_dim * 4;
+  const std::size_t bs = ddl::kEmbedDim * 4;
   const std::size_t nb = tensor::num_blocks(ddl::model_dimension(cfg), bs);
   const std::size_t k =
       std::max<std::size_t>(1, static_cast<std::size_t>(nb * 0.01));

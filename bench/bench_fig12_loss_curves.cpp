@@ -29,7 +29,7 @@ std::vector<double> median_curve(
     std::optional<ddl::CompressionSpec> spec = spec_template;
     if (spec && randomk) {
       // Fresh sampling RNG per run.
-      const std::size_t bs = cfg.embed_dim * 4;
+      const std::size_t bs = ddl::kEmbedDim * 4;
       const std::size_t nb =
           tensor::num_blocks(ddl::model_dimension(cfg), bs);
       const std::size_t k = std::max<std::size_t>(1, nb / 100);
@@ -60,7 +60,7 @@ int main() {
   bench::banner("Figure 12",
                 "Median training loss, 10 runs, EMA-smoothed (k=1%)");
   ddl::TrainerConfig probe;
-  const std::size_t bs = probe.embed_dim * 4;
+  const std::size_t bs = ddl::kEmbedDim * 4;
   const std::size_t nb = tensor::num_blocks(ddl::model_dimension(probe), bs);
   const std::size_t k = std::max<std::size_t>(1, nb / 100);
 

@@ -43,10 +43,9 @@ double nccl_ms(std::size_t n, std::uint64_t seed) {
   const double inter = sim::to_seconds(
       bench::registry_run("ring", server_sums, bench::flat_cluster(100e9, 1))
           .completion_time);
-  core::HierarchicalConfig hier;
   const double intra =
       2.0 * (static_cast<double>(kGpus) - 1.0) / kGpus * n * 4.0 /
-      hier.nvlink_bandwidth_Bps;
+      core::kNvlinkBandwidthBps;
   return (inter + intra) * 1e3;
 }
 

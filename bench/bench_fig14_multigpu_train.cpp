@@ -52,7 +52,7 @@ int main() {
     auto sums_copy = sums;
     core::HierarchicalConfig hier;
     const double intra = 2.0 * (kGpus - 1.0) / kGpus * n * 4.0 /
-                         hier.nvlink_bandwidth_Bps;
+                         core::kNvlinkBandwidthBps;
     const double nccl_comm =
         (sim::to_seconds(bench::registry_run("ring", sums_copy,
                                              bench::flat_cluster(100e9, 1))

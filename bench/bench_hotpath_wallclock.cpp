@@ -353,7 +353,7 @@ Result bench_reduce_kernel(const char* name, omr::core::ReduceOp op,
   // The fixed-point kernel rounds every addend: far fewer calls per row.
   const int inner = (fixed_point ? 500 : 20000) / (smoke ? 20 : 1);
   const double ms = median_ms(repeats, inner, [&] {
-    kernel(dst.span().data(), src.span().data(), src.size(), 1048576.0);
+    kernel(dst.span().data(), src.span().data(), src.size());
   });
   if (!std::isfinite(dst[0])) std::fprintf(stderr, "non-finite slot\n");
   return micro(name, ms, static_cast<double>(src.size()) * inner,

@@ -20,7 +20,7 @@ int main() {
   const ddl::TrainResult base = ddl::train_distributed(cfg, std::nullopt);
 
   // Block Top-k at 1% with error feedback.
-  const std::size_t bs = cfg.embed_dim * 4;
+  const std::size_t bs = ddl::kEmbedDim * 4;
   const std::size_t nb = tensor::num_blocks(ddl::model_dimension(cfg), bs);
   const std::size_t k = std::max<std::size_t>(1, nb / 100);
   ddl::CompressionSpec spec;

@@ -209,8 +209,7 @@ void Aggregator::fold(SlotData& slot, const DataPacket& p) const {
   // per-block call is a direct jump into a vectorized kernel.
   for (const ColumnBlock& cb : p.columns) {
     assert(cb.data.size() == cfg_.block_size);
-    kernel_(slot[cb.column].data(), cb.data.data(), cfg_.block_size,
-            cfg_.fixed_point_scale);
+    kernel_(slot[cb.column].data(), cb.data.data(), cfg_.block_size);
   }
 }
 
@@ -266,7 +265,6 @@ net::MessagePtr Aggregator::emit_result(
   result->ver = ver;
   result->epoch = epoch_;
   result->header_bytes = cfg_.header_bytes;
-  result->per_block_meta_bytes = cfg_.per_block_meta_bytes;
   result->value_bytes = cfg_.value_bytes;
   result->request = requests;
   for (std::size_t c = 0; c < st.info.columns; ++c) {

@@ -34,10 +34,9 @@ struct FabricConfig {
   /// software (DPDK) aggregator spends CPU per packet regardless of size;
   /// 0 models line-rate processing. Calibrating this to ~1.2 us/packet
   /// reproduces the paper's measured dense-DPDK parity with NCCL (their
-  /// Fig. 4; see bench_ablation_cpu_bound).
+  /// Fig. 4; see bench_ablation_cpu_bound). Worker NICs receive at line
+  /// rate.
   double aggregator_rx_overhead_ns = 0.0;
-  /// Same for the worker receive path.
-  double worker_rx_overhead_ns = 0.0;
 
   /// True when any loss process (Bernoulli or burst) is active — the
   /// engine then forces Algorithm 2 recovery on.
@@ -47,7 +46,9 @@ struct FabricConfig {
 /// Fabric shape and placement: which topology joins the NICs and where
 /// each machine sits. The default (kIdealSwitch) reproduces the flat
 /// non-blocking switch bit-identically; kTwoTier places NICs in racks
-/// under ToR switches joined by an oversubscribable spine.
+/// under ToR switches joined by an oversubscribable spine. Each hop
+/// propagates in fabric.one_way_latency / 2, so intra-rack paths cross the
+/// fabric in exactly one_way_latency.
 struct TopologySpec {
   enum class Kind { kIdealSwitch, kTwoTier };
   Kind kind = Kind::kIdealSwitch;
@@ -57,9 +58,6 @@ struct TopologySpec {
   /// Spine oversubscription ratio (>= 1): each rack's uplink capacity is
   /// the sum of its NIC speeds divided by this. 1.0 = full bisection.
   double oversubscription = 1.0;
-  /// Per-hop propagation latency; 0 derives fabric.one_way_latency / 2 so
-  /// intra-rack paths cross the fabric in exactly one_way_latency.
-  sim::Time hop_latency = 0;
   /// Explicit per-rack uplink capacity override in bps (0 = derived).
   double uplink_bandwidth_bps = 0.0;
   /// Rack of each worker (empty = contiguous fill: rack w*n_racks/n).
@@ -123,14 +121,6 @@ struct ServeSpec {
   std::size_t cache_capacity = 0;
   CachePolicy cache_policy = CachePolicy::kLru;
   Routing routing = Routing::kHash;
-  /// Shard service-time model, ns of shard CPU per request (hit / miss /
-  /// update) plus a fixed per-batch dispatch overhead.
-  double hit_ns = 150.0;
-  double miss_ns = 1200.0;
-  double update_ns = 600.0;
-  double batch_overhead_ns = 500.0;
-  /// Request/response frame header bytes (key, route, transport framing).
-  std::size_t request_bytes = 64;
   std::uint64_t seed = 1;
 };
 

@@ -8,30 +8,31 @@
 
 namespace omr::core {
 
+/// One-time per-collective per-worker cost of arming the codec path
+/// (kernel launch / ring buffer registration). Dominates at small tensors,
+/// which is what makes `none` win the small-message cells.
+inline constexpr double kCodecSetupNs = 5000.0;
+/// Per-element encode+decode compute charged on the packet critical path
+/// (per packet: elements * kCodecNsPerElement + kCodecPacketOverheadNs).
+inline constexpr double kCodecNsPerElement = 0.25;
+inline constexpr double kCodecPacketOverheadNs = 100.0;
+
 /// Inline wire-compression configuration (QuickReduce-style). With
 /// codec == kNone every cost term is zero and the packet path is
-/// byte-identical to the uncompressed engine.
+/// byte-identical to the uncompressed engine. Workers always carry the
+/// quantization error as a residual added into the next collective's input
+/// (error feedback), which preserves convergence under
+/// dequant-fold-requant.
 struct CodecSpec {
   compress::WireCodec codec = compress::WireCodec::kNone;
-  /// One-time per-collective per-worker cost of arming the codec path
-  /// (kernel launch / ring buffer registration). Dominates at small
-  /// tensors, which is what makes `none` win the small-message cells.
-  double setup_ns = 5000.0;
-  /// Per-element encode+decode compute charged on the packet critical
-  /// path (per packet: elements * ns_per_element + packet_overhead_ns).
-  double ns_per_element = 0.25;
-  double packet_overhead_ns = 100.0;
-  /// Carry the quantization error as a worker-side residual added into
-  /// the next collective's input (error feedback). Preserves convergence
-  /// under dequant-fold-requant.
-  bool error_feedback = true;
 
   bool enabled() const { return codec != compress::WireCodec::kNone; }
   /// Codec compute time for one packet carrying `elements` data elements.
   sim::Time packet_cost(std::size_t elements) const {
     if (!enabled() || elements == 0) return 0;
     return static_cast<sim::Time>(
-        static_cast<double>(elements) * ns_per_element + packet_overhead_ns);
+        static_cast<double>(elements) * kCodecNsPerElement +
+        kCodecPacketOverheadNs);
   }
 };
 
@@ -61,6 +62,10 @@ enum class ReduceOp {
   kMax,
 };
 
+/// Scale factor of fixed-point aggregation (value * scale rounded to
+/// int32). 2^20 keeps ~6 decimal digits for gradients in [-1000, 1000].
+inline constexpr double kFixedPointScale = 1048576.0;
+
 /// Tuning knobs of the OmniReduce engine. Defaults follow §5/§6: 256-element
 /// blocks, 256 outstanding slots, MTU-sized DPDK packets.
 struct Config {
@@ -86,8 +91,6 @@ struct Config {
   sim::Time retransmit_timeout = sim::milliseconds(1);
   /// Per-message protocol + transport header bytes.
   std::size_t header_bytes = 64;
-  /// Per-fused-block metadata bytes (the 64-bit "next" offset).
-  std::size_t per_block_meta_bytes = 8;
   /// Bytes per element on the wire (c_v in the paper's cost model): 4 for
   /// fp32, 2 for fp16/bf16 mixed-precision gradients. Affects transmission
   /// time only; slot arithmetic stays fp32 (values are converted at the
@@ -101,11 +104,8 @@ struct Config {
   bool switch_multicast = false;
   /// Aggregate in fixed-point (int32-scaled) arithmetic with saturation, as
   /// programmable switch ASICs must (§7: the P4 aggregator inherits the
-  /// SwitchML numeric-representation limitation).
+  /// SwitchML numeric-representation limitation), at kFixedPointScale.
   bool fixed_point = false;
-  /// Scale factor for fixed-point quantization (value * scale rounded to
-  /// int32). 2^20 keeps ~6 decimal digits for gradients in [-1000, 1000].
-  double fixed_point_scale = 1048576.0;
   /// Reduction operator (sum/min/max). Fixed-point slots require kSum.
   ReduceOp op = ReduceOp::kSum;
   /// Numeric reproducibility (§7): the aggregator buffers each round's

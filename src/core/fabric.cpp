@@ -54,6 +54,9 @@ int aggregator_rack(const TopologySpec& topo, std::size_t a) {
 std::vector<int> resolve_nic_racks(const TopologySpec& topo,
                                    std::size_t n_workers,
                                    std::size_t n_dedicated_aggs) {
+  if (topo.n_racks == 0) {
+    throw std::invalid_argument("two-tier fabric needs at least one rack");
+  }
   if (!topo.worker_racks.empty() && topo.worker_racks.size() != n_workers) {
     throw std::invalid_argument("worker rack count != worker count");
   }
@@ -72,14 +75,16 @@ std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
                                              sim::Time one_way_latency,
                                              std::vector<int> rack_of_nic) {
   validate_loss(topo.spine_loss_rate, topo.spine_burst_loss, "spine");
+  if (one_way_latency < 0) {
+    throw std::invalid_argument("one_way_latency must be non-negative");
+  }
   if (!topo.two_tier()) {
     return std::make_unique<net::IdealSwitch>(one_way_latency);
   }
   net::TwoTierFabric::Config cfg;
   cfg.n_racks = topo.n_racks;
   cfg.oversubscription = topo.oversubscription;
-  cfg.hop_latency =
-      topo.hop_latency > 0 ? topo.hop_latency : one_way_latency / 2;
+  cfg.hop_latency = one_way_latency / 2;
   cfg.uplink_bandwidth_bps = topo.uplink_bandwidth_bps;
   cfg.rack_of_nic = std::move(rack_of_nic);
   if (topo.spine_burst_loss.enabled()) {

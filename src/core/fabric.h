@@ -21,7 +21,8 @@ int aggregator_rack(const TopologySpec& topo, std::size_t a);
 
 /// Rack of every NIC in engine add order: the n_workers worker NICs first,
 /// then the dedicated aggregator NICs (colocated deployments add none).
-/// Throws when explicit worker racks do not cover exactly n_workers.
+/// Throws when the spec has no racks or explicit worker racks do not cover
+/// exactly n_workers.
 std::vector<int> resolve_nic_racks(const TopologySpec& topo,
                                    std::size_t n_workers,
                                    std::size_t n_dedicated_aggs);
@@ -29,8 +30,8 @@ std::vector<int> resolve_nic_racks(const TopologySpec& topo,
 /// Build the net::Topology every run path runs on. The ideal switch (the
 /// default spec, bit-identical to the seed fabric) ignores the racks; a
 /// two-tier fabric puts the i-th NIC added in rack rack_of_nic[i] and
-/// derives its hop latency from `one_way_latency` unless the spec pins it.
-/// Throws std::invalid_argument on an impossible spine loss spec (see
+/// gives each hop half of `one_way_latency`. Throws std::invalid_argument
+/// on a negative latency or an impossible spine loss spec (see
 /// apply_fabric_loss).
 std::unique_ptr<net::Topology> make_topology(const TopologySpec& topo,
                                              sim::Time one_way_latency,

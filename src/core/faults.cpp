@@ -5,6 +5,20 @@
 
 namespace omr::core {
 
+namespace {
+
+/// Each straggler draw is capped at this multiple of its mean.
+constexpr double kStragglerCapFactor = 10.0;
+/// Retransmission backoff: the timeout grows by kBackoff per consecutive
+/// timeout of one packet, up to kBackoffCapFactor x the base, and each
+/// armed timeout is scaled by a uniform factor in [1, 1 + kJitter) that
+/// decorrelates retry storms.
+constexpr double kBackoff = 2.0;
+constexpr double kBackoffCapFactor = 32.0;
+constexpr double kJitter = 0.1;
+
+}  // namespace
+
 const char* verdict_name(RunVerdict v) {
   switch (v) {
     case RunVerdict::kCompleted: return "completed";
@@ -44,15 +58,12 @@ sim::Rng& FaultController::worker_rng(std::uint32_t wid) {
 }
 
 sim::Time FaultController::compute_delay(std::uint32_t wid) {
-  const StragglerSpec& s = spec_.stragglers;
-  const double mean = wid < s.per_worker_mean_ns.size()
-                          ? s.per_worker_mean_ns[wid]
-                          : s.mean_delay_ns;
+  const double mean = spec_.stragglers.mean_delay_ns;
   if (mean <= 0.0) return 0;
   // Inverse-CDF exponential on a [0,1) uniform: log1p(-u) is exact near 0
   // and never hits log(0).
   const double u = worker_rng(wid).next_double();
-  const double cap = s.max_delay_ns > 0.0 ? s.max_delay_ns : 10.0 * mean;
+  const double cap = kStragglerCapFactor * mean;
   const double delay = std::min(-mean * std::log1p(-u), cap);
   return static_cast<sim::Time>(delay + 0.5);
 }
@@ -60,19 +71,14 @@ sim::Time FaultController::compute_delay(std::uint32_t wid) {
 sim::Time FaultController::retransmit_timeout(std::uint32_t wid,
                                               std::uint32_t attempt,
                                               sim::Time rto) {
-  const RetryPolicy& r = spec_.retry;
-  const double base =
-      static_cast<double>(r.base_timeout > 0 ? r.base_timeout : rto);
-  const double cap = r.max_timeout > 0 ? static_cast<double>(r.max_timeout)
-                                       : 32.0 * base;
+  const double base = static_cast<double>(rto);
+  const double cap = kBackoffCapFactor * base;
   double t = base;
-  if (attempt > 0 && r.backoff > 1.0) {
-    t = std::min(base * std::pow(r.backoff, static_cast<double>(attempt)),
+  if (attempt > 0) {
+    t = std::min(base * std::pow(kBackoff, static_cast<double>(attempt)),
                  cap);
   }
-  if (r.jitter > 0.0) {
-    t *= 1.0 + r.jitter * worker_rng(wid).next_double();
-  }
+  t *= 1.0 + kJitter * worker_rng(wid).next_double();
   return std::max<sim::Time>(static_cast<sim::Time>(t + 0.5), 1);
 }
 

@@ -45,20 +45,13 @@ struct FailureInfo {
   bool failed() const { return verdict != RunVerdict::kCompleted; }
 };
 
-/// Retry/timeout/backoff policy for the transports under fault injection.
-/// Deterministic: the exponential backoff jitter is drawn from per-worker
-/// seeded RNGs, so a fault schedule replays bit-identically.
+/// Retry/liveness policy for the transports under fault injection. The
+/// timeout schedule itself is fixed (FaultController::retransmit_timeout):
+/// the run's derived Algorithm 2 timeout, doubled per consecutive timeout
+/// of one packet up to 32x, scaled by a jitter factor in [1, 1.1) drawn
+/// from per-worker seeded RNGs, so a fault schedule replays
+/// bit-identically.
 struct RetryPolicy {
-  /// Initial retransmission timeout; 0 = the run's derived Algorithm 2
-  /// timeout (core::size_retransmit_timeout).
-  sim::Time base_timeout = 0;
-  /// Multiplier applied per consecutive timeout of the same packet.
-  double backoff = 2.0;
-  /// Backoff ceiling; 0 = 32x the base timeout.
-  sim::Time max_timeout = 0;
-  /// Deterministic jitter fraction: each armed timeout is scaled by a
-  /// uniform factor in [1, 1 + jitter), decorrelating retry storms.
-  double jitter = 0.1;
   /// Give up on a packet after this many consecutive timeouts and declare
   /// the slot's aggregator dead (0 = no retry cap).
   std::uint32_t max_retries = 0;
@@ -74,21 +67,12 @@ struct RetryPolicy {
 };
 
 /// Seeded per-worker compute-delay (straggler) distribution: every fresh
-/// data packet's transmission is delayed by an exponential draw.
+/// data packet's transmission is delayed by an exponential draw, capped at
+/// 10x the mean.
 struct StragglerSpec {
   double mean_delay_ns = 0.0;  // 0 = no stragglers
-  /// Per-draw cap; 0 = 10x the mean.
-  double max_delay_ns = 0.0;
-  /// Per-worker mean override (workers beyond the vector use mean_delay_ns).
-  std::vector<double> per_worker_mean_ns;
 
-  bool enabled() const {
-    if (mean_delay_ns > 0.0) return true;
-    for (double m : per_worker_mean_ns) {
-      if (m > 0.0) return true;
-    }
-    return false;
-  }
+  bool enabled() const { return mean_delay_ns > 0.0; }
 };
 
 /// Worker crash at virtual time `at`; restart `restart_after` later with
@@ -180,9 +164,8 @@ class FaultController {
   sim::Time compute_delay(std::uint32_t wid);
 
   /// Backoff schedule: timeout for `attempt` consecutive retries of one
-  /// packet (attempt 0 = first transmission), with deterministic jitter.
-  /// The base is RetryPolicy::base_timeout, or `rto` (the worker's derived
-  /// Algorithm 2 timeout) when that is 0.
+  /// packet (attempt 0 = first transmission), with deterministic jitter,
+  /// from the base `rto` (the worker's derived Algorithm 2 timeout).
   sim::Time retransmit_timeout(std::uint32_t wid, std::uint32_t attempt,
                                sim::Time rto);
 

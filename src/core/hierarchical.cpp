@@ -72,7 +72,7 @@ HierarchicalStats run_hierarchical_allreduce(
   const double g = static_cast<double>(max_gpus);
   stats.intra_reduce = max_gpus > 1
                            ? sim::from_seconds((g - 1.0) / g * bytes /
-                                               hier.nvlink_bandwidth_Bps)
+                                               kNvlinkBandwidthBps)
                            : 0;
   stats.intra_broadcast = stats.intra_reduce;
 
@@ -88,9 +88,7 @@ HierarchicalStats run_hierarchical_allreduce(
     // exchange one representative per rack across the spine, then
     // distribute back down. Spine traffic shrinks by the rack size.
     const TopologySpec& topo = cluster.topology;
-    const sim::Time hop = topo.hop_latency > 0
-                              ? topo.hop_latency
-                              : cluster.fabric.one_way_latency / 2;
+    const sim::Time hop = cluster.fabric.one_way_latency / 2;
 
     std::vector<std::vector<std::size_t>> members(topo.n_racks);
     for (std::size_t s = 0; s < n_servers; ++s) {

@@ -7,6 +7,9 @@
 
 namespace omr::core {
 
+/// Effective per-GPU NVLink bandwidth for the local ring (bytes/s).
+inline constexpr double kNvlinkBandwidthBps = 130e9;
+
 /// Two-layer aggregation for multi-GPU servers (§5, Fig. 13/14): GPUs
 /// inside a server first reduce over NVLink (NCCL), one GPU per server then
 /// joins the inter-server OmniReduce, and the result is broadcast back over
@@ -20,8 +23,6 @@ namespace omr::core {
 /// are distributed back down — cutting spine traffic by the rack size, the
 /// placement NetReduce-style rack-scale aggregation exploits.
 struct HierarchicalConfig {
-  /// Effective per-GPU NVLink bandwidth for the local ring (bytes/s).
-  double nvlink_bandwidth_Bps = 130e9;
   /// Enable the rack layer. Requires cluster.topology.two_tier() with
   /// more than one rack; otherwise ignored (flat inter-server phase).
   bool rack_aware = false;

@@ -34,6 +34,10 @@ inline std::size_t column_payload_bytes(const ColumnBlock& c,
   return c.data.size() * value_bytes;
 }
 
+/// Per-fused-block metadata bytes on the wire: the 64-bit "next" (data
+/// packets) or "request" (results) offset of each active column.
+inline constexpr std::size_t kPerBlockMetaBytes = 8;
+
 /// Worker -> aggregator packet (Algorithm 1 / 2 with Block Fusion).
 /// `next` always holds one entry per active column of the stream: the
 /// sender's next non-zero block in that column (tensor::kNoBlock = infinity).
@@ -51,11 +55,10 @@ struct DataPacket final : net::Message {
   std::vector<ColumnBlock> columns;
   std::vector<tensor::BlockIndex> next;  // size = active columns
   std::size_t header_bytes = 64;
-  std::size_t per_block_meta_bytes = 8;
   std::size_t value_bytes = 4;  // c_v: 4 = fp32, 2 = fp16 on the wire
 
   std::size_t wire_bytes() const override {
-    return header_bytes + next.size() * per_block_meta_bytes +
+    return header_bytes + next.size() * kPerBlockMetaBytes +
            payload_bytes();
   }
 
@@ -79,11 +82,10 @@ struct ResultPacket final : net::Message {
   std::vector<ColumnBlock> columns;
   std::vector<tensor::BlockIndex> request;  // size = active columns
   std::size_t header_bytes = 64;
-  std::size_t per_block_meta_bytes = 8;
   std::size_t value_bytes = 4;
 
   std::size_t wire_bytes() const override {
-    return header_bytes + request.size() * per_block_meta_bytes +
+    return header_bytes + request.size() * kPerBlockMetaBytes +
            payload_bytes();
   }
 

@@ -108,6 +108,7 @@ std::unique_ptr<net::Topology> cluster_topology(const Config& cfg,
                                                 std::size_t n_workers,
                                                 const ClusterSpec& cluster) {
   if (n_workers == 0) throw std::invalid_argument("no workers");
+  require_layout(cfg);
   const std::size_t n_aggs = aggregator_nodes(cluster, n_workers);
   if (n_aggs == 0) {
     throw std::invalid_argument("need at least one aggregator node");
@@ -187,8 +188,7 @@ RunContext::RunContext(const Config& cfg, std::size_t n_workers,
   const bool colocated = cluster_.deployment == Deployment::kColocated;
   for (std::size_t w = 0; w < n_workers; ++w) {
     worker_nics_.push_back(network_.add_nic({fabric.worker_bandwidth_bps,
-                                             fabric.worker_bandwidth_bps,
-                                             fabric.worker_rx_overhead_ns}));
+                                             fabric.worker_bandwidth_bps}));
     if (tracer_ != nullptr) {
       tracer_->map_nic(worker_nics_[w], telemetry::worker_pid(w));
       tracer_->name_process(telemetry::worker_pid(w),

@@ -34,10 +34,10 @@ void apply_codec_params(perfmodel::ModelParams& p, const Config& cfg) {
   if (!cfg.codec.enabled()) return;
   p.codec_bits_per_element =
       compress::codec_bits_per_element(cfg.codec.codec);
-  p.codec_setup_s = cfg.codec.setup_ns * 1e-9;
+  p.codec_setup_s = kCodecSetupNs * 1e-9;
   const double per_element =
-      cfg.codec.ns_per_element +
-      cfg.codec.packet_overhead_ns /
+      kCodecNsPerElement +
+      kCodecPacketOverheadNs /
           static_cast<double>(std::max<std::size_t>(1, cfg.packet_elements));
   p.codec_ns_per_element =
       per_element / static_cast<double>(std::max<std::size_t>(

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "core/config.h"
@@ -20,6 +21,18 @@ struct StreamInfo {
   std::size_t blocks() const { return block_hi - block_lo; }
 };
 
+/// Throw std::invalid_argument unless `cfg` can be laid out: blocks need a
+/// positive size and a collective at least one stream. Every engine path
+/// reaches this before it divides by the block size.
+inline void require_layout(const Config& cfg) {
+  if (cfg.block_size == 0) {
+    throw std::invalid_argument("block_size must be positive");
+  }
+  if (cfg.num_streams == 0) {
+    throw std::invalid_argument("num_streams must be positive");
+  }
+}
+
 /// Partition of a tensor into streams, shared by workers and aggregators.
 struct StreamLayout {
   std::size_t block_size = 0;
@@ -34,6 +47,7 @@ struct StreamLayout {
 
 inline StreamLayout StreamLayout::build(std::size_t n_elements,
                                         const Config& cfg) {
+  require_layout(cfg);
   StreamLayout layout;
   layout.block_size = cfg.block_size;
   layout.width = cfg.fusion_width();

@@ -16,6 +16,9 @@ namespace omr::core {
 
 namespace {
 
+/// Line rate of every machine NIC (bps, both directions).
+constexpr double kMachineBandwidthBps = 10e9;
+
 /// Job control-plane message. Control traffic rides the simulated fabric
 /// itself (64-byte frames between a training job's controller and its agents), so
 /// every cross-machine effect of step sequencing flows through
@@ -593,9 +596,8 @@ Fabric::Fabric(TenantFabricSpec spec)
       slot_pool_(spec_.switch_slots) {
   machine_nics_.reserve(spec_.n_machines);
   for (std::size_t m = 0; m < spec_.n_machines; ++m) {
-    machine_nics_.push_back(network_.add_nic({spec_.machine_bandwidth_bps,
-                                              spec_.machine_bandwidth_bps,
-                                              spec_.machine_rx_overhead_ns}));
+    machine_nics_.push_back(
+        network_.add_nic({kMachineBandwidthBps, kMachineBandwidthBps}));
   }
 }
 

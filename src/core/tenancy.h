@@ -22,11 +22,10 @@ namespace omr::core {
 /// NIC each) joined by a topology, plus the switch-slot budget jobs draw
 /// their aggregation slots from. Unlike ClusterSpec — which describes one
 /// job's cluster — a TenantFabricSpec knows nothing about workers or
-/// aggregators: jobs map their endpoints onto machines via JobSpec.
+/// aggregators: jobs map their endpoints onto machines via JobSpec. Every
+/// machine NIC runs at 10 Gbps and receives at line rate.
 struct TenantFabricSpec {
   std::size_t n_machines = 4;
-  double machine_bandwidth_bps = 10e9;
-  double machine_rx_overhead_ns = 0.0;
   sim::Time one_way_latency = sim::microseconds(10);
   /// Fabric shape. kIdealSwitch ignores the rack fields; kTwoTier places
   /// machines in racks under ToR switches joined by an oversubscribable

@@ -52,7 +52,7 @@ RetransmitTimeout size_retransmit_timeout(
   perfmodel::SlotRoundParams p;
   p.n_workers = worker_nics.size();
   p.header_bytes = static_cast<double>(
-      cfg.header_bytes + layout.width * cfg.per_block_meta_bytes);
+      cfg.header_bytes + layout.width * kPerBlockMetaBytes);
   p.payload_bytes =
       static_cast<double>(layout.width * cfg.block_size * cfg.value_bytes);
   p.dense = cfg.dense_mode;

@@ -44,20 +44,16 @@ void Worker::start(tensor::DenseTensor& tensor, const CollectivePlan& plan,
                                    : 0);
   if (cfg_.codec.enabled()) {
     // One-time codec arming cost; dominates at small tensors.
-    start_time_ += static_cast<sim::Time>(cfg_.codec.setup_ns);
+    start_time_ += static_cast<sim::Time>(kCodecSetupNs);
     codec_saved_bytes_ = 0;
     codec_residual_sq_ = 0.0;
     pending_rx_cost_ = 0;
     codec_tail_ = 0;
-    if (cfg_.codec.error_feedback) {
-      // The residual persists across collectives of a Session (that is the
-      // error-feedback contract); it is re-zeroed only when the tensor
-      // geometry changes.
-      if (codec_residual_.size() != tensor.size()) {
-        codec_residual_.assign(tensor.size(), 0.0f);
-      }
-    } else {
-      codec_residual_.clear();
+    // The residual persists across collectives of a Session (that is the
+    // error-feedback contract); it is re-zeroed only when the tensor
+    // geometry changes.
+    if (codec_residual_.size() != tensor.size()) {
+      codec_residual_.assign(tensor.size(), 0.0f);
     }
   }
   // Stream state and the next-block table are reset in place: a Session's
@@ -159,15 +155,13 @@ void Worker::encode_column(std::size_t stream, ColumnBlock& cb) {
       info.block_lo + static_cast<std::size_t>(cb.block);
   const std::size_t lo = global * cfg_.block_size;
   const std::size_t n = cb.data.size();
-  // Fold in the carried residual first (zero on the first collective, so
-  // the no-error-feedback path is identical there). Padding elements past
-  // the tensor end have no residual slot and stay zero.
+  // Fold in the carried residual first (zero on the first collective).
+  // Padding elements past the tensor end have no residual slot and stay
+  // zero.
   const std::size_t live = lo < codec_residual_.size()
                                ? std::min(n, codec_residual_.size() - lo)
                                : 0;
-  if (cfg_.codec.error_feedback) {
-    for (std::size_t i = 0; i < live; ++i) cb.data[i] += codec_residual_[lo + i];
-  }
+  for (std::size_t i = 0; i < live; ++i) cb.data[i] += codec_residual_[lo + i];
   // One pass per group: the wire carries `enc`, everyone downstream sees
   // the representatives written over cb.data, and the error becomes the
   // carried residual.
@@ -193,7 +187,6 @@ std::shared_ptr<DataPacket> Worker::new_packet(std::uint32_t stream,
   pkt->epoch = member_epoch_;
   pkt->wid = wid_;
   pkt->header_bytes = cfg_.header_bytes;
-  pkt->per_block_meta_bytes = cfg_.per_block_meta_bytes;
   pkt->value_bytes = cfg_.value_bytes;
   return pkt;
 }

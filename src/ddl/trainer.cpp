@@ -4,16 +4,22 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "baselines/zoo.h"
-#include "core/selector.h"
-#include "sim/time.h"
 #include "tensor/blocks.h"
 
 namespace omr::ddl {
 
 namespace {
 
-/// One synthetic sample: `fields` categorical ids + dense features + label.
+/// Synthetic task shape: categorical ids and dense features per sample,
+/// and the train/test set sizes.
+constexpr std::size_t kFields = 8;
+constexpr std::size_t kDenseFeatures = 32;
+constexpr std::size_t kTrainSamples = 8192;
+constexpr std::size_t kTestSamples = 2048;
+/// SGD learning rate.
+constexpr double kLr = 0.5;
+
+/// One synthetic sample: kFields categorical ids + dense features + label.
 struct Sample {
   std::vector<std::uint32_t> ids;
   std::vector<float> dense;
@@ -27,7 +33,7 @@ struct Layout {
   std::size_t embed_off = 0;
   std::size_t v_off, w_off, b_off, total;
   explicit Layout(const TrainerConfig& c)
-      : vocab(c.vocab), dim(c.embed_dim), dense(c.dense_features) {
+      : vocab(c.vocab), dim(kEmbedDim), dense(kDenseFeatures) {
     v_off = vocab * dim;
     w_off = v_off + dim;
     b_off = w_off + dense;
@@ -85,7 +91,7 @@ std::vector<Sample> make_dataset(const TrainerConfig& cfg, const Layout& L,
   data.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     Sample s;
-    s.ids.resize(cfg.fields);
+    s.ids.resize(kFields);
     // Zipf-ish skew: some ids are hot, like real embedding workloads.
     for (auto& id : s.ids) {
       const double u = rng.next_double();
@@ -93,7 +99,7 @@ std::vector<Sample> make_dataset(const TrainerConfig& cfg, const Layout& L,
           static_cast<double>(cfg.vocab) * u * u);
       id = std::min<std::uint32_t>(id, static_cast<std::uint32_t>(cfg.vocab - 1));
     }
-    s.dense.resize(cfg.dense_features);
+    s.dense.resize(kDenseFeatures);
     for (auto& x : s.dense) x = static_cast<float>(rng.next_normal() * 0.5);
     const double z = score(teacher, L, s) + rng.next_normal() * 0.1;
     s.label = z > 0.0 ? 1.0f : 0.0f;
@@ -141,9 +147,9 @@ TrainResult train_distributed(const TrainerConfig& cfg,
 
   sim::Rng data_rng = rng.fork();
   const std::vector<Sample> train =
-      make_dataset(cfg, L, teacher, cfg.train_samples, data_rng);
+      make_dataset(cfg, L, teacher, kTrainSamples, data_rng);
   const std::vector<Sample> test =
-      make_dataset(cfg, L, teacher, cfg.test_samples, data_rng);
+      make_dataset(cfg, L, teacher, kTestSamples, data_rng);
 
   std::vector<compress::ErrorFeedback> memories;
   if (spec && spec->error_feedback) {
@@ -156,23 +162,10 @@ TrainResult train_distributed(const TrainerConfig& cfg,
       std::max<std::size_t>(1, cfg.batch_size / cfg.n_workers);
   std::size_t cursor = 0;
   double density_sum = 0.0;
-  const std::size_t density_bs = cfg.embed_dim * 4;
-
-  core::OnlineSelector selector;
-  core::ClusterSpec comm_cluster;
-  if (cfg.simulate_comm) {
-    baselines::register_zoo();
-    comm_cluster.fabric.worker_bandwidth_bps = cfg.comm_bandwidth_bps;
-    comm_cluster.fabric.aggregator_bandwidth_bps = cfg.comm_bandwidth_bps;
-    comm_cluster.fabric.seed = cfg.seed;
-    comm_cluster.n_aggregator_nodes = 1;
-    result.step_algorithm.reserve(cfg.iterations);
-    result.step_comm_ms.reserve(cfg.iterations);
-  }
+  const std::size_t density_bs = kEmbedDim * 4;
 
   for (std::size_t it = 0; it < cfg.iterations; ++it) {
     tensor::DenseTensor global(L.total);
-    std::vector<tensor::DenseTensor> sent_grads;
     double loss = 0.0;
     for (std::size_t w = 0; w < cfg.n_workers; ++w) {
       tensor::DenseTensor grad(L.total);
@@ -189,26 +182,14 @@ TrainResult train_distributed(const TrainerConfig& cfg,
                 ? memories[w].step(grad, spec->compressor)
                 : spec->compressor(grad);
         density_sum += 1.0 - tensor::block_sparsity(sent, density_bs);
-        if (cfg.simulate_comm) sent_grads.push_back(sent);
         global.add_inplace(sent);
       } else {
         density_sum += 1.0 - tensor::block_sparsity(grad, density_bs);
-        if (cfg.simulate_comm) sent_grads.push_back(grad);
         global.add_inplace(grad);
       }
     }
-    if (cfg.simulate_comm) {
-      // Simulate the step's collective on a copy of what each worker would
-      // send; the verified-exact averaging below applies the update, so
-      // approximate algorithms (sketch) never perturb the training math.
-      core::SelectorDecision decision;
-      const core::RunStats stats =
-          selector.run(sent_grads, core::Config{}, comm_cluster, &decision);
-      result.step_algorithm.push_back(decision.algorithm);
-      result.step_comm_ms.push_back(sim::to_milliseconds(stats.completion_time));
-    }
     // Average and apply (the collective path is verified separately).
-    theta.axpy_inplace(static_cast<float>(-cfg.lr / cfg.n_workers), global);
+    theta.axpy_inplace(static_cast<float>(-kLr / cfg.n_workers), global);
     result.loss_curve.push_back(loss);
   }
   result.final_loss =

@@ -10,6 +10,9 @@
 
 namespace omr::ddl {
 
+/// Embedding row width of the trainer's model.
+inline constexpr std::size_t kEmbedDim = 16;
+
 /// A real (not modelled) distributed-SGD trainer used to validate the
 /// block-compression convergence claims (§4, Figs. 11/12). The task is a
 /// synthetic click-through-style binary classification with an embedding
@@ -20,26 +23,10 @@ namespace omr::ddl {
 /// per-worker compression with error feedback.
 struct TrainerConfig {
   std::size_t vocab = 2048;           // embedding rows
-  std::size_t embed_dim = 16;
-  std::size_t fields = 8;             // categorical ids per sample
-  std::size_t dense_features = 32;
-  std::size_t train_samples = 8192;
-  std::size_t test_samples = 2048;
   std::size_t batch_size = 256;       // global batch (split across workers)
-  double lr = 0.5;
   std::size_t iterations = 300;
   std::size_t n_workers = 8;
   std::uint64_t seed = 1;
-
-  /// Simulate each step's gradient AllReduce through core::OnlineSelector
-  /// (replacing the static Parallax-style oracle): per iteration the
-  /// selector picks a registry algorithm from the gradients' measured
-  /// density, the simulated completion time feeds back into its EWMA, and
-  /// TrainResult records the per-step choice and time. The collective runs
-  /// on a copy of the worker gradients, so the training math (and every
-  /// loss/accuracy number) is bit-identical with this off or on.
-  bool simulate_comm = false;
-  double comm_bandwidth_bps = 10e9;
 };
 
 /// What gradient treatment each worker applies before averaging.
@@ -54,11 +41,7 @@ struct TrainResult {
   double final_loss = 0.0;
   double test_accuracy = 0.0;
   double test_f1 = 0.0;             // F1 of the positive class
-  double mean_gradient_block_density = 0.0;  // at bs = embed_dim*4 blocks
-  /// Per-iteration selector choice and simulated AllReduce time
-  /// (TrainerConfig::simulate_comm only; empty otherwise).
-  std::vector<std::string> step_algorithm;
-  std::vector<double> step_comm_ms;
+  double mean_gradient_block_density = 0.0;  // at bs = kEmbedDim*4 blocks
 };
 
 /// Train with optional compression; `spec == nullopt` is the uncompressed

@@ -6,6 +6,17 @@
 
 namespace omr::device {
 
+/// Effective GPU->host copy bandwidth (bytes/s). PCIe gen3 x16 gives
+/// 128 Gbps raw; ~13 GB/s is the achievable cudaMemcpy rate.
+inline constexpr double kPcieBandwidthBps = 13e9;
+/// GPU memory bandwidth for the bitmap scan kernel (V100: ~900 GB/s).
+inline constexpr double kGpuMemBandwidthBps = 900e9;
+/// Per-block overhead of the bitmap kernel (block-reduction output +
+/// atomic), calibrated so a 100 MB tensor at bs=1 costs ~40 ms (Fig. 20).
+inline constexpr double kBitmapPerBlockNs = 1.5;
+/// Staging chunk size (Appendix B uses 4 MB).
+inline constexpr std::size_t kChunkBytes = 4 << 20;
+
 /// Model of the accelerator (GPU) side of a worker: where gradients live
 /// and what it costs to move them toward the NIC. Substitutes for CUDA +
 /// GPU-direct RDMA in the paper's implementation (§5, Appendix B):
@@ -20,16 +31,6 @@ namespace omr::device {
 ///    rises steeply for tiny blocks (one reduction output per block,
 ///    Fig. 20); for bs >= 16 it is negligible.
 struct DeviceModel {
-  /// Effective GPU->host copy bandwidth (bytes/s). PCIe gen3 x16 gives
-  /// 128 Gbps raw; ~13 GB/s is the achievable cudaMemcpy rate.
-  double pcie_bandwidth_Bps = 13e9;
-  /// GPU memory bandwidth for the bitmap scan kernel (V100: ~900 GB/s).
-  double gpu_mem_bandwidth_Bps = 900e9;
-  /// Per-block overhead of the bitmap kernel (block-reduction output +
-  /// atomic), calibrated so a 100 MB tensor at bs=1 costs ~40 ms (Fig. 20).
-  double bitmap_per_block_ns = 1.5;
-  /// Staging chunk size (Appendix B uses 4 MB).
-  std::size_t chunk_bytes = 4 << 20;
   /// GPU-direct RDMA available: NIC reads GPU memory, no staging.
   bool gdr = false;
 

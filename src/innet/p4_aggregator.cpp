@@ -17,7 +17,6 @@ core::RunStats run_allreduce_innet(std::vector<tensor::DenseTensor>& tensors,
   engine_cfg.header_bytes = 64;  // Ethernet + IP + UDP + OmniReduce header
   engine_cfg.switch_multicast = true;
   engine_cfg.fixed_point = true;
-  engine_cfg.fixed_point_scale = cfg.fixed_point_scale;
   engine_cfg.charge_bitmap_cost = true;
 
   if (cfg.switch_slots > 0 && !tensors.empty()) {
@@ -40,7 +39,7 @@ core::RunStats run_allreduce_innet(std::vector<tensor::DenseTensor>& tensors,
   // serializes slower than the sum of worker line rates.
   fabric.aggregator_bandwidth_bps =
       cfg.worker_bandwidth_bps * static_cast<double>(tensors.size());
-  fabric.one_way_latency = cfg.one_way_latency;
+  fabric.one_way_latency = kSwitchOneWayLatency;
   fabric.seed = cfg.seed;
 
   device::DeviceModel dev;

@@ -7,6 +7,9 @@
 
 namespace omr::innet {
 
+/// One-way worker <-> switch latency of the in-network fabric.
+inline constexpr sim::Time kSwitchOneWayLatency = sim::microseconds(5);
+
 /// In-network (P4 / Tofino) OmniReduce aggregator (§7, Fig. 18).
 ///
 /// Differences from the server-based aggregator, all modelled here:
@@ -14,16 +17,15 @@ namespace omr::innet {
 ///    bandwidth (N x the worker line rate), so the switch never bottlenecks;
 ///  * results are replicated by the switch's multicast engine: one TX
 ///    serialization per result instead of N unicasts;
-///  * slot arithmetic is fixed-point int32 with saturation (ASICs have no
-///    floating point) — inherited SwitchML limitation;
+///  * slot arithmetic is fixed-point int32 with saturation at
+///    core::kFixedPointScale (ASICs have no floating point) — inherited
+///    SwitchML limitation;
 ///  * the per-packet payload is limited by the ASIC's register-access
 ///    budget: the paper evaluates 34-element and 256-element blocks.
 struct P4Config {
   std::size_t block_size = 256;  // 34 mirrors the SwitchML-style budget
   double worker_bandwidth_bps = 10e9;
-  sim::Time one_way_latency = sim::microseconds(5);
   std::size_t num_streams = 256;
-  double fixed_point_scale = 1048576.0;
   std::uint64_t seed = 1;
   /// Fabric shape. With n_racks > 1 the workers sit in racks under ToR
   /// switches and the aggregating switch is the rack-0 spine: remote

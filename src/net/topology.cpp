@@ -8,7 +8,7 @@ TwoTierFabric::TwoTierFabric(Config cfg) : cfg_(std::move(cfg)) {
   if (cfg_.n_racks == 0) {
     throw std::invalid_argument("two-tier fabric needs at least one rack");
   }
-  if (cfg_.oversubscription < 1.0) {
+  if (!(cfg_.oversubscription >= 1.0)) {  // negated: NaN fails too
     throw std::invalid_argument("oversubscription ratio must be >= 1");
   }
   for (int r : cfg_.rack_of_nic) {

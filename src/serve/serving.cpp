@@ -20,6 +20,15 @@ constexpr double kLatencyHistLo = 100.0;
 constexpr double kLatencyHistHi = 100e6;
 constexpr std::size_t kLatencyHistBins = 64;
 
+/// Shard service-time model, ns of shard CPU per request (hit / miss /
+/// update) plus a fixed per-batch dispatch overhead.
+constexpr double kHitNs = 150.0;
+constexpr double kMissNs = 1200.0;
+constexpr double kUpdateNs = 600.0;
+constexpr double kBatchOverheadNs = 500.0;
+/// Request/response frame header bytes (key, route, transport framing).
+constexpr std::size_t kRequestBytes = 64;
+
 telemetry::Histogram latency_histogram() {
   return telemetry::Histogram::exponential(kLatencyHistLo, kLatencyHistHi,
                                            kLatencyHistBins);
@@ -37,10 +46,9 @@ struct ServeRequest final : net::Message {
   std::uint64_t key = 0;
   bool update = false;
   sim::Time issued_at = 0;
-  std::size_t header = 64;
   std::size_t payload = 0;
 
-  std::size_t wire_bytes() const override { return header + payload; }
+  std::size_t wire_bytes() const override { return kRequestBytes + payload; }
   std::size_t payload_bytes() const override { return payload; }
 };
 
@@ -53,10 +61,9 @@ struct ServeResponse final : net::Message {
   bool cache_hit = false;
   std::uint32_t version = 0;
   sim::Time issued_at = 0;
-  std::size_t header = 64;
   std::size_t payload = 0;
 
-  std::size_t wire_bytes() const override { return header + payload; }
+  std::size_t wire_bytes() const override { return kRequestBytes + payload; }
   std::size_t payload_bytes() const override { return payload; }
 };
 
@@ -141,7 +148,7 @@ class ServingJob::PsShard final : public net::Endpoint {
     occupancy_sum += pending_.size();
     const core::ServeSpec& spec = job_.spec_;
     cpu_free_ = std::max(cpu_free_, now);
-    const sim::Time overhead = cost_ns(spec.batch_overhead_ns);
+    const sim::Time overhead = cost_ns(kBatchOverheadNs);
     cpu_free_ += overhead;
     busy_ns += overhead;
     for (const Pending& p : pending_) {
@@ -150,27 +157,26 @@ class ServingJob::PsShard final : public net::Endpoint {
       resp->seq = p.seq;
       resp->update = p.update;
       resp->issued_at = p.issued_at;
-      resp->header = spec.request_bytes;
       sim::Time service;
       if (p.update) {
         ++updates;
         const std::uint32_t v = ++delta_[p.key];
         cache_.put(p.key, v);  // write-through: hot rows stay fresh
         resp->version = v;
-        service = cost_ns(spec.update_ns);
+        service = cost_ns(kUpdateNs);
       } else {
         ++lookups;
         std::uint32_t v = 0;
         if (cache_.lookup(p.key, &v)) {
           ++hits;
           resp->cache_hit = true;
-          service = cost_ns(spec.hit_ns);
+          service = cost_ns(kHitNs);
         } else {
           ++misses;
           const auto it = delta_.find(p.key);
           v = it != delta_.end() ? it->second : 0;  // base run: version 0
           cache_.put(p.key, v);                     // fill on miss
-          service = cost_ns(spec.miss_ns);
+          service = cost_ns(kMissNs);
         }
         resp->version = v;
         resp->payload = spec.embedding_dim * 4;
@@ -281,7 +287,6 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
     req->key = draw.key;
     req->update = draw.update;
     req->issued_at = now;
-    req->header = spec.request_bytes;
     if (req->update) req->payload = spec.embedding_dim * 4;
     const std::size_t shard = job_.shard_map_.shard_of(req->key);
     ++issued;
@@ -387,15 +392,12 @@ ServingJob::ServingJob(const core::ServeSpec& spec,
   if (spec_.embedding_dim == 0) {
     throw std::invalid_argument("serving job needs an embedding dim");
   }
-  if (spec_.update_fraction < 0.0 || spec_.update_fraction > 1.0) {
+  // Negated so that a NaN fraction fails too.
+  if (!(spec_.update_fraction >= 0.0 && spec_.update_fraction <= 1.0)) {
     throw std::invalid_argument("update fraction must be in [0, 1]");
   }
   if (spec_.interarrival < 0 || spec_.batch_window < 0) {
     throw std::invalid_argument("serving times must be non-negative");
-  }
-  if (spec_.hit_ns < 0 || spec_.miss_ns < 0 || spec_.update_ns < 0 ||
-      spec_.batch_overhead_ns < 0) {
-    throw std::invalid_argument("serving costs must be non-negative");
   }
 }
 

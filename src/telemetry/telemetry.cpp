@@ -138,8 +138,8 @@ void Tracer::record(const Event& e) {
 }
 
 void Tracer::add_tx_bin(NicSeries& s, sim::Time ts, std::uint64_t bytes) {
-  if (!series_on() || cfg_.sample_interval <= 0) return;
-  const std::int64_t bin = ts / cfg_.sample_interval;
+  if (!series_on()) return;
+  const std::int64_t bin = ts / kSampleInterval;
   if (!s.tx_bins.empty() && s.tx_bins.back().first == bin) {
     s.tx_bins.back().second += bytes;
   } else {
@@ -298,17 +298,17 @@ std::vector<StreamTimeline> Tracer::stream_timelines() const {
 Trace Tracer::snapshot_trace() const {
   Trace t = trace_;
   // Fold NIC utilization bins into counter series (bytes*8/interval = bps).
-  if (series_on() && cfg_.sample_interval > 0) {
+  if (series_on()) {
     for (const NicSeries& s : nics_) {
       if (s.tx_bins.empty()) continue;
       CounterSeries cs;
       cs.name = "nic_tx_gbps";
       cs.pid = s.pid;
       cs.points.reserve(s.tx_bins.size());
-      const double interval_s = sim::to_seconds(cfg_.sample_interval);
+      const double interval_s = sim::to_seconds(kSampleInterval);
       for (const auto& [bin, bytes] : s.tx_bins) {
         cs.points.emplace_back(
-            bin * cfg_.sample_interval,
+            bin * kSampleInterval,
             static_cast<double>(bytes) * 8.0 / interval_s / 1e9);
       }
       t.series.push_back(std::move(cs));

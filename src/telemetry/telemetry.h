@@ -81,18 +81,18 @@ struct Event {
   std::uint64_t arg1 = 0;
 };
 
+/// Bin width of the NIC utilization series.
+inline constexpr sim::Time kSampleInterval = sim::microseconds(100);
+
 /// Opt-in switches. The default-constructed config is fully disabled: the
 /// engine then never constructs a Tracer and every hook site is a null
 /// pointer check — the hot event loop pays nothing.
 struct TelemetryConfig {
   bool enabled = false;
-  /// Record the typed event timeline (Chrome trace export).
+  /// Record the typed event timeline (Chrome trace export). Rolling
+  /// counters and time series (NIC utilization in kSampleInterval bins,
+  /// in-flight slot occupancy) are kept whenever `enabled` is set.
   bool trace_events = true;
-  /// Maintain rolling counters + time series (NIC utilization bins,
-  /// in-flight slot occupancy).
-  bool sample_series = true;
-  /// Bin width for NIC utilization sampling.
-  sim::Time sample_interval = sim::microseconds(100);
   /// Drop trace events beyond this count (0 = unbounded). Counters keep
   /// accumulating either way, so RunReport totals stay exact.
   std::size_t max_events = 0;
@@ -154,7 +154,7 @@ class Tracer {
 
   const TelemetryConfig& config() const { return cfg_; }
   bool events_on() const { return cfg_.enabled && cfg_.trace_events; }
-  bool series_on() const { return cfg_.enabled && cfg_.sample_series; }
+  bool series_on() const { return cfg_.enabled; }
 
   /// Human-readable lane name ("worker 3", "aggregator 0", "driver").
   void name_process(std::int32_t pid, std::string name);

@@ -189,7 +189,7 @@ TEST(Trainer, BlockTopKWithErrorFeedbackConverges) {
   cfg.n_workers = 4;
   TrainResult base = train_distributed(cfg, std::nullopt);
 
-  const std::size_t bs = cfg.embed_dim * 4;
+  const std::size_t bs = kEmbedDim * 4;
   const std::size_t nb =
       tensor::num_blocks(model_dimension(cfg), bs);
   const std::size_t k = std::max<std::size_t>(1, nb / 10);  // 10%
@@ -209,7 +209,7 @@ TEST(Trainer, ErrorFeedbackBeatsNoFeedbackForRandomK) {
   cfg.iterations = 250;
   cfg.n_workers = 4;
   cfg.seed = 9;
-  const std::size_t bs = cfg.embed_dim * 4;
+  const std::size_t bs = kEmbedDim * 4;
   const std::size_t nb = tensor::num_blocks(model_dimension(cfg), bs);
   const std::size_t k = std::max<std::size_t>(1, nb / 20);  // 5%
 

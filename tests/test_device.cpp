@@ -24,16 +24,16 @@ TEST(DeviceModel, BitmapCostHasBandwidthFloor) {
   // Even with huge blocks, the scan reads the tensor once.
   const std::size_t n = 25 * 1000 * 1000;
   EXPECT_GE(d.bitmap_cost(n, 1 << 20),
-            sim::from_seconds(n * 4.0 / d.gpu_mem_bandwidth_Bps));
+            sim::from_seconds(n * 4.0 / kGpuMemBandwidthBps));
 }
 
 TEST(DeviceModel, ChunkReadyIsStaircase) {
   DeviceModel d;
-  d.chunk_bytes = 4 << 20;
+  static_assert(kChunkBytes == 4 << 20);
   const sim::Time first = d.chunk_ready(0);
   EXPECT_EQ(first, d.chunk_ready((4 << 20) - 1));  // same chunk
   EXPECT_GT(d.chunk_ready(4 << 20), first);        // next chunk later
-  EXPECT_EQ(first, sim::from_seconds((4 << 20) / d.pcie_bandwidth_Bps));
+  EXPECT_EQ(first, sim::from_seconds((4 << 20) / kPcieBandwidthBps));
 }
 
 TEST(DeviceModel, GdrEliminatesStaging) {

@@ -48,7 +48,7 @@ TEST(P4Aggregator, FasterThanServerAggregator) {
   core::FabricConfig fabric;
   fabric.worker_bandwidth_bps = p4.worker_bandwidth_bps;
   fabric.aggregator_bandwidth_bps = p4.worker_bandwidth_bps;
-  fabric.one_way_latency = p4.one_way_latency;
+  fabric.one_way_latency = kSwitchOneWayLatency;
   device::DeviceModel dev;
   core::RunStats server = core::run_allreduce(
       b, ec, core::ClusterSpec::dedicated(1, fabric, dev));
@@ -88,27 +88,25 @@ TEST(P4Aggregator, FixedPointQuantizationBounded) {
   P4Config cfg;
   core::RunStats st = run_allreduce_innet(ts, cfg);
   EXPECT_TRUE(st.verified);
-  EXPECT_LE(st.max_error, 8.0 / cfg.fixed_point_scale + 1e-9);
+  EXPECT_LE(st.max_error, 8.0 / core::kFixedPointScale + 1e-9);
 }
 
 TEST(P4Aggregator, SaturationClampsExtremes) {
   // Values so large that the int32-scaled sum saturates: the result is
   // clamped, not wrapped.
   std::vector<DenseTensor> ts(4, DenseTensor(256, 3000.0f));
-  P4Config cfg;
   core::Config ec;
   ec.block_size = 256;
   ec.packet_elements = 256;
   ec.switch_multicast = true;
   ec.fixed_point = true;
-  ec.fixed_point_scale = cfg.fixed_point_scale;
   core::FabricConfig fabric;
   fabric.aggregator_bandwidth_bps = 40e9;
   device::DeviceModel dev;
   core::RunStats st = core::run_allreduce(
       ts, ec, core::ClusterSpec::dedicated(1, fabric, dev), /*verify=*/false);
   // True sum is 12000 > int32 max / 2^20 = 2048: expect the clamp.
-  EXPECT_NEAR(ts[0][0], 2147483647.0 / cfg.fixed_point_scale, 1.0);
+  EXPECT_NEAR(ts[0][0], 2147483647.0 / core::kFixedPointScale, 1.0);
   (void)st;
 }
 

@@ -524,6 +524,9 @@ TEST(TwoTierFabric, RejectsInvalidConfig) {
   TwoTierFabric::Config under;
   under.oversubscription = 0.5;
   EXPECT_THROW(TwoTierFabric{under}, std::invalid_argument);
+  TwoTierFabric::Config nan_ratio;
+  nan_ratio.oversubscription = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(TwoTierFabric{nan_ratio}, std::invalid_argument);
   TwoTierFabric::Config bad_rack;
   bad_rack.n_racks = 2;
   bad_rack.rack_of_nic = {0, 3};

@@ -626,6 +626,8 @@ TEST(Serving, MalformedServeSpecsThrow) {
   bad = s;
   bad.update_fraction = 1.5;
   EXPECT_THROW(ServingJob(bad, {0, 1}, {2, 3}), std::invalid_argument);
+  bad.update_fraction = std::nan("");
+  EXPECT_THROW(ServingJob(bad, {0, 1}, {2, 3}), std::invalid_argument);
   bad = s;
   bad.key_space = 0;
   EXPECT_THROW(ServingJob(bad, {0, 1}, {2, 3}), std::invalid_argument);

@@ -145,6 +145,18 @@ TEST(Session, RejectsBadInput) {
   EXPECT_THROW(session.allreduce(wrong_count), std::invalid_argument);
   std::vector<DenseTensor> mismatched{DenseTensor(32), DenseTensor(16)};
   EXPECT_THROW(session.allreduce(mismatched), std::invalid_argument);
+
+  // A config without blocks or streams has no layout to plan.
+  const ClusterSpec cluster = ClusterSpec::dedicated(1, fab(), gdr());
+  Config no_blocks = cfg16();
+  no_blocks.block_size = 0;
+  Config no_streams = cfg16();
+  no_streams.num_streams = 0;
+  for (const Config& bad : {no_blocks, no_streams}) {
+    EXPECT_THROW(Session(bad, 2, cluster), std::invalid_argument);
+    std::vector<DenseTensor> ts(2, DenseTensor(32, 1.0f));
+    EXPECT_THROW(run_allreduce(ts, bad, cluster), std::invalid_argument);
+  }
 }
 
 ClusterSpec spec2agg() {

@@ -405,6 +405,14 @@ TEST(Tenancy, MalformedJobSpecsThrow) {
   bad.membership.clear();
   bad.initial_active = {0, 0};  // no active workers at step 0
   EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument);
+
+  // A config without blocks or streams has no layout to plan.
+  bad.initial_active.clear();
+  bad.config.block_size = 0;
+  EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument);
+  bad.config.block_size = 256;
+  bad.config.num_streams = 0;
+  EXPECT_THROW(fabric.add_job(bad, tensors), std::invalid_argument);
 }
 
 TEST(Tenancy, NonBinaryInitialActiveIsRejected) {

@@ -13,6 +13,7 @@
 #include "core/fabric.h"
 #include "core/hierarchical.h"
 #include "core/run_context.h"
+#include "core/tenancy.h"
 #include "sim/rng.h"
 #include "tensor/generators.h"
 
@@ -185,6 +186,25 @@ TEST(Topology, ImpossibleLossSpecsAreRejectedAtContextBuild) {
   ClusterSpec edge = base_cluster();
   edge.fabric.loss_rate = 0.999;
   expect_accepted(edge, "loss_rate just under 1");
+
+  // Fabric shapes that would divide by zero placing the aggregators, or
+  // stall the protocol, are refused the same way, on one run and on a
+  // multi-tenant Fabric alike.
+  ClusterSpec no_racks = ClusterSpec::dedicated(1);
+  no_racks.topology = TopologySpec::two_tier_racks(0);
+  expect_rejected(no_racks, "zero racks under a dedicated aggregator");
+  ClusterSpec nan_spine = base_cluster();
+  nan_spine.topology = TopologySpec::two_tier_racks(2, nan);
+  expect_rejected(nan_spine, "NaN oversubscription");
+  ClusterSpec negative = base_cluster();
+  negative.fabric.one_way_latency = -sim::milliseconds(1);
+  expect_rejected(negative, "negative one_way_latency");
+  TenantFabricSpec tenant_nan;
+  tenant_nan.topology = TopologySpec::two_tier_racks(2, nan);
+  EXPECT_THROW(Fabric{tenant_nan}, std::invalid_argument);
+  TenantFabricSpec tenant_negative;
+  tenant_negative.one_way_latency = -sim::milliseconds(1);
+  EXPECT_THROW(Fabric{tenant_negative}, std::invalid_argument);
 }
 
 TEST(Topology, LinkReportsSerializeOnlyForCustomFabrics) {

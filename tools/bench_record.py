@@ -3,7 +3,8 @@
 
 Both modes write one envelope (schema omnireduce.bench_record.v1): the
 mode, the commit, the host CPU count, the platform, the build type, the
-smoke flag, mode-specific totals and a `results` list.
+toolchain (compiler id and version, C++ standard library and version),
+the smoke flag, mode-specific totals and a `results` list.
 
   suite  Runs every bench binary (one per bench/bench_*.cpp, except the
          host-timing harness) serially at OMR_MB=4 OMR_JOBS=1. Per binary
@@ -20,7 +21,11 @@ smoke flag, mode-specific totals and a `results` list.
          host CPUs (it keeps no wall-clock), compares its exit code and
          stdout and report sha256 with the record's row, and names every
          binary whose digest moved, that is missing, or that the record
-         lacks. It writes a record only when --out is given.
+         lacks. The digests depend on the toolchain (every golden input
+         follows the standard library's unordered_set order), so when the
+         record's toolchain stamp differs from the build's it runs nothing
+         and says the toolchain differs; a record without a stamp is
+         checked regardless. It writes a record only when --out is given.
 
   pairs  Runs bench_hotpath_wallclock and --baseline-exe (the same
          harness built at the baseline commit) serially, in alternating
@@ -123,15 +128,60 @@ def commit():
         return "unknown"
 
 
-def build_type(build_dir):
+def cache_value(build_dir, key):
+    """A CMakeCache.txt entry of the build tree; None when unset."""
     try:
         with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
             for line in f:
-                if line.startswith("CMAKE_BUILD_TYPE:"):
+                if line.startswith(key + ":"):
                     return line.split("=", 1)[1].strip() or None
     except OSError:
         pass
     return None
+
+
+def build_type(build_dir):
+    return cache_value(build_dir, "CMAKE_BUILD_TYPE")
+
+
+STDLIB_PROBE = b"""#include <cstddef>
+#if defined(__GLIBCXX__)
+libstdc++ _GLIBCXX_RELEASE __GLIBCXX__
+#elif defined(_LIBCPP_VERSION)
+libc++ _LIBCPP_VERSION
+#endif
+"""
+
+
+def toolchain(build_dir):
+    """The build tree's compiler (CMake's id and version) and the C++
+    standard library it compiles against (from its version macros), e.g.
+    {"compiler": "GNU 12.2.0", "stdlib": "libstdc++ 12 20220819"}; a part
+    the tree does not tell is None."""
+    compiler = None
+    files = os.path.join(build_dir, "CMakeFiles")
+    for sub in sorted(os.listdir(files)) if os.path.isdir(files) else []:
+        try:
+            with open(os.path.join(files, sub, "CMakeCXXCompiler.cmake")) as f:
+                text = f.read()
+        except OSError:
+            continue
+        found = dict(re.findall(
+            r'set\(CMAKE_CXX_COMPILER_(ID|VERSION) "([^"]*)"\)', text))
+        if found.get("ID"):
+            compiler = f"{found['ID']} {found.get('VERSION', '')}".strip()
+    stdlib = None
+    cxx = cache_value(build_dir, "CMAKE_CXX_COMPILER")
+    if cxx:
+        try:
+            proc = subprocess.run([cxx, "-E", "-P", "-x", "c++", "-"],
+                                  input=STDLIB_PROBE, capture_output=True)
+            lines = proc.stdout.decode(errors="replace").split("\n")
+            stdlib = next((l.strip() for l in reversed(lines)
+                           if l.startswith("lib")), None)
+        except OSError:
+            pass
+    return {"compiler": compiler, "stdlib": stdlib}
 
 
 def sha256(data):
@@ -353,10 +403,16 @@ def digest_problems(expected, row):
     return [f"{k} moved" for k in DIGEST_KEYS if row[k] != expected.get(k)]
 
 
-def check_suite(build_dir, record, names, jobs):
+def check_suite(build_dir, record, names, jobs, tools):
     """Run every bench in `names` once, `jobs` at a time, and compare its
     digests with `record`. Returns the rows and one problem per bench that
-    moved, is missing, or is in only one of `names` and the record."""
+    moved, is missing, or is in only one of `names` and the record. When
+    the record is stamped with a toolchain other than `tools`, the
+    digests cannot be compared: nothing runs and the one problem says so."""
+    stamp = record.get("toolchain")
+    if stamp is not None and stamp != tools:
+        return [], [f"toolchain differs: the record was made with {stamp}, "
+                    f"this build uses {tools}; digests not compared"]
     problems = []
     if record.get("omr_mb") != OMR_MB:
         problems.append(f"record made at OMR_MB={record.get('omr_mb')}, "
@@ -594,15 +650,20 @@ def self_test():
             return {"omr_mb": OMR_MB, "smoke": False, "results": rows}
 
         names = ["bench_a"]
+        tools = {"compiler": "GNU 12.2.0", "stdlib": "libstdc++ 12 20220819"}
         rows, same = check_suite(build, record(b"table\n", "bench_a"),
-                                 names, 2)
+                                 names, 2, tools)
         _, moved = check_suite(build, record(b"tablE\n", "bench_a"), names,
-                               2)
+                               2, tools)
         _, missing = check_suite(
             build, record(b"table\n", "bench_a", "bench_b"),
-            ["bench_a", "bench_b"], 2)
+            ["bench_a", "bench_b"], 2, tools)
         _, stale = check_suite(build, record(b"table\n", "bench_a",
-                                             "bench_gone"), names, 2)
+                                             "bench_gone"), names, 2, tools)
+        stamped = dict(record(b"tablE\n", "bench_a"), toolchain=tools)
+        _, same_tools = check_suite(build, stamped, names, 2, tools)
+        other = dict(tools, stdlib="libc++ 170000")
+        other_rows, other_tools = check_suite(build, stamped, names, 2, other)
     checks += [
         ("expect: equal digests pass",
          same == [] and rows[0]["problems"] == []),
@@ -612,7 +673,22 @@ def self_test():
          missing == ["bench_b: binary not built"]),
         ("expect: a record row with no suite bench is named",
          stale == ["bench_gone: in the record but not a suite bench"]),
+        ("expect: a record stamped with this toolchain is checked",
+         same_tools == ["bench_a: stdout_sha256 moved"]),
+        ("expect: another toolchain is named, not a moved digest",
+         other_rows == [] and len(other_tools) == 1 and
+         other_tools[0].startswith("toolchain differs")),
     ]
+
+    with tempfile.TemporaryDirectory() as build:
+        gen = os.path.join(build, "CMakeFiles", "3.25.1")
+        os.makedirs(gen)
+        with open(os.path.join(gen, "CMakeCXXCompiler.cmake"), "w") as f:
+            f.write('set(CMAKE_CXX_COMPILER_ID "GNU")\n'
+                    'set(CMAKE_CXX_COMPILER_VERSION "12.2.0")\n')
+        checks.append(("toolchain: the compiler is read from the build tree",
+                       toolchain(build) == {"compiler": "GNU 12.2.0",
+                                            "stdlib": None}))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
@@ -665,6 +741,7 @@ def main():
         "host_cpus": host_cpus,
         "platform": platform.platform(),
         "build_type": build_type(build_dir),
+        "toolchain": toolchain(build_dir),
         "smoke": args.smoke,
     }
     if args.expect:
@@ -674,7 +751,8 @@ def main():
             record["results"] = [r for r in record.get("results", [])
                                  if r["bench"] in args.only]
         results, problems = check_suite(build_dir, record,
-                                        suite_benches(args.only), host_cpus)
+                                        suite_benches(args.only), host_cpus,
+                                        doc["toolchain"])
         for row in results:
             print(f"{row['bench']:34s} "
                   f"{'; '.join(row['problems']) or 'ok'}")
