@@ -63,7 +63,7 @@ int main() {
     std::vector<tensor::CooTensor> coo;
     for (const auto& t : kv_src) coo.push_back(tensor::dense_to_coo(t));
     const double kv_ms = sim::to_milliseconds(
-        core::run_sparse_allreduce(coo, fabric, 2048, 64, 64)
+        core::run_sparse_allreduce(coo, fabric, 2048, 64)
             .completion_time);
     bench::row({bench::fmt_pct(within, 0), bench::fmt(block_ms),
                 bench::fmt(kv_ms), kv_ms < block_ms ? "yes" : "no"});
@@ -81,7 +81,7 @@ int main() {
     fabric.aggregator_bandwidth_bps = 100e9;
     bench::row({std::to_string(aggs),
                 bench::fmt(sim::to_milliseconds(
-                    core::run_sparse_allreduce(coo, fabric, 2048, 64, aggs)
+                    core::run_sparse_allreduce(coo, fabric, 2048, aggs)
                         .completion_time))});
   }
   std::printf(

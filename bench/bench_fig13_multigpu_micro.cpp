@@ -58,7 +58,7 @@ double omni_ms(std::size_t n, double s, std::uint64_t seed) {
   fabric.seed = seed;
   device::DeviceModel dev;
   core::HierarchicalStats st = core::run_hierarchical_allreduce(
-      grads, cfg, core::ClusterSpec::dedicated(kServers, fabric, dev), {},
+      grads, cfg, core::ClusterSpec::dedicated(kServers, fabric, dev),
       /*verify=*/false);
   return sim::to_milliseconds(st.total);
 }

@@ -50,7 +50,6 @@ int main() {
       sums.push_back(std::move(sum));
     }
     auto sums_copy = sums;
-    core::HierarchicalConfig hier;
     const double intra = 2.0 * (kGpus - 1.0) / kGpus * n * 4.0 /
                          core::kNvlinkBandwidthBps;
     const double nccl_comm =
@@ -67,7 +66,7 @@ int main() {
     fabric.aggregator_bandwidth_bps = 100e9;
     core::HierarchicalStats st = core::run_hierarchical_allreduce(
         grads, cfg, core::ClusterSpec::dedicated(kServers, fabric, device::DeviceModel{}),
-        hier, /*verify=*/false);
+        /*verify=*/false);
     const double omni_comm = sim::to_seconds(st.total) * scale;
 
     const double tc = w.compute_time_s / kV100Speedup;

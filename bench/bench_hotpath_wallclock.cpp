@@ -439,7 +439,7 @@ Result bench_kv_allreduce(bool smoke, int repeats) {
   for (int r = 0; r < repeats; ++r) {
     const auto t0 = Clock::now();
     const auto stats =
-        omr::core::run_sparse_allreduce(inputs, fabric, 256, 64, 4);
+        omr::core::run_sparse_allreduce(inputs, fabric, 256, 4);
     times.push_back(ms_since(t0));
     rounds = stats.rounds;
   }

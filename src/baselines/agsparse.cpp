@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "baselines/ring.h"
-#include "tensor/index_codec.h"
 
 namespace omr::baselines {
 
@@ -20,7 +19,7 @@ tensor::CooTensor detail::merge_in_worker_order(
 
 BaselineStats detail::agsparse_allreduce(
     const std::vector<tensor::CooTensor>& inputs, tensor::CooTensor& result,
-    const BaselineConfig& cfg, AgStack stack, bool compress_indices) {
+    const BaselineConfig& cfg, AgStack stack) {
   if (inputs.empty()) throw std::invalid_argument("no workers");
   const std::size_t n = inputs.size();
   // Communication: ring-allgather every worker's (keys, values) payload.
@@ -28,9 +27,7 @@ BaselineStats detail::agsparse_allreduce(
   payloads.reserve(n);
   std::size_t total_pairs = 0;
   for (const auto& t : inputs) {
-    payloads.push_back(compress_indices
-                           ? tensor::coo_wire_bytes_compressed(t.nnz(), t.dim)
-                           : t.wire_bytes());
+    payloads.push_back(t.wire_bytes());
     total_pairs += t.nnz();
   }
   BaselineStats stats = ring_allgather_bytes(payloads, cfg);

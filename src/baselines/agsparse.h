@@ -13,8 +13,8 @@ namespace omr::baselines {
 enum class AgStack { kNccl, kGloo };
 
 /// Internal building blocks behind the registry ("agsparse",
-/// "agsparse_gloo", "agsparse_compressed"); dispatch through
-/// core::CollectiveRegistry instead of calling these directly.
+/// "agsparse_gloo"); dispatch through core::CollectiveRegistry instead of
+/// calling these directly.
 namespace detail {
 
 /// AllGather-based sparse AllReduce (PyTorch's strawman, §2.1): every
@@ -23,15 +23,10 @@ namespace detail {
 /// COO; `result` receives the reduced sparse tensor (identical on every
 /// worker). The local reduction is charged at detail::kReduceBandwidthBps
 /// and Gloo's extra host copy at 6 GB/s.
-/// With `compress_indices`, each worker's index list is sent in the
-/// cheaper of raw-key or bitmask form (tensor/index_codec.h) — the [60]
-/// optimization; it shrinks payloads at moderate sparsity but cannot fix
-/// AGsparse's N-fold gather volume.
 BaselineStats agsparse_allreduce(const std::vector<tensor::CooTensor>& inputs,
                                  tensor::CooTensor& result,
                                  const BaselineConfig& cfg,
-                                 AgStack stack = AgStack::kNccl,
-                                 bool compress_indices = false);
+                                 AgStack stack = AgStack::kNccl);
 
 /// The sum of sorted COO `inputs` (all of dim inputs.front().dim), adding
 /// per key in worker order: the reduced tensor every sparse baseline

@@ -1,7 +1,6 @@
 #include "baselines/ring.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <stdexcept>
 
@@ -184,91 +183,6 @@ BaselineStats detail::ring_allgather_bytes(
   // Every step sends at least one (possibly empty) message.
   schedule.send_empty = true;
   return run_ring_schedule(schedule, cfg);
-}
-
-namespace {
-
-struct RdMsg final : net::Message {
-  int step = 0;
-  std::vector<float> data;
-  std::size_t wire_bytes() const override {
-    return detail::kHeaderBytes + data.size() * 4;
-  }
-};
-
-class RdNode final : public FlatNode {
- public:
-  RdNode(net::Network& net, int rank, int n, tensor::DenseTensor& tensor)
-      : FlatNode(net), rank_(rank), n_(n), tensor_(tensor) {}
-  void start(const std::vector<net::EndpointId>& all) {
-    all_ = all;
-    if (n_ == 1) {
-      finish();
-      return;
-    }
-    send_step();
-  }
-
-  void on_message(net::EndpointId /*from*/,
-                  const net::MessagePtr& msg) override {
-    const auto* m = net::message_cast<RdMsg>(msg.get());
-    if (m == nullptr) throw std::logic_error("unexpected rd message");
-    // A fast partner may deliver a later step's data before the current
-    // step's partner does; buffer by step and apply strictly in order.
-    pending_[m->step] = m->data;
-    drain();
-  }
-
- private:
-  void drain() {
-    for (auto it = pending_.find(step_); it != pending_.end();
-         it = pending_.find(step_)) {
-      const std::vector<float>& d = it->second;
-      for (std::size_t i = 0; i < d.size(); ++i) tensor_[i] += d[i];
-      pending_.erase(it);
-      ++step_;
-      if ((1 << step_) >= n_) {
-        finish();
-        return;
-      }
-      send_step();
-    }
-  }
-  void send_step() {
-    const int partner = rank_ ^ (1 << step_);
-    auto m = std::make_shared<RdMsg>();
-    m->step = step_;
-    m->data = tensor_.values();
-    net_.send(self_, all_[static_cast<size_t>(partner)], std::move(m));
-  }
-
-  int rank_;
-  int n_;
-  tensor::DenseTensor& tensor_;
-  std::vector<net::EndpointId> all_;
-  int step_ = 0;
-  std::map<int, std::vector<float>> pending_;
-};
-
-}  // namespace
-
-BaselineStats detail::recursive_doubling_allreduce(
-    std::vector<tensor::DenseTensor>& tensors, const BaselineConfig& cfg) {
-  const int n = static_cast<int>(tensors.size());
-  if (n == 0) throw std::invalid_argument("no workers");
-  if ((n & (n - 1)) != 0) {
-    throw std::invalid_argument("recursive doubling needs power-of-two N");
-  }
-  FlatFabric fabric(cfg);
-  std::vector<std::unique_ptr<RdNode>> nodes;
-  std::vector<net::EndpointId> eps;
-  for (int r = 0; r < n; ++r) {
-    nodes.push_back(std::make_unique<RdNode>(fabric.network(), r, n,
-                                             tensors[static_cast<size_t>(r)]));
-    eps.push_back(fabric.attach(*nodes.back()));
-  }
-  for (auto& node : nodes) node->start(eps);
-  return fabric.run(nodes, "rd allreduce");
 }
 
 }  // namespace omr::baselines

@@ -10,9 +10,9 @@
 namespace omr::baselines {
 
 /// Internal building blocks behind the registry: dispatch through
-/// core::CollectiveRegistry ("ring", "recursive_doubling") instead of
-/// calling these directly. Tests pinning golden baseline behavior are the
-/// intended remaining callers.
+/// core::CollectiveRegistry ("ring") instead of calling these directly.
+/// Tests pinning golden baseline behavior are the intended remaining
+/// callers.
 namespace detail {
 
 /// The simulated cost of ring_allreduce over `n` ranks' `elements`-long
@@ -34,12 +34,6 @@ BaselineStats ring_allreduce(std::vector<tensor::DenseTensor>& tensors,
 /// w's contribution size; every worker ends holding all contributions.
 BaselineStats ring_allgather_bytes(
     const std::vector<std::size_t>& payload_bytes, const BaselineConfig& cfg);
-
-/// Latency-optimal recursive-doubling AllReduce (dense): log2(N) exchange
-/// steps of the full vector. Used by SparCML's dispatch for small inputs.
-/// Requires a power-of-two worker count.
-BaselineStats recursive_doubling_allreduce(
-    std::vector<tensor::DenseTensor>& tensors, const BaselineConfig& cfg);
 
 }  // namespace detail
 }  // namespace omr::baselines

@@ -54,16 +54,10 @@ void broadcast_result(std::vector<tensor::DenseTensor>& tensors,
   tensors.back() = std::move(result);
 }
 
-AlgoCapabilities exact_flat(bool sparse) {
-  AlgoCapabilities c;
-  c.sparse_aware = sparse;
-  return c;
-}
-
 class RingAlgo final : public CollectiveAlgorithm {
  public:
   std::string name() const override { return "ring"; }
-  AlgoCapabilities capabilities() const override { return exact_flat(false); }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     return to_run_stats(
@@ -72,30 +66,18 @@ class RingAlgo final : public CollectiveAlgorithm {
   }
 };
 
-class RecursiveDoublingAlgo final : public CollectiveAlgorithm {
- public:
-  std::string name() const override { return "recursive_doubling"; }
-  AlgoCapabilities capabilities() const override { return exact_flat(false); }
-  RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
-               const ClusterSpec& cluster) override {
-    return to_run_stats(
-        detail::recursive_doubling_allreduce(tensors, derive_config(cluster)),
-        tensors.size());
-  }
-};
-
 class AgSparseAlgo final : public CollectiveAlgorithm {
  public:
-  AgSparseAlgo(std::string name, AgStack stack, bool compress)
-      : name_(std::move(name)), stack_(stack), compress_(compress) {}
+  AgSparseAlgo(std::string name, AgStack stack)
+      : name_(std::move(name)), stack_(stack) {}
   std::string name() const override { return name_; }
-  AlgoCapabilities capabilities() const override { return exact_flat(true); }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     const BaselineStats bs = tensor::reduce_as_coo(
         tensors, [&](const auto& coo, tensor::CooTensor& result) {
           return detail::agsparse_allreduce(coo, result, derive_config(cluster),
-                                            stack_, compress_);
+                                            stack_);
         });
     return to_run_stats(bs, tensors.size());
   }
@@ -103,7 +85,6 @@ class AgSparseAlgo final : public CollectiveAlgorithm {
  private:
   std::string name_;
   AgStack stack_;
-  bool compress_;
 };
 
 class SparcmlAlgo final : public CollectiveAlgorithm {
@@ -113,7 +94,7 @@ class SparcmlAlgo final : public CollectiveAlgorithm {
   SparcmlAlgo(std::string name, SparcmlVariant variant)
       : name_(std::move(name)), has_variant_(true), variant_(variant) {}
   std::string name() const override { return name_; }
-  AlgoCapabilities capabilities() const override { return exact_flat(true); }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     const BaselineStats bs = tensor::reduce_as_coo(
@@ -140,7 +121,7 @@ class SparcmlAlgo final : public CollectiveAlgorithm {
 class PsDenseAlgo final : public CollectiveAlgorithm {
  public:
   std::string name() const override { return "ps"; }
-  AlgoCapabilities capabilities() const override { return exact_flat(false); }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     // Colocated: one server shard per worker NIC, matching ClusterSpec's
@@ -160,7 +141,7 @@ class PsDenseAlgo final : public CollectiveAlgorithm {
 class PsSparseAlgo final : public CollectiveAlgorithm {
  public:
   std::string name() const override { return "ps_sparse"; }
-  AlgoCapabilities capabilities() const override { return exact_flat(true); }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     const bool colocated =
@@ -180,7 +161,7 @@ class PsSparseAlgo final : public CollectiveAlgorithm {
 class ParallaxAlgo final : public CollectiveAlgorithm {
  public:
   std::string name() const override { return "parallax"; }
-  AlgoCapabilities capabilities() const override { return exact_flat(true); }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     const BaselineStats bs =
@@ -197,7 +178,7 @@ class ParallaxAlgo final : public CollectiveAlgorithm {
 class OkTopkAlgo final : public CollectiveAlgorithm {
  public:
   std::string name() const override { return "oktopk"; }
-  AlgoCapabilities capabilities() const override { return exact_flat(true); }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config&,
                const ClusterSpec& cluster) override {
     // k = 0: every non-zero survives, so the balanced split-allreduce
@@ -216,11 +197,7 @@ class OkTopkAlgo final : public CollectiveAlgorithm {
 class SketchAlgo final : public CollectiveAlgorithm {
  public:
   std::string name() const override { return "sketch"; }
-  AlgoCapabilities capabilities() const override {
-    AlgoCapabilities c = exact_flat(true);
-    c.exact = false;
-    return c;
-  }
+  AlgoCapabilities capabilities() const override { return {}; }
   RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config& cfg,
                const ClusterSpec& cluster) override {
     SketchOptions opts;
@@ -257,13 +234,10 @@ void register_zoo() {
   std::call_once(g_zoo_registered, [] {
     auto& reg = core::CollectiveRegistry::global();
     reg.register_algorithm(std::make_unique<RingAlgo>());
-    reg.register_algorithm(std::make_unique<RecursiveDoublingAlgo>());
-    reg.register_algorithm(std::make_unique<AgSparseAlgo>(
-        "agsparse", AgStack::kNccl, /*compress=*/false));
-    reg.register_algorithm(std::make_unique<AgSparseAlgo>(
-        "agsparse_gloo", AgStack::kGloo, /*compress=*/false));
-    reg.register_algorithm(std::make_unique<AgSparseAlgo>(
-        "agsparse_compressed", AgStack::kNccl, /*compress=*/true));
+    reg.register_algorithm(
+        std::make_unique<AgSparseAlgo>("agsparse", AgStack::kNccl));
+    reg.register_algorithm(
+        std::make_unique<AgSparseAlgo>("agsparse_gloo", AgStack::kGloo));
     reg.register_algorithm(std::make_unique<SparcmlAlgo>());
     reg.register_algorithm(std::make_unique<SparcmlAlgo>(
         "sparcml_ssar", SparcmlVariant::kSsarSplitAllgather));

@@ -6,15 +6,13 @@ namespace omr::baselines {
 /// reducers with core::CollectiveRegistry::global(), making the registry
 /// the single dispatch surface:
 ///
-///   ring, recursive_doubling, agsparse, agsparse_gloo,
-///   agsparse_compressed, sparcml, sparcml_ssar, sparcml_dsar, ps,
-///   ps_sparse, parallax, oktopk, sketch
+///   ring, agsparse, agsparse_gloo, sparcml, sparcml_ssar, sparcml_dsar,
+///   ps, ps_sparse, parallax, oktopk, sketch
 ///
-/// (core registers omnireduce, omnireduce_kv, omnireduce_bucketed,
-/// hierarchical and switchml itself.) Idempotent and thread-safe; call it
-/// once from main() before dispatching by name. Explicit registration —
-/// not static initializers — so the static library's registrars cannot be
-/// dropped by the linker.
+/// (core registers omnireduce and switchml itself.) Idempotent and
+/// thread-safe; call it once from main() before dispatching by name.
+/// Explicit registration — not static initializers — so the static
+/// library's registrars cannot be dropped by the linker.
 void register_zoo();
 
 }  // namespace omr::baselines

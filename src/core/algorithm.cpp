@@ -1,17 +1,12 @@
 #include "core/algorithm.h"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "core/bucketing.h"
-#include "core/hierarchical.h"
 #include "core/run_context.h"
-#include "core/sparse_kv.h"
-#include "tensor/coo.h"
 
 namespace omr::core {
 
@@ -43,11 +38,6 @@ void CollectiveRegistry::register_algorithm(
     throw std::invalid_argument("collective algorithm '" + name +
                                 "' is already registered");
   }
-}
-
-bool CollectiveRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->algos.count(name) != 0;
 }
 
 CollectiveAlgorithm& CollectiveRegistry::at(const std::string& name) const {
@@ -120,7 +110,6 @@ class OmniReduceAlgo final : public CollectiveAlgorithm {
   std::string name() const override { return "omnireduce"; }
   AlgoCapabilities capabilities() const override {
     AlgoCapabilities c;
-    c.sparse_aware = true;
     c.supports_min_max = true;
     c.supports_loss = true;
     c.supports_topology = true;
@@ -158,109 +147,12 @@ class SwitchMlAlgo final : public CollectiveAlgorithm {
   }
 };
 
-/// DDP-style bucketed OmniReduce: each tensor is its own single-entry
-/// bucket here; the bucketing entry point remains for multi-tensor fusion.
-class BucketedAlgo final : public CollectiveAlgorithm {
- public:
-  std::string name() const override { return "omnireduce_bucketed"; }
-  AlgoCapabilities capabilities() const override {
-    AlgoCapabilities c;
-    c.sparse_aware = true;
-    c.supports_min_max = true;
-    c.supports_loss = true;
-    c.supports_topology = true;
-    c.supports_faults = true;
-    c.supports_codec = true;
-    return c;
-  }
-  RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config& cfg,
-               const ClusterSpec& cluster) override {
-    std::vector<std::vector<tensor::DenseTensor>> buckets(tensors.size());
-    for (std::size_t w = 0; w < tensors.size(); ++w) {
-      buckets[w].push_back(std::move(tensors[w]));
-    }
-    RunStats stats = run_allreduce_bucketed(buckets, cfg, cluster,
-                                            /*verify=*/false);
-    for (std::size_t w = 0; w < tensors.size(); ++w) {
-      tensors[w] = std::move(buckets[w][0]);
-    }
-    return stats;
-  }
-};
-
-/// Algorithm 3: the sparse (key, value) block format. Lossless fabrics
-/// only (matching the paper's scope) and sum-only.
-class SparseKvAlgo final : public CollectiveAlgorithm {
- public:
-  std::string name() const override { return "omnireduce_kv"; }
-  AlgoCapabilities capabilities() const override {
-    AlgoCapabilities c;
-    c.sparse_aware = true;
-    return c;
-  }
-  RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config& cfg,
-               const ClusterSpec& cluster) override {
-    const SparseRunStats kv = tensor::reduce_as_coo(
-        tensors, [&](const auto& inputs, tensor::CooTensor& merged) {
-          SparseRunStats r = run_sparse_allreduce(
-              inputs, cluster.fabric, /*pairs_per_block=*/cfg.packet_elements,
-              cfg.header_bytes, cluster.n_aggregator_nodes);
-          merged = std::move(r.result);
-          return r;
-        });
-    RunStats stats;
-    stats.completion_time = kv.completion_time;
-    stats.worker_finish.assign(tensors.size(), kv.completion_time);
-    stats.worker_data_bytes.assign(
-        tensors.size(), kv.pair_bytes_sent / std::max<std::size_t>(
-                                                 1, tensors.size()));
-    stats.total_messages = kv.total_messages;
-    stats.rounds = kv.rounds;
-    return stats;
-  }
-};
-
-/// Two-layer (NVLink + inter-server) aggregation; with a two-tier fabric
-/// the rack-aware third layer is enabled automatically.
-class HierarchicalAlgo final : public CollectiveAlgorithm {
- public:
-  std::string name() const override { return "hierarchical"; }
-  AlgoCapabilities capabilities() const override {
-    AlgoCapabilities c;
-    c.sparse_aware = true;
-    c.supports_loss = true;
-    c.supports_topology = true;
-    return c;
-  }
-  RunStats run(std::vector<tensor::DenseTensor>& tensors, const Config& cfg,
-               const ClusterSpec& cluster) override {
-    std::vector<std::vector<tensor::DenseTensor>> grads(tensors.size());
-    for (std::size_t w = 0; w < tensors.size(); ++w) {
-      grads[w].push_back(std::move(tensors[w]));
-    }
-    HierarchicalConfig hier;
-    hier.rack_aware = cluster.topology.two_tier();
-    HierarchicalStats hs = run_hierarchical_allreduce(grads, cfg, cluster,
-                                                      hier, /*verify=*/false);
-    for (std::size_t w = 0; w < tensors.size(); ++w) {
-      tensors[w] = std::move(grads[w][0]);
-    }
-    RunStats stats = hs.inter;
-    stats.completion_time = hs.total;
-    stats.worker_finish.assign(tensors.size(), hs.total);
-    return stats;
-  }
-};
-
 std::once_flag g_core_registered;
 
 void ensure_core_registered(CollectiveRegistry& reg) {
   std::call_once(g_core_registered, [&reg] {
     reg.register_algorithm(std::make_unique<OmniReduceAlgo>());
     reg.register_algorithm(std::make_unique<SwitchMlAlgo>());
-    reg.register_algorithm(std::make_unique<BucketedAlgo>());
-    reg.register_algorithm(std::make_unique<SparseKvAlgo>());
-    reg.register_algorithm(std::make_unique<HierarchicalAlgo>());
   });
 }
 

@@ -16,13 +16,6 @@ namespace omr::core {
 /// dispatching, so asking a flat analytic baseline for a lossy two-tier
 /// run fails loudly instead of silently ignoring the fabric.
 struct AlgoCapabilities {
-  /// Exact reduction: the result matches reference_reduce to the default
-  /// float-accumulation tolerance. Approximate algorithms (count-sketch)
-  /// set this false and provide their own epsilon via verify_tolerance().
-  bool exact = true;
-  /// Exploits sparsity (skips zero blocks or communicates (key, value)
-  /// pairs); dense algorithms pay full tensor volume regardless of input.
-  bool sparse_aware = false;
   /// Supports ReduceOp::kMin / kMax in addition to kSum.
   bool supports_min_max = false;
   /// Simulates packet loss (Bernoulli or burst) with recovery.
@@ -77,11 +70,11 @@ class CollectiveAlgorithm {
 };
 
 /// String-keyed algorithm registry — the public dispatch surface. Core
-/// registers its own engine-based algorithms (omnireduce, omnireduce_kv,
-/// omnireduce_bucketed, hierarchical, switchml) on first access;
-/// baselines::register_zoo() adds the dense/sparse baselines plus Ok-Topk
-/// and the sketch reducer. Registration and lookup are thread-safe;
-/// returned references stay valid for the registry's lifetime.
+/// registers its own engine-based algorithms (omnireduce, switchml) on
+/// first access; baselines::register_zoo() adds the dense/sparse baselines
+/// plus Ok-Topk and the sketch reducer. Registration and lookup are
+/// thread-safe; returned references stay valid for the registry's
+/// lifetime.
 class CollectiveRegistry {
  public:
   /// The process-wide registry (used by run_collective, the selector,
@@ -90,7 +83,6 @@ class CollectiveRegistry {
 
   /// Throws std::invalid_argument if the name is already taken.
   void register_algorithm(std::unique_ptr<CollectiveAlgorithm> algo);
-  bool contains(const std::string& name) const;
   /// Throws std::invalid_argument naming the known algorithms when `name`
   /// is not registered.
   CollectiveAlgorithm& at(const std::string& name) const;

@@ -41,8 +41,7 @@ int worker_rack(const TopologySpec& topo, std::size_t w,
                 std::size_t n_workers) {
   if (w < topo.worker_racks.size()) return topo.worker_racks[w];
   if (n_workers == 0) return 0;
-  // Contiguous fill: servers of one rack are physical neighbours, which is
-  // what rack-aware hierarchical aggregation exploits.
+  // Contiguous fill: servers of one rack are physical neighbours.
   return static_cast<int>(w * topo.n_racks / n_workers);
 }
 

@@ -4,38 +4,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fabric.h"
-
 namespace omr::core {
-
-namespace {
-
-/// Intra-rack reduce (or, symmetrically, result distribution) for one
-/// rack: the rack's servers run a rack-local OmniReduce over their ToR —
-/// a non-blocking switch whose one-way crossing is two hops (NIC → ToR →
-/// NIC). Aggregation is sharded over the rack's own NICs (colocated);
-/// racks have no dedicated aggregator machine. Returns the completion
-/// time; `sums` holds the rack sum in every entry on return.
-sim::Time reduce_rack(std::vector<tensor::DenseTensor>& sums,
-                      const Config& cfg, const ClusterSpec& cluster,
-                      sim::Time hop_latency, std::size_t rack) {
-  if (sums.size() < 2) return 0;
-  ClusterSpec rack_spec = cluster;
-  rack_spec.topology = TopologySpec{};  // ideal ToR-local switch
-  rack_spec.fabric.one_way_latency = 2 * hop_latency;
-  rack_spec.fabric.seed =
-      cluster.fabric.seed ^ (0x9e3779b97f4a7c15ULL * (rack + 1));
-  rack_spec.deployment = Deployment::kColocated;
-  RunStats stats = run_allreduce(sums, cfg, rack_spec, /*verify=*/false);
-  return stats.completion_time;
-}
-
-}  // namespace
 
 HierarchicalStats run_hierarchical_allreduce(
     std::vector<std::vector<tensor::DenseTensor>>& grads, const Config& cfg,
-    const ClusterSpec& cluster, const HierarchicalConfig& hier,
-    bool verify) {
+    const ClusterSpec& cluster, bool verify) {
   if (grads.empty() || grads.front().empty()) {
     throw std::invalid_argument("need at least one server with one GPU");
   }
@@ -76,74 +49,9 @@ HierarchicalStats run_hierarchical_allreduce(
                            : 0;
   stats.intra_broadcast = stats.intra_reduce;
 
-  const std::size_t n_servers = grads.size();
-  const bool rack_mode = hier.rack_aware && cluster.topology.two_tier() &&
-                         cluster.topology.n_racks > 1 && n_servers > 1;
-
-  if (!rack_mode) {
-    // Layer 2: inter-server OmniReduce over the fabric.
-    stats.inter = run_allreduce(server_sums, cfg, cluster, /*verify=*/false);
-  } else {
-    // Layer 2, rack-aware: reduce inside each rack over ToR-local links,
-    // exchange one representative per rack across the spine, then
-    // distribute back down. Spine traffic shrinks by the rack size.
-    const TopologySpec& topo = cluster.topology;
-    const sim::Time hop = cluster.fabric.one_way_latency / 2;
-
-    std::vector<std::vector<std::size_t>> members(topo.n_racks);
-    for (std::size_t s = 0; s < n_servers; ++s) {
-      members[static_cast<std::size_t>(worker_rack(topo, s, n_servers))]
-          .push_back(s);
-    }
-
-    // Layer 2a: racks reduce concurrently; the slowest gates the spine.
-    std::vector<std::size_t> rep_racks;  // non-empty racks, in rack order
-    std::vector<tensor::DenseTensor> reps;
-    for (std::size_t r = 0; r < topo.n_racks; ++r) {
-      if (members[r].empty()) continue;
-      std::vector<tensor::DenseTensor> rack_sums;
-      rack_sums.reserve(members[r].size());
-      for (std::size_t s : members[r]) {
-        rack_sums.push_back(std::move(server_sums[s]));
-      }
-      stats.rack_reduce = std::max(
-          stats.rack_reduce, reduce_rack(rack_sums, cfg, cluster, hop, r));
-      reps.push_back(rack_sums.front());
-      for (std::size_t i = 0; i < members[r].size(); ++i) {
-        server_sums[members[r][i]] = std::move(rack_sums[i]);
-      }
-      rep_racks.push_back(r);
-    }
-
-    // Layer 2b: one representative per rack exchanges over the spine. The
-    // uplink still carries the whole rack's capacity, not one NIC's worth,
-    // so pin it to the narrowest rack's edge divided by the ratio.
-    if (reps.size() > 1) {
-      ClusterSpec spine_spec = cluster;
-      spine_spec.topology.worker_racks.assign(rep_racks.begin(),
-                                              rep_racks.end());
-      if (spine_spec.topology.uplink_bandwidth_bps <= 0.0) {
-        std::size_t min_members = n_servers;
-        for (std::size_t r : rep_racks) {
-          min_members = std::min(min_members, members[r].size());
-        }
-        spine_spec.topology.uplink_bandwidth_bps =
-            static_cast<double>(min_members) *
-            cluster.fabric.worker_bandwidth_bps / topo.oversubscription;
-      }
-      stats.inter = run_allreduce(reps, cfg, spine_spec, /*verify=*/false);
-    }
-
-    // Layer 2c: distribute the global sum back down the racks — the same
-    // ToR-local pattern in reverse, so it costs what the rack reduce did.
-    stats.rack_broadcast = stats.rack_reduce;
-    for (std::size_t i = 0; i < rep_racks.size(); ++i) {
-      for (std::size_t s : members[rep_racks[i]]) server_sums[s] = reps[i];
-    }
-  }
-
-  stats.total = stats.intra_reduce + stats.rack_reduce +
-                stats.inter.completion_time + stats.rack_broadcast +
+  // Layer 2: inter-server OmniReduce over the fabric.
+  stats.inter = run_allreduce(server_sums, cfg, cluster, /*verify=*/false);
+  stats.total = stats.intra_reduce + stats.inter.completion_time +
                 stats.intra_broadcast;
 
   // Layer 1 (return): broadcast the result to every GPU.

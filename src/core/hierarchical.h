@@ -16,24 +16,10 @@ inline constexpr double kNvlinkBandwidthBps = 130e9;
 /// NVLink. Note the first layer densifies: a block is non-zero for the
 /// server if any of its GPUs has it non-zero, so inter-server sparsity is
 /// the union sparsity.
-///
-/// On a two-tier fabric the optional rack-aware mode inserts a third
-/// layer: servers of one rack reduce over their ToR-local links first, a
-/// single representative per rack exchanges over the spine, and results
-/// are distributed back down — cutting spine traffic by the rack size, the
-/// placement NetReduce-style rack-scale aggregation exploits.
-struct HierarchicalConfig {
-  /// Enable the rack layer. Requires cluster.topology.two_tier() with
-  /// more than one rack; otherwise ignored (flat inter-server phase).
-  bool rack_aware = false;
-};
-
 struct HierarchicalStats {
-  RunStats inter;               // inter-server (or inter-rack) OmniReduce run
+  RunStats inter;               // inter-server OmniReduce run
   sim::Time intra_reduce = 0;   // local NVLink reduce (ring reduce-scatter+gather)
   sim::Time intra_broadcast = 0;
-  sim::Time rack_reduce = 0;    // intra-rack reduce over ToR-local links
-  sim::Time rack_broadcast = 0; // result distribution back down the racks
   sim::Time total = 0;
   bool verified = false;
   double max_error = 0.0;
@@ -41,11 +27,9 @@ struct HierarchicalStats {
 
 /// `grads[server][gpu]` are the per-GPU gradients (all equal size). On
 /// return every entry holds the global sum. The completion time is
-/// intra-reduce [+ rack-reduce] + inter AllReduce [+ rack-broadcast]
-/// + intra-broadcast.
+/// intra-reduce + inter AllReduce + intra-broadcast.
 HierarchicalStats run_hierarchical_allreduce(
     std::vector<std::vector<tensor::DenseTensor>>& grads, const Config& cfg,
-    const ClusterSpec& cluster, const HierarchicalConfig& hier = {},
-    bool verify = true);
+    const ClusterSpec& cluster, bool verify = true);
 
 }  // namespace omr::core

@@ -122,6 +122,10 @@ std::unique_ptr<net::Topology> cluster_topology(const Config& cfg,
     throw std::invalid_argument("start-offset count != worker count");
   }
   const FaultSpec& faults = cluster.faults;
+  // Negated so a NaN is rejected too: enabled() would read it as "off".
+  if (!(faults.stragglers.mean_delay_ns >= 0.0)) {
+    throw std::invalid_argument("straggler mean delay must be >= 0");
+  }
   if (faults.enabled()) {
     if (faults.watchdog <= 0) {
       throw std::invalid_argument(

@@ -81,7 +81,8 @@ SelectorDecision OnlineSelector::choose(std::size_t n_workers,
   SelectorDecision best;
   bool found = false;
   for (const std::string& candidate : cfg_.candidates) {
-    if (!registry.contains(candidate)) continue;
+    // at() throws on a name nothing registered: a misspelled candidate or
+    // a missing register_zoo() is an error, not a narrower choice.
     const AlgoCapabilities caps = registry.at(candidate).capabilities();
 
     // Correction ratios already learned for this candidate's lanes in this

@@ -66,7 +66,8 @@ class OnlineSelector {
 
   /// Score the candidates for a tensor with `elements` elements and
   /// fraction `density` non-zero, without running anything. Throws
-  /// std::invalid_argument when no candidate is registered and viable.
+  /// std::invalid_argument when a candidate is not registered or when no
+  /// candidate is viable.
   SelectorDecision choose(std::size_t n_workers, std::size_t elements,
                           double density, const Config& cfg,
                           const ClusterSpec& cluster) const;

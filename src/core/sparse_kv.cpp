@@ -13,6 +13,8 @@ namespace omr::core {
 namespace {
 
 constexpr std::int64_t kInfKey = std::numeric_limits<std::int64_t>::max();
+/// Header bytes of every KV packet and result, in both directions.
+constexpr std::size_t kKvHeaderBytes = 64;
 
 /// Block of key-value pairs, worker -> aggregator (Algorithm 3 packet).
 struct KvPacket final : net::Message {
@@ -20,9 +22,8 @@ struct KvPacket final : net::Message {
   std::vector<std::int32_t> keys;
   std::vector<float> values;
   std::int64_t nextkey = kInfKey;
-  std::size_t header_bytes = 64;
   std::size_t wire_bytes() const override {
-    return header_bytes + keys.size() * 8 + 8;  // pairs + nextkey
+    return kKvHeaderBytes + keys.size() * 8 + 8;  // pairs + nextkey
   }
 };
 
@@ -31,17 +32,14 @@ struct KvResult final : net::Message {
   std::vector<std::int32_t> keys;
   std::vector<float> values;
   std::int64_t nextkey = kInfKey;  // send_up_to watermark
-  std::size_t header_bytes = 64;
   std::size_t wire_bytes() const override {
-    return header_bytes + keys.size() * 8 + 8;
+    return kKvHeaderBytes + keys.size() * 8 + 8;
   }
 };
 
 class KvAggregator final : public net::Endpoint {
  public:
-  KvAggregator(net::Network& net, std::size_t n_workers,
-               std::size_t header_bytes)
-      : net_(net), header_bytes_(header_bytes) {
+  KvAggregator(net::Network& net, std::size_t n_workers) : net_(net) {
     nextkey_.assign(n_workers, std::numeric_limits<std::int64_t>::min());
   }
   void bind(net::EndpointId self, std::vector<net::EndpointId> workers) {
@@ -60,7 +58,6 @@ class KvAggregator final : public net::Endpoint {
         *std::min_element(nextkey_.begin(), nextkey_.end());
     if (send_up_to > sent_) {
       auto r = std::make_shared<KvResult>();
-      r->header_bytes = header_bytes_;
       r->nextkey = send_up_to;
       std::size_t hi = keys_.size();
       if (send_up_to < kInfKey) {
@@ -147,7 +144,6 @@ class KvAggregator final : public net::Endpoint {
   }
 
   net::Network& net_;
-  std::size_t header_bytes_;
   net::EndpointId self_ = -1;
   std::vector<net::EndpointId> workers_;
   std::vector<std::int64_t> nextkey_;
@@ -163,14 +159,12 @@ class KvAggregator final : public net::Endpoint {
 class KvWorker final : public net::Endpoint {
  public:
   KvWorker(net::Network& net, std::uint32_t wid,
-           const tensor::CooTensor& input, std::size_t block,
-           std::size_t header_bytes)
+           const tensor::CooTensor& input, std::size_t block)
       : net_(net),
         sim_(net.simulator()),
         wid_(wid),
         input_(input),
-        block_(block),
-        header_bytes_(header_bytes) {
+        block_(block) {
     result_.dim = input.dim;
   }
   void bind(net::EndpointId self, net::EndpointId agg) {
@@ -206,7 +200,6 @@ class KvWorker final : public net::Endpoint {
   void send_next_block() {
     auto p = std::make_shared<KvPacket>();
     p->wid = wid_;
-    p->header_bytes = header_bytes_;
     const std::size_t end = std::min(cursor_ + block_, input_.nnz());
     p->keys.assign(input_.keys.begin() + static_cast<std::ptrdiff_t>(cursor_),
                    input_.keys.begin() + static_cast<std::ptrdiff_t>(end));
@@ -225,7 +218,6 @@ class KvWorker final : public net::Endpoint {
   std::uint32_t wid_;
   const tensor::CooTensor& input_;
   std::size_t block_;
-  std::size_t header_bytes_;
   net::EndpointId self_ = -1;
   net::EndpointId agg_ = -1;
   std::size_t cursor_ = 0;
@@ -239,8 +231,7 @@ class KvWorker final : public net::Endpoint {
 
 SparseRunStats run_sparse_allreduce(
     const std::vector<tensor::CooTensor>& inputs, const FabricConfig& fabric,
-    std::size_t pairs_per_block, std::size_t header_bytes,
-    std::size_t n_aggregators) {
+    std::size_t pairs_per_block, std::size_t n_aggregators) {
   if (inputs.empty()) throw std::invalid_argument("no workers");
   if (n_aggregators == 0) throw std::invalid_argument("need an aggregator");
   const std::size_t n_workers = inputs.size();
@@ -272,8 +263,7 @@ SparseRunStats run_sparse_allreduce(
   std::vector<std::unique_ptr<KvAggregator>> aggs;
   std::vector<net::EndpointId> agg_eps;
   for (std::size_t a = 0; a < n_aggregators; ++a) {
-    aggs.push_back(std::make_unique<KvAggregator>(network, n_workers,
-                                                  header_bytes));
+    aggs.push_back(std::make_unique<KvAggregator>(network, n_workers));
     const net::NicId nic = network.add_nic(
         {fabric.aggregator_bandwidth_bps, fabric.aggregator_bandwidth_bps});
     agg_eps.push_back(network.attach(aggs.back().get(), nic));
@@ -292,7 +282,7 @@ SparseRunStats run_sparse_allreduce(
     for (std::size_t w = 0; w < n_workers; ++w) {
       workers.push_back(std::make_unique<KvWorker>(
           network, static_cast<std::uint32_t>(w), slices[a][w],
-          pairs_per_block, header_bytes));
+          pairs_per_block));
       const net::EndpointId ep =
           network.attach(workers.back().get(), worker_nics[w]);
       worker_eps[a].push_back(ep);

@@ -12,16 +12,15 @@ namespace omr::core {
 struct SparseRunStats {
   tensor::CooTensor result;       // reduced tensor (as received by worker 0)
   sim::Time completion_time = 0;  // max over workers
-  std::uint64_t total_messages = 0;
   std::uint64_t pair_bytes_sent = 0;  // key+value payload, all workers
   std::uint64_t rounds = 0;
 };
 
 /// Run the sparse block-format extension (§3.3, Algorithm 3) over a
 /// simulated cluster. Workers stream blocks of `pairs_per_block`
-/// (key, value) pairs; each aggregator merges its key range in a keyed map
-/// and releases aggregated prefixes as the global minimum outstanding key
-/// advances. Lossless fabric — the scope the paper presents (loss recovery
+/// (key, value) pairs behind a 64-byte header; each aggregator merges its
+/// key range in a keyed map and releases aggregated prefixes as the global
+/// minimum outstanding key advances. Lossless fabric — the scope the paper presents (loss recovery
 /// for the KV format is future work there).
 ///
 /// `n_aggregators` > 1 shards the key space into contiguous ranges, one
@@ -32,6 +31,6 @@ struct SparseRunStats {
 SparseRunStats run_sparse_allreduce(
     const std::vector<tensor::CooTensor>& inputs,
     const FabricConfig& fabric, std::size_t pairs_per_block = 256,
-    std::size_t header_bytes = 64, std::size_t n_aggregators = 1);
+    std::size_t n_aggregators = 1);
 
 }  // namespace omr::core

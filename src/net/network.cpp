@@ -33,6 +33,9 @@ NicId Network::add_nic(const NicConfig& cfg) {
   if (!(cfg.tx_bandwidth_bps > 0) || !(cfg.rx_bandwidth_bps > 0)) {
     throw std::invalid_argument("NIC bandwidth must be positive");
   }
+  if (!(cfg.rx_message_overhead_ns >= 0)) {
+    throw std::invalid_argument("NIC receive overhead must be >= 0");
+  }
   nics_.push_back(Nic{cfg, 0, 0, {}});
   const NicId id = static_cast<NicId>(nics_.size() - 1);
   topo_->add_nic(id, cfg.tx_bandwidth_bps, cfg.rx_bandwidth_bps);

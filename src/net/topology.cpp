@@ -11,6 +11,9 @@ TwoTierFabric::TwoTierFabric(Config cfg) : cfg_(std::move(cfg)) {
   if (!(cfg_.oversubscription >= 1.0)) {  // negated: NaN fails too
     throw std::invalid_argument("oversubscription ratio must be >= 1");
   }
+  if (!(cfg_.uplink_bandwidth_bps >= 0.0)) {  // 0 = derived; NaN fails
+    throw std::invalid_argument("uplink bandwidth must be >= 0");
+  }
   for (int r : cfg_.rack_of_nic) {
     if (r < 0 || static_cast<std::size_t>(r) >= cfg_.n_racks) {
       throw std::invalid_argument("rack assignment out of range");

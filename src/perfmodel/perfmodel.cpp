@@ -81,20 +81,10 @@ double predict_seconds(const std::string& algo, const ModelParams& p) {
   const double D = p.density;
   const double Du = union_density(p);
   const double logn = ceil_log2(p.n_workers);
-  const double omni = p.colocated ? t_omnireduce_colocated(p) : t_omnireduce(p);
 
   if (algo == "ring") return t_ring(p);
-  if (algo == "recursive_doubling") {
-    // log2(N) full-vector exchange steps, TX + RX store-and-forward.
-    return logn * (p.alpha_s + 2.0 * bits(S) / B);
-  }
-  if (algo == "omnireduce" || algo == "omnireduce_bucketed" ||
-      algo == "hierarchical") {
-    return omni;
-  }
-  if (algo == "omnireduce_kv") {
-    // (key, value) pairs double the per-element wire cost.
-    return p.alpha_s + 2.0 * D * bits(S) / B;
+  if (algo == "omnireduce") {
+    return p.colocated ? t_omnireduce_colocated(p) : t_omnireduce(p);
   }
   if (algo == "switchml") {
     // Dense streaming aggregation: OmniReduce at density 1.
@@ -103,7 +93,7 @@ double predict_seconds(const std::string& algo, const ModelParams& p) {
     return dense.colocated ? t_omnireduce_colocated(dense)
                            : t_omnireduce(dense);
   }
-  if (algo == "agsparse" || algo == "agsparse_compressed") return t_agsparse(p);
+  if (algo == "agsparse") return t_agsparse(p);
   if (algo == "agsparse_gloo") {
     // NCCL-flavour gather plus the host copy per received byte (~6 GB/s).
     return t_agsparse(p) + 2.0 * D * S * (n - 1.0) / 6e9;

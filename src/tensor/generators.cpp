@@ -53,13 +53,19 @@ void fill_dense_tail(DenseTensor& t, std::size_t embedding_elements,
   }
 }
 
+/// Throw unless `target` is in [0, 1]. Negated so a NaN fails too: the
+/// callers cast a block count derived from it to an integer.
+void require_sparsity(double target) {
+  if (!(target >= 0.0 && target <= 1.0)) {
+    throw std::invalid_argument("block sparsity out of [0,1]");
+  }
+}
+
 }  // namespace
 
 DenseTensor make_block_sparse(std::size_t n, std::size_t block_size,
                               double block_sparsity_target, sim::Rng& rng) {
-  if (block_sparsity_target < 0.0 || block_sparsity_target > 1.0) {
-    throw std::invalid_argument("block sparsity out of [0,1]");
-  }
+  require_sparsity(block_sparsity_target);
   DenseTensor t(n);
   const std::size_t nb = num_blocks(n, block_size);
   const auto k = static_cast<std::size_t>(
@@ -75,6 +81,7 @@ std::vector<DenseTensor> make_multi_worker(std::size_t n_workers,
                                            std::size_t block_size,
                                            double block_sparsity_target,
                                            OverlapMode mode, sim::Rng& rng) {
+  require_sparsity(block_sparsity_target);
   const std::size_t nb = num_blocks(n, block_size);
   const auto k = static_cast<std::size_t>(
       static_cast<double>(nb) * (1.0 - block_sparsity_target) + 0.5);

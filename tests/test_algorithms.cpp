@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,7 @@
 #include "baselines/zoo.h"
 #include "core/algorithm.h"
 #include "core/selector.h"
+#include "perfmodel/perfmodel.h"
 #include "sim/rng.h"
 #include "tensor/coo.h"
 #include "tensor/generators.h"
@@ -59,17 +61,39 @@ TEST(Registry, UnknownNameThrowsNamingTheCatalogue) {
   }
 }
 
-TEST(Registry, ContainsTheFullZoo) {
+/// The registered names, without the one the duplicate test adds when
+/// every case runs in one process.
+std::vector<std::string> zoo_names() {
   flat();
-  const auto names = core::CollectiveRegistry::global().names();
-  for (const char* expected :
-       {"omnireduce", "omnireduce_kv", "omnireduce_bucketed", "hierarchical",
-        "switchml", "ring", "recursive_doubling", "agsparse", "agsparse_gloo",
-        "agsparse_compressed", "sparcml", "sparcml_ssar", "sparcml_dsar",
-        "ps", "ps_sparse", "parallax", "oktopk", "sketch"}) {
-    EXPECT_TRUE(std::find(names.begin(), names.end(), expected) !=
-                names.end())
-        << expected;
+  std::vector<std::string> names = core::CollectiveRegistry::global().names();
+  names.erase(std::remove(names.begin(), names.end(), "test_dummy"),
+              names.end());
+  return names;
+}
+
+TEST(Registry, ContainsTheFullZoo) {
+  // Exactly the names a bench, example, perfbench workload or the DDL
+  // layer dispatches, sorted.
+  EXPECT_EQ(zoo_names(),
+            (std::vector<std::string>{
+                "agsparse", "agsparse_gloo", "oktopk", "omnireduce",
+                "parallax", "ps", "ps_sparse", "ring", "sketch", "sparcml",
+                "sparcml_dsar", "sparcml_ssar", "switchml"}));
+}
+
+TEST(Registry, EveryNameHasACostModel) {
+  // The selector scores a candidate by its perfmodel prior, so a
+  // registered name without one would throw at choose time.
+  perfmodel::ModelParams p;
+  p.n_workers = 8;
+  p.tensor_bytes = 4.0 * (1 << 16);
+  p.density = 0.1;
+  for (const bool colocated : {false, true}) {
+    p.colocated = colocated;
+    for (const std::string& name : zoo_names()) {
+      const double t = perfmodel::predict_seconds(name, p);
+      EXPECT_TRUE(std::isfinite(t) && t > 0.0) << name << " " << t;
+    }
   }
 }
 
@@ -113,10 +137,10 @@ TEST(Registry, CapabilityValidationRejectsUnsupportedRequests) {
   faulty.faults.stragglers.mean_delay_ns = 1000.0;
   EXPECT_THROW(core::run_collective("ring", ts, {}, faulty),
                std::invalid_argument);
-  // Sparse KV is sum-only.
+  // The sparse baselines are sum-only.
   core::Config max_op;
   max_op.op = core::ReduceOp::kMax;
-  EXPECT_THROW(core::run_collective("omnireduce_kv", ts, max_op, flat()),
+  EXPECT_THROW(core::run_collective("agsparse", ts, max_op, flat()),
                std::invalid_argument);
   // The engine supports all of the above.
   EXPECT_TRUE(core::capabilities_allow(
@@ -265,7 +289,7 @@ TEST(ZooCrossProduct, TwoTierRunsOrRejectsByCapability) {
 
 TEST(ZooCrossProduct, TopologyAwareSetIsExact) {
   // Pin which algorithms claim two-tier support so a capability regression
-  // is loud: the engine family plus hierarchical, nothing else.
+  // is loud: the engine pair, nothing else.
   core::ClusterSpec cluster = flat();
   cluster.topology = core::TopologySpec::two_tier_racks(2, 8.0);
   std::vector<std::string> aware;
@@ -277,9 +301,7 @@ TEST(ZooCrossProduct, TopologyAwareSetIsExact) {
       aware.push_back(name);
     }
   }
-  EXPECT_EQ(aware,
-            (std::vector<std::string>{"hierarchical", "omnireduce",
-                                      "omnireduce_bucketed", "switchml"}));
+  EXPECT_EQ(aware, (std::vector<std::string>{"omnireduce", "switchml"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -320,6 +342,23 @@ TEST(Selector, ThrowsWhenNoCandidateIsViable) {
   lossy.fabric.loss_rate = 0.01;
   EXPECT_THROW(selector.choose(8, 1 << 20, 1.0, {}, lossy),
                std::invalid_argument);
+}
+
+TEST(Selector, UnknownCandidateThrowsAtChooseTime) {
+  flat();
+  core::SelectorConfig cfg;
+  cfg.candidates = {"ring", "omnireduse"};
+  // Constructing is legal: the zoo may be registered after the selector.
+  core::OnlineSelector selector(cfg);
+  try {
+    selector.choose(8, 1 << 20, 0.5, {}, core::ClusterSpec{});
+    FAIL() << "a misspelled candidate narrowed the choice silently";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown collective algorithm 'omnireduse'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Selector, TelemetryFeedbackOverridesTheModel) {

@@ -111,30 +111,6 @@ TEST(Ring, WireBytesMatchTheory) {
   EXPECT_LE(static_cast<double>(st.total_tx_bytes), payload * 1.1);
 }
 
-TEST(RecursiveDoubling, Correct) {
-  for (std::size_t n : {2u, 4u, 8u}) {
-    auto ts = inputs(n, 2048, 0.3, 7);
-    const DenseTensor expect = tensor::reference_sum(ts);
-    recursive_doubling_allreduce(ts, fast_cfg());
-    EXPECT_TRUE(matches_sum(ts, expect)) << n << " workers";
-  }
-}
-
-TEST(RecursiveDoubling, RejectsNonPowerOfTwo) {
-  auto ts = inputs(3, 256, 0.0, 8);
-  EXPECT_THROW(recursive_doubling_allreduce(ts, fast_cfg()),
-               std::invalid_argument);
-}
-
-TEST(RecursiveDoubling, LowerLatencyThanRingForTinyInput) {
-  // log2(N) alpha terms vs 2(N-1): for tiny tensors RD wins.
-  auto a = inputs(8, 64, 0.0, 9);
-  auto b = a;
-  const auto ring = ring_allreduce(a, fast_cfg());
-  const auto rd = recursive_doubling_allreduce(b, fast_cfg());
-  EXPECT_LT(rd.completion_time, ring.completion_time);
-}
-
 // ---------------------------------------------------------------------------
 // AGsparse
 // ---------------------------------------------------------------------------
@@ -491,8 +467,6 @@ struct AlgoPin {
 constexpr AlgoPin kAlgoPins[] = {
     {"agsparse", 0x2c836c7565909bedULL, 0xb6595f1791f07911ULL,
      0x1dcbaa5dbe17b105ULL},
-    {"agsparse_compressed", 0x2c836c7565909bedULL, 0x2d6e8bfcb2c549c5ULL,
-     0x34727f117fb81475ULL},
     {"agsparse_gloo", 0x2c836c7565909bedULL, 0x9e1911a79054482dULL,
      0x1dcbaa5dbe17b105ULL},
     {"oktopk", 0x2c836c7565909bedULL, 0x5be04a6c97ec5641ULL,
@@ -503,8 +477,6 @@ constexpr AlgoPin kAlgoPins[] = {
      0xeae859dc2aa31a8eULL},
     {"ps_sparse", 0x2c836c7565909bedULL, 0x5bfaa4b43c64b5d8ULL,
      0xc5648aad181e5cb6ULL},
-    {"recursive_doubling", 0xdb3755ab80ac104dULL, 0x62304ad18aa405adULL,
-     0xc3289c5f25c820a5ULL},
     {"ring", 0x79bcdf1171a3ce61ULL, 0xca17f42f8631bf45ULL,
      0xea9b3d34256b4abdULL},
     {"sketch", 0xe7f76740b91262b5ULL, 0xd93514f76ebc8379ULL,
@@ -535,12 +507,6 @@ TEST(BaselinePins, EveryZooAlgorithmBitIdentical) {
     for (const core::ClusterSpec& cluster : clusters) {
       for (const PinCase& c : cases) {
         auto ts = pin_inputs(c);
-        const bool pow2 = (c.workers & (c.workers - 1)) == 0;
-        if (algo == "recursive_doubling" && !pow2) {
-          EXPECT_THROW(core::run_collective(algo, ts, {}, cluster),
-                       std::invalid_argument);
-          continue;
-        }
         const core::RunStats st = core::run_collective(algo, ts, {}, cluster);
         EXPECT_TRUE(st.verified) << algo << " N=" << c.workers
                                  << " dim=" << c.dim;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/zoo.h"
 #include "compress/wire_codec.h"
 #include "core/algorithm.h"
 #include "core/cluster.h"
@@ -539,14 +540,15 @@ TEST(CodecEnabled, AlgorithmsWithoutCodecSupportAreRejected) {
   sim::Rng rng(1);
   auto tensors = tensor::make_multi_worker(4, 4096, cfg.block_size, 0.5,
                                            tensor::OverlapMode::kRandom, rng);
-  EXPECT_THROW(run_collective("omnireduce_kv", tensors, cfg, cluster,
+  baselines::register_zoo();
+  EXPECT_THROW(run_collective("ring", tensors, cfg, cluster,
                               /*verify=*/false),
                std::invalid_argument);
-  const AlgoCapabilities kv_caps =
-      CollectiveRegistry::global().at("omnireduce_kv").capabilities();
-  EXPECT_FALSE(capabilities_allow(kv_caps, cfg, cluster));
+  const AlgoCapabilities ring_caps =
+      CollectiveRegistry::global().at("ring").capabilities();
+  EXPECT_FALSE(capabilities_allow(ring_caps, cfg, cluster));
   // The engine algorithms accept the same Config.
-  for (const char* name : {"omnireduce", "switchml", "omnireduce_bucketed"}) {
+  for (const char* name : {"omnireduce", "switchml"}) {
     const AlgoCapabilities caps =
         CollectiveRegistry::global().at(name).capabilities();
     EXPECT_TRUE(capabilities_allow(caps, cfg, cluster)) << name;

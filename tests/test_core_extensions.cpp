@@ -2,7 +2,6 @@
 // reproducibility (deterministic fold order), and bucketed AllReduce.
 #include <gtest/gtest.h>
 
-#include "core/bucketing.h"
 #include "core/engine.h"
 #include "sim/rng.h"
 #include "tensor/blocks.h"
@@ -163,59 +162,6 @@ TEST(Deterministic, WorksUnderLoss) {
   RunStats st = run_allreduce(ts, cfg, ClusterSpec::dedicated(2, f, gdr()));
   EXPECT_TRUE(st.verified);
 }
-
-// ---------------------------------------------------------------------------
-// Bucketed AllReduce
-// ---------------------------------------------------------------------------
-
-TEST(Bucketing, ReducesEveryTensor) {
-  sim::Rng rng(9);
-  const std::vector<std::size_t> shapes{100, 17, 1, 300};
-  std::vector<std::vector<DenseTensor>> buckets(3);
-  std::vector<DenseTensor> expect;
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    expect.emplace_back(shapes[i]);
-  }
-  for (auto& worker : buckets) {
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      DenseTensor t(shapes[i]);
-      for (std::size_t j = 0; j < t.size(); ++j) {
-        t[j] = rng.next_float(-1, 1);
-        expect[i][j] += t[j];
-      }
-      worker.push_back(std::move(t));
-    }
-  }
-  RunStats st = run_allreduce_bucketed(buckets, small_config(), ClusterSpec::dedicated(2, fabric(), gdr()));
-  EXPECT_TRUE(st.verified);
-  for (const auto& worker : buckets) {
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      EXPECT_LE(tensor::max_abs_diff(worker[i], expect[i]), 1e-4);
-    }
-  }
-}
-
-TEST(Bucketing, RejectsMismatchedLayouts) {
-  std::vector<std::vector<DenseTensor>> buckets(2);
-  buckets[0].emplace_back(10);
-  buckets[1].emplace_back(11);
-  EXPECT_THROW(run_allreduce_bucketed(buckets, small_config(), ClusterSpec::dedicated(1, fabric(), gdr())),
-               std::invalid_argument);
-  buckets[1] = {DenseTensor(10), DenseTensor(3)};
-  EXPECT_THROW(run_allreduce_bucketed(buckets, small_config(), ClusterSpec::dedicated(1, fabric(), gdr())),
-               std::invalid_argument);
-}
-
-TEST(Bucketing, SingleBucketMatchesPlainAllReduce) {
-  auto flat = inputs(3, 16 * 32, 0.5, 10);
-  std::vector<std::vector<DenseTensor>> buckets(3);
-  for (std::size_t w = 0; w < 3; ++w) buckets[w].push_back(flat[w]);
-  RunStats a = run_allreduce(flat, small_config(), ClusterSpec::dedicated(1, fabric(), gdr()));
-  RunStats b = run_allreduce_bucketed(buckets, small_config(), ClusterSpec::dedicated(1, fabric(), gdr()));
-  EXPECT_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(buckets[0][0], flat[0]);
-}
-
 
 // ---------------------------------------------------------------------------
 // Straggler start offsets

@@ -81,57 +81,6 @@ TEST(Hierarchical, UnionSparsityDensifiesInterLayer) {
   EXPECT_GT(sent_frac, single_frac);
 }
 
-TEST(Hierarchical, RackAwareSurvivesSpineBurstLossWithUnevenRacks) {
-  // Uneven racks (3 servers vs 2) under Gilbert-Elliott burst loss on the
-  // spine: the rack layer must still reduce correctly — recovery rides the
-  // retransmission path — and both rack phases must do real work.
-  auto grads = cluster(5, 2, 16 * 64, 0.6, 7);
-  device::DeviceModel dev;
-  dev.gdr = true;
-  ClusterSpec spec = ClusterSpec::dedicated(5, fabric(), dev);
-  spec.topology = TopologySpec::two_tier_racks(2);
-  spec.topology.worker_racks = {0, 0, 0, 1, 1};
-  spec.topology.spine_burst_loss.p_good_to_bad = 0.05;
-  spec.topology.spine_burst_loss.p_bad_to_good = 0.3;
-  Config c = cfg();
-  c.retransmit_timeout = sim::microseconds(200);
-  HierarchicalConfig hier;
-  hier.rack_aware = true;
-  HierarchicalStats st = run_hierarchical_allreduce(grads, c, spec, hier);
-  EXPECT_TRUE(st.verified);
-  EXPECT_GT(st.rack_reduce, 0);
-  EXPECT_GT(st.rack_broadcast, 0);
-  EXPECT_GT(st.inter.dropped_messages, 0u);
-  EXPECT_GT(st.inter.retransmissions, 0u);
-}
-
-TEST(Hierarchical, RackAwareBurstLossRunsAreBitIdentical) {
-  // The burst-loss chain and retransmission timers are seeded: the same
-  // uneven-rack schedule must replay exactly.
-  device::DeviceModel dev;
-  dev.gdr = true;
-  ClusterSpec spec = ClusterSpec::dedicated(5, fabric(), dev);
-  spec.topology = TopologySpec::two_tier_racks(2);
-  spec.topology.worker_racks = {0, 0, 0, 1, 1};
-  spec.topology.spine_burst_loss.p_good_to_bad = 0.05;
-  spec.topology.spine_burst_loss.p_bad_to_good = 0.3;
-  Config c = cfg();
-  c.retransmit_timeout = sim::microseconds(200);
-  HierarchicalConfig hier;
-  hier.rack_aware = true;
-  auto a_grads = cluster(5, 2, 16 * 64, 0.6, 7);
-  auto b_grads = cluster(5, 2, 16 * 64, 0.6, 7);
-  const HierarchicalStats a = run_hierarchical_allreduce(a_grads, c, spec, hier);
-  const HierarchicalStats b = run_hierarchical_allreduce(b_grads, c, spec, hier);
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.rack_reduce, b.rack_reduce);
-  EXPECT_EQ(a.rack_broadcast, b.rack_broadcast);
-  EXPECT_EQ(a.inter.completion_time, b.inter.completion_time);
-  EXPECT_EQ(a.inter.total_messages, b.inter.total_messages);
-  EXPECT_EQ(a.inter.retransmissions, b.inter.retransmissions);
-  EXPECT_EQ(a.inter.dropped_messages, b.inter.dropped_messages);
-}
-
 TEST(Hierarchical, MismatchedSizesThrow) {
   std::vector<std::vector<DenseTensor>> grads(2);
   grads[0].push_back(DenseTensor(64));

@@ -72,12 +72,6 @@ TEST(CrossAlgorithm, AllImplementationsAgree) {
   }
   {
     auto ts = base;
-    core::run_collective("recursive_doubling", ts, core::Config{}, flat,
-                         /*verify=*/false);
-    check(ts[3], "recursive doubling");
-  }
-  {
-    auto ts = base;
     core::ClusterSpec ps_cluster = flat;
     ps_cluster.n_aggregator_nodes = 3;
     core::run_collective("ps", ts, core::Config{}, ps_cluster,

@@ -220,6 +220,8 @@ TEST(Network, NaNBandwidthIsRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(f.net.add_nic({nan, 10e9}), std::invalid_argument);
   EXPECT_THROW(f.net.add_nic({10e9, nan}), std::invalid_argument);
+  EXPECT_THROW(f.net.add_nic({10e9, 10e9, nan}), std::invalid_argument);
+  EXPECT_THROW(f.net.add_nic({10e9, 10e9, -1.0}), std::invalid_argument);
 }
 
 
@@ -527,6 +529,11 @@ TEST(TwoTierFabric, RejectsInvalidConfig) {
   TwoTierFabric::Config nan_ratio;
   nan_ratio.oversubscription = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(TwoTierFabric{nan_ratio}, std::invalid_argument);
+  for (double bw : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    TwoTierFabric::Config bad_uplink;
+    bad_uplink.uplink_bandwidth_bps = bw;
+    EXPECT_THROW(TwoTierFabric{bad_uplink}, std::invalid_argument) << bw;
+  }
   TwoTierFabric::Config bad_rack;
   bad_rack.n_racks = 2;
   bad_rack.rack_of_nic = {0, 3};

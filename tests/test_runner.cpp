@@ -303,9 +303,8 @@ TEST(ParallelForEach, EveryZooAlgorithmIsBitIdenticalAcrossJobs) {
   };
   std::vector<Cell> grid;
   for (const char* algo :
-       {"ring", "recursive_doubling", "agsparse", "agsparse_gloo",
-        "agsparse_compressed", "sparcml", "sparcml_ssar", "sparcml_dsar", "ps",
-        "ps_sparse", "parallax", "oktopk", "sketch"}) {
+       {"ring", "agsparse", "agsparse_gloo", "sparcml", "sparcml_ssar",
+        "sparcml_dsar", "ps", "ps_sparse", "parallax", "oktopk", "sketch"}) {
     grid.push_back({algo, 4, 0.9});
     grid.push_back({algo, 8, 0.5});
   }

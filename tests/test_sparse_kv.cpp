@@ -35,7 +35,7 @@ TEST(SparseKvSharded, MatchesReferenceAcrossShardCounts) {
   auto coo = random_coo(4, 1 << 14, 0.95, 1, &dense);
   const tensor::DenseTensor expect = tensor::reference_sum(dense);
   for (std::size_t aggs : {1u, 2u, 7u, 32u}) {
-    SparseRunStats st = run_sparse_allreduce(coo, fabric(), 64, 64, aggs);
+    SparseRunStats st = run_sparse_allreduce(coo, fabric(), 64, aggs);
     EXPECT_LE(tensor::max_abs_diff(tensor::coo_to_dense(st.result), expect),
               1e-4)
         << aggs << " shards";
@@ -48,9 +48,9 @@ TEST(SparseKvSharded, MatchesReferenceAcrossShardCounts) {
 
 TEST(SparseKvSharded, ShardingReducesCompletionTime) {
   auto coo = random_coo(4, 1 << 16, 0.9, 2);
-  const SparseRunStats one = run_sparse_allreduce(coo, fabric(), 256, 64, 1);
+  const SparseRunStats one = run_sparse_allreduce(coo, fabric(), 256, 1);
   const SparseRunStats many =
-      run_sparse_allreduce(coo, fabric(), 256, 64, 32);
+      run_sparse_allreduce(coo, fabric(), 256, 32);
   EXPECT_LT(many.completion_time, one.completion_time);
 }
 
@@ -62,7 +62,7 @@ TEST(SparseKvSharded, EmptyRangesHandled) {
   coo[0].values = {1.f, 1.f, 1.f};
   coo[2].keys = {2, 900};
   coo[2].values = {2.f, 5.f};
-  SparseRunStats st = run_sparse_allreduce(coo, fabric(), 16, 64, 4);
+  SparseRunStats st = run_sparse_allreduce(coo, fabric(), 16, 4);
   ASSERT_EQ(st.result.nnz(), 4u);
   EXPECT_FLOAT_EQ(st.result.values[1], 3.0f);  // key 2 merged
   EXPECT_FLOAT_EQ(st.result.values[3], 5.0f);  // key 900
@@ -73,7 +73,7 @@ TEST(SparseKv, TinyBlocks) {
   auto coo = random_coo(3, 2048, 0.9, 3, &dense);
   const tensor::DenseTensor expect = tensor::reference_sum(dense);
   // One pair per packet: maximal round count, still correct.
-  SparseRunStats st = run_sparse_allreduce(coo, fabric(), 1, 64, 1);
+  SparseRunStats st = run_sparse_allreduce(coo, fabric(), 1, 1);
   EXPECT_LE(tensor::max_abs_diff(tensor::coo_to_dense(st.result), expect),
             1e-4);
   EXPECT_GE(st.rounds, expect.nnz() / 3);
@@ -101,7 +101,7 @@ TEST(SparseKv, PairBytesMatchInputVolume) {
 TEST(SparseKv, RejectsZeroAggregators) {
   std::vector<tensor::CooTensor> coo(1);
   coo[0].dim = 10;
-  EXPECT_THROW(run_sparse_allreduce(coo, fabric(), 16, 64, 0),
+  EXPECT_THROW(run_sparse_allreduce(coo, fabric(), 16, 0),
                std::invalid_argument);
 }
 

@@ -15,7 +15,6 @@
 #include "tensor/coo.h"
 #include "tensor/dense.h"
 #include "tensor/generators.h"
-#include "tensor/index_codec.h"
 
 namespace omr::tensor {
 namespace {
@@ -536,30 +535,6 @@ TEST(Blocks, BitmapMatchesNaiveScan) {
 }
 
 
-TEST(IndexCodec, CrossoverAtDimOver32) {
-  // Raw keys cost 4*nnz; a bitmask costs dim/8. Equal at nnz = dim/32.
-  const std::size_t dim = 32000;
-  EXPECT_EQ(choose_index_encoding(999, dim), IndexEncoding::kRawKeys);
-  EXPECT_EQ(choose_index_encoding(1001, dim), IndexEncoding::kBitmask);
-}
-
-TEST(IndexCodec, ByteCounts) {
-  EXPECT_EQ(index_bytes(IndexEncoding::kRawKeys, 10, 1000), 40u);
-  EXPECT_EQ(index_bytes(IndexEncoding::kBitmask, 10, 1000), 125u);
-  // Compressed wire bytes never exceed the raw COO encoding.
-  for (std::size_t nnz : {0u, 5u, 100u, 500u, 1000u}) {
-    EXPECT_LE(coo_wire_bytes_compressed(nnz, 1000), nnz * 8 + 125);
-    EXPECT_LE(coo_wire_bytes_compressed(nnz, 1000), nnz * 8 > 0 ? nnz * 8 : 125u);
-  }
-}
-
-TEST(IndexCodec, DenseTensorPrefersBitmask) {
-  const std::size_t dim = 1 << 20;
-  const std::size_t nnz = dim / 2;
-  EXPECT_EQ(choose_index_encoding(nnz, dim), IndexEncoding::kBitmask);
-  EXPECT_EQ(coo_wire_bytes_compressed(nnz, dim), nnz * 4 + dim / 8);
-}
-
 TEST(Generators, BlockSparseHitsTarget) {
   sim::Rng rng(1);
   DenseTensor t = make_block_sparse(256 * 1000, 256, 0.9, rng);
@@ -572,7 +547,18 @@ TEST(Generators, BlockSparseExtremes) {
   EXPECT_DOUBLE_EQ(block_sparsity(dense, 256), 0.0);
   DenseTensor empty = make_block_sparse(256 * 100, 256, 1.0, rng);
   EXPECT_EQ(empty.nnz(), 0u);
-  EXPECT_THROW(make_block_sparse(100, 10, 1.5, rng), std::invalid_argument);
+  // Out of [0, 1], NaN included, is refused before any block count is
+  // derived from it, in every overlap mode.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5}) {
+    EXPECT_THROW(make_block_sparse(100, 10, bad, rng), std::invalid_argument)
+        << bad;
+    for (OverlapMode mode :
+         {OverlapMode::kRandom, OverlapMode::kAll, OverlapMode::kNone}) {
+      EXPECT_THROW(make_multi_worker(2, 100, 10, bad, mode, rng),
+                   std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(Generators, OverlapAll) {

@@ -8,8 +8,10 @@ the smoke flag, mode-specific totals and a `results` list.
 
   suite  Runs every bench binary (one per bench/bench_*.cpp, except the
          host-timing harness) serially at OMR_MB=4 OMR_JOBS=1. Per binary
-         it records the wall-clock, the exit code and sha256 digests of
-         its stdout and of its RunReport JSON (OMR_REPORT_JSON), if any.
+         it records the wall-clock, the exit code, sha256 digests of its
+         stdout and of its RunReport JSON (OMR_REPORT_JSON), if any, and
+         from wait4 its peak RSS (maxrss_kb) and minor page faults
+         (minflt).
          The six sweep benches run a second time at OMR_JOBS=<host CPUs>
          and must print the same bytes. bench_fig_codec's CELL table is
          embedded with its acceptance gate, and the serving and tenancy
@@ -21,7 +23,8 @@ the smoke flag, mode-specific totals and a `results` list.
          host CPUs (it keeps no wall-clock), compares its exit code and
          stdout and report sha256 with the record's row, and names every
          binary whose digest moved, that is missing, or that the record
-         lacks. The digests depend on the toolchain (every golden input
+         lacks; maxrss_kb and minflt are recorded but not compared. The
+         digests depend on the toolchain (every golden input
          follows the standard library's unordered_set order), so when the
          record's toolchain stamp differs from the build's it runs nothing
          and says the toolchain differs; a record without a stamp is
@@ -190,34 +193,52 @@ def sha256(data):
 
 # --- suite -------------------------------------------------------------------
 
-Run = namedtuple("Run", "wall_s exit_code stdout report")
+Run = namedtuple("Run", "wall_s exit_code stdout report maxrss_kb minflt")
 
 
 def run_bench(exe, jobs, args, cwd):
     """One run of a bench binary in `cwd`, its RunReport array (if it
-    writes one) read back as bytes."""
+    writes one) read back as bytes. The process is reaped with wait4, so
+    its own peak RSS and minor faults come with it."""
     report = os.path.join(cwd, "report.json")
     if os.path.exists(report):
         os.unlink(report)
     env = dict(os.environ, OMR_MB=str(OMR_MB), OMR_JOBS=str(jobs),
                OMR_REPORT_JSON=report)
-    t0 = time.monotonic()
-    proc = subprocess.run([exe, *args], cwd=cwd, env=env,
-                          capture_output=True)
-    wall_s = time.monotonic() - t0
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr.decode(errors="replace"))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.monotonic()
+        proc = subprocess.Popen([exe, *args], cwd=cwd, env=env, stdout=out,
+                                stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.monotonic() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        stdout = out.read()
+        if proc.returncode != 0:
+            err.seek(0)
+            sys.stderr.write(err.read().decode(errors="replace"))
     data = None
     if os.path.exists(report):
         with open(report, "rb") as f:
             data = f.read()
-    return Run(wall_s, proc.returncode, proc.stdout, data)
+    return Run(wall_s, proc.returncode, stdout, data, usage.ru_maxrss,
+               usage.ru_minflt)
+
+
+def run_row(name, run):
+    """The suite row fields every run records, in record and check mode
+    alike (Linux reports ru_maxrss in KiB)."""
+    return {"bench": name, "exit_code": run.exit_code,
+            "stdout_sha256": sha256(run.stdout),
+            "report_sha256": sha256(run.report),
+            "maxrss_kb": run.maxrss_kb, "minflt": run.minflt}
 
 
 def outputs_identical(a, b):
     """The runner's contract: exit code, stdout and report are the same
     bytes at any job count."""
-    return a[1:] == b[1:]
+    return (a.exit_code, a.stdout, a.report) == (b.exit_code, b.stdout,
+                                                  b.report)
 
 
 CELL_RE = re.compile(
@@ -345,13 +366,7 @@ def record_suite(build_dir, only, smoke, host_cpus):
             args.append("--smoke")
         with tempfile.TemporaryDirectory() as cwd:
             run = run_bench(exe, 1, args, cwd)
-            row = {
-                "bench": name,
-                "wall_s": round(run.wall_s, 3),
-                "exit_code": run.exit_code,
-                "stdout_sha256": sha256(run.stdout),
-                "report_sha256": sha256(run.report),
-            }
+            row = dict(run_row(name, run), wall_s=round(run.wall_s, 3))
             found = [f"exit code {run.exit_code}"] if run.exit_code else []
             line = f"{name:34s} {run.wall_s:8.2f} s"
             if name in SWEEP_BENCHES:
@@ -429,10 +444,7 @@ def check_suite(build_dir, record, names, jobs, tools):
         if record.get("smoke") and name in DOC_BENCHES:
             args.append("--smoke")
         with tempfile.TemporaryDirectory() as cwd:
-            run = run_bench(exe, 1, args, cwd)
-        return {"bench": name, "exit_code": run.exit_code,
-                "stdout_sha256": sha256(run.stdout),
-                "report_sha256": sha256(run.report)}
+            return run_row(name, run_bench(exe, 1, args, cwd))
 
     # Longest first (by the record's wall-clock), so the pool drains evenly.
     order = sorted(names, key=lambda n: -want.get(n, {}).get("wall_s", 0))
@@ -627,14 +639,17 @@ def self_test():
          codec_cells("ACCEPTANCE: pass\n")[1] != []),
     ]
 
-    serial = Run(2.0, 0, b"table\n", b"[]")
+    serial = Run(2.0, 0, b"table\n", b"[]", 900, 80)
     checks += [
-        ("parallel: equal bytes at any wall-clock are identical",
-         outputs_identical(serial, Run(1.0, 0, b"table\n", b"[]"))),
+        ("parallel: equal bytes at any wall-clock and footprint are "
+         "identical",
+         outputs_identical(serial, Run(1.0, 0, b"table\n", b"[]", 950, 90))),
         ("parallel: a differing stdout is flagged",
-         not outputs_identical(serial, Run(1.0, 0, b"tablE\n", b"[]"))),
+         not outputs_identical(serial,
+                               Run(1.0, 0, b"tablE\n", b"[]", 900, 80))),
         ("parallel: a differing report is flagged",
-         not outputs_identical(serial, Run(1.0, 0, b"table\n", b"[1]"))),
+         not outputs_identical(serial,
+                               Run(1.0, 0, b"table\n", b"[1]", 900, 80))),
     ]
 
     with tempfile.TemporaryDirectory() as build:
@@ -660,13 +675,22 @@ def self_test():
             ["bench_a", "bench_b"], 2, tools)
         _, stale = check_suite(build, record(b"table\n", "bench_a",
                                              "bench_gone"), names, 2, tools)
+        other_footprint = record(b"table\n", "bench_a")
+        other_footprint["results"][0].update(maxrss_kb=1, minflt=1)
+        _, footprint_moved = check_suite(build, other_footprint, names, 2,
+                                         tools)
         stamped = dict(record(b"tablE\n", "bench_a"), toolchain=tools)
         _, same_tools = check_suite(build, stamped, names, 2, tools)
         other = dict(tools, stdlib="libc++ 170000")
         other_rows, other_tools = check_suite(build, stamped, names, 2, other)
+    footprint = [rows[0].get(k) for k in ("maxrss_kb", "minflt")]
     checks += [
         ("expect: equal digests pass",
          same == [] and rows[0]["problems"] == []),
+        ("footprint: maxrss_kb and minflt are recorded as positive integers",
+         all(type(v) is int and v > 0 for v in footprint)),
+        ("footprint: --expect does not compare maxrss_kb or minflt",
+         footprint_moved == []),
         ("expect: a moved stdout digest names its binary",
          moved == ["bench_a: stdout_sha256 moved"]),
         ("expect: a missing binary is named, the rest still checked",
