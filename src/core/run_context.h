@@ -47,6 +47,8 @@ class ReferenceCheck {
 
   /// Largest `error` over the active results, and whether it is within
   /// `base_tol` plus the codec slack for the contributing worker count.
+  /// A result bitwise equal to the last one evaluated is not evaluated
+  /// again, so `error` must depend on its arguments alone.
   Outcome check(const std::vector<tensor::DenseTensor>& results,
                 double base_tol, const ErrorFn& error = {}) const;
 

@@ -78,6 +78,10 @@ void EmbeddingCache::bump(int i) {
   push_front(freq, i);
 }
 
+void EmbeddingCache::prefetch(std::uint64_t key) const {
+  __builtin_prefetch(slots_.data() + home(key));
+}
+
 bool EmbeddingCache::lookup(std::uint64_t key, std::uint32_t* version_out) {
   const int i = slots_[probe(key)].node;
   if (i < 0) return false;

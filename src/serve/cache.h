@@ -41,6 +41,11 @@ class EmbeddingCache {
   /// changes nothing (fills are the caller's put()).
   bool lookup(std::uint64_t key, std::uint32_t* version_out = nullptr);
 
+  /// Start loading `key`'s home index slot into the CPU cache, so that a
+  /// lookup() or put() of it soon after probes without a miss. Changes
+  /// nothing.
+  void prefetch(std::uint64_t key) const;
+
   /// Insert or overwrite `key` (miss fill or write-through update); counts
   /// as a use. Evicts per policy when full. No-op at capacity 0.
   void put(std::uint64_t key, std::uint32_t version);

@@ -1,7 +1,6 @@
 #include "serve/serving.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
@@ -104,6 +103,7 @@ class ServingJob::PsShard final : public net::Endpoint {
     sim::Simulator& sim = job_.net_->simulator();
     const sim::Time now = sim.now();
     if (first_arrival < 0) first_arrival = now;
+    cache_.prefetch(req->key);  // the flush's probe then finds it in cache
     pending_.push_back({from, req->seq, req->key, req->update,
                         req->issued_at});
     if (job_.spec_.batch_window <= 0) {
@@ -214,14 +214,13 @@ class ServingJob::PsShard final : public net::Endpoint {
 /// rng stream — the issue sequence never depends on response timing, so
 /// per-shard arrival order (and with it every cache hit/miss decision) is
 /// invariant under cache capacity and service-time changes. For the same
-/// reason, and because rng_ feeds nothing else, the (key, update) pairs
-/// are drawn kDrawChunk requests ahead, in the same order (key, then
-/// update flag), so the sampler's table stays warm across a chunk.
+/// reason, and because rng_ feeds nothing else, the whole schedule is
+/// drawn at start, in the same order (key variate, then update flag), and
+/// its keys are resolved as one ZipfGenerator::ranks_at batch.
 class ServingJob::ClientEndpoint final : public net::Endpoint {
  public:
   ClientEndpoint(ServingJob& job, std::size_t idx, sim::Rng rng)
-      : lookup_hist(latency_histogram()),
-        lookup_hit_hist(latency_histogram()),
+      : lookup_hit_hist(latency_histogram()),
         lookup_miss_hist(latency_histogram()),
         update_hist(latency_histogram()),
         job_(job),
@@ -235,6 +234,7 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
         throw std::logic_error("serve client received unexpected control");
       }
       start = job_.net_->simulator().now();
+      draw_schedule();
       issue(0);
       return;
     }
@@ -252,7 +252,6 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
     if (resp->update) {
       update_hist.add(latency);
     } else {
-      lookup_hist.add(latency);
       (resp->cache_hit ? lookup_hit_hist : lookup_miss_hist).add(latency);
     }
     if (issued == job_.spec_.requests_per_client && outstanding == 0) {
@@ -269,7 +268,8 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
   std::uint64_t served = 0;
   std::uint64_t outstanding = 0;
   sim::Time start = 0;
-  telemetry::Histogram lookup_hist;
+  // Lookup latencies split by cache outcome; finalize() merges the two
+  // into the lookup lane.
   telemetry::Histogram lookup_hit_hist;
   telemetry::Histogram lookup_miss_hist;
   telemetry::Histogram update_hist;
@@ -279,13 +279,11 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
     sim::Simulator& sim = job_.net_->simulator();
     const sim::Time now = sim.now();
     const core::ServeSpec& spec = job_.spec_;
-    if (r % kDrawChunk == 0) draw_chunk(r);
-    const Draw& draw = draws_[r % kDrawChunk];
     auto req = std::make_shared<ServeRequest>();
     req->client = static_cast<std::uint32_t>(idx_);
     req->seq = r;
-    req->key = draw.key;
-    req->update = draw.update;
+    req->key = keys_[r];
+    req->update = updates_[r] != 0;
     req->issued_at = now;
     if (req->update) req->payload = spec.embedding_dim * 4;
     const std::size_t shard = job_.shard_map_.shard_of(req->key);
@@ -299,29 +297,36 @@ class ServingJob::ClientEndpoint final : public net::Endpoint {
     }
   }
 
-  static constexpr std::uint32_t kDrawChunk = 64;
-
-  struct Draw {
-    std::uint64_t key = 0;
-    bool update = false;
-  };
-
-  /// Draws the pairs of requests [first, first + kDrawChunk), stopping at
-  /// the last request of the schedule.
-  void draw_chunk(std::uint32_t first) {
+  /// Draws every request's (key, update) pair in one pass over rng_, in
+  /// the order one-at-a-time draws take them, then resolves the skewed
+  /// keys in one batch.
+  void draw_schedule() {
     const core::ServeSpec& spec = job_.spec_;
-    const std::size_t count = std::min<std::size_t>(
-        kDrawChunk, spec.requests_per_client - first);
-    for (std::size_t j = 0; j < count; ++j) {
-      draws_[j].key = job_.zipf_.next(rng_);
-      draws_[j].update = rng_.next_bool(spec.update_fraction);
+    const ZipfGenerator& zipf = job_.zipf_;
+    const std::size_t count = spec.requests_per_client;
+    keys_.resize(count);
+    updates_.resize(count);
+    if (zipf.alpha() == 0.0) {
+      for (std::size_t j = 0; j < count; ++j) {
+        keys_[j] = zipf.next(rng_);
+        updates_[j] = rng_.next_bool(spec.update_fraction);
+      }
+      return;
     }
+    const double total = zipf.total_weight();
+    std::vector<double> u(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      u[j] = rng_.next_double() * total;
+      updates_[j] = rng_.next_bool(spec.update_fraction);
+    }
+    zipf.ranks_at(u.data(), keys_.data(), count);
   }
 
   ServingJob& job_;
   std::size_t idx_;
   sim::Rng rng_;
-  std::array<Draw, kDrawChunk> draws_;
+  std::vector<std::uint64_t> keys_;    // request r's key
+  std::vector<std::uint8_t> updates_;  // request r is an update
 };
 
 // ---------------------------------------------------------------------------
@@ -481,7 +486,6 @@ void ServingJob::finalize() {
     r.requests_issued += client->issued;
     r.responses_received += client->served;
     r.in_flight_at_drain += client->outstanding;
-    lookup.latency_ns.merge(client->lookup_hist);
     lookup_hit.latency_ns.merge(client->lookup_hit_hist);
     lookup_miss.latency_ns.merge(client->lookup_miss_hist);
     update.latency_ns.merge(client->update_hist);
@@ -519,6 +523,12 @@ void ServingJob::finalize() {
     r.cache_misses += shard->misses;
     r.shards.push_back(std::move(s));
   }
+  // Every lookup is a hit or a miss, so the lookup lane is their merge.
+  // Latencies are integer ns and every sum stays below 2^53, so the sum
+  // is exact in any order and the lane equals one built response by
+  // response.
+  lookup.latency_ns.merge(lookup_hit.latency_ns);
+  lookup.latency_ns.merge(lookup_miss.latency_ns);
   r.hit_rate = r.lookups > 0 ? static_cast<double>(r.cache_hits) /
                                    static_cast<double>(r.lookups)
                              : 0.0;

@@ -138,6 +138,47 @@ std::uint64_t ZipfGenerator::rank_at(double u) const {
   return idx < n_ ? idx : n_ - 1;
 }
 
+void ZipfGenerator::ranks_at(const double* u, std::uint64_t* out,
+                             std::size_t n) const {
+  if (table_ == nullptr) {
+    throw std::logic_error("ranks_at on a uniform zipf generator");
+  }
+  const ZipfTable& t = *table_;
+  const std::uint32_t* guide = t.guide.data();
+  const double* cum = t.cum.data();
+  // Pass 1: each variate's bucket, parked in out[], and its guide entry.
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t b = t.bucket(u[j]);
+    out[j] = b;
+    __builtin_prefetch(guide + b);
+  }
+  // Pass 2: the table entries the search reads: both ends of the bucket's
+  // rank range (and the rank before it, which the check reads) and the
+  // first probe in between.
+  const std::size_t last = t.guide.size() - 1;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t b = out[j];
+    const std::size_t lo = std::min<std::size_t>(guide[b], n_ - 1);
+    const std::size_t hi =
+        std::min<std::size_t>(b < last ? guide[b + 1] : n_, n_ - 1);
+    __builtin_prefetch(cum + (lo > 0 ? lo - 1 : 0));
+    __builtin_prefetch(cum + lo + (hi - lo) / 2);
+    __builtin_prefetch(cum + hi);
+  }
+  // Pass 3: the searches themselves, exactly as rank_at runs them.
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t idx = t.upper_bound(u[j]);
+    out[j] = idx < n_ ? idx : n_ - 1;
+  }
+}
+
+double ZipfGenerator::total_weight() const {
+  if (table_ == nullptr) {
+    throw std::logic_error("total_weight of a uniform zipf generator");
+  }
+  return table_->cum.back();
+}
+
 std::size_t ZipfGenerator::shared_tables() {
   Memo& m = memo();
   std::lock_guard<std::mutex> lock(m.mu);

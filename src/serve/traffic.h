@@ -44,6 +44,16 @@ class ZipfGenerator {
   /// [0, total weight].
   std::uint64_t rank_at(double u) const;
 
+  /// out[j] = rank_at(u[j]) for j in [0, n) (alpha > 0 only), resolved as
+  /// one batch: every variate's guide entry, then the table entries its
+  /// search reads, are prefetched before any search runs, so the batch
+  /// shares its cache misses instead of taking them one draw at a time.
+  void ranks_at(const double* u, std::uint64_t* out, std::size_t n) const;
+
+  /// The scale of next()'s variate (alpha > 0 only): next() returns
+  /// rank_at(rng.next_double() * total_weight()).
+  double total_weight() const;
+
   std::size_t n() const { return n_; }
   double alpha() const { return alpha_; }
 

@@ -124,8 +124,11 @@ struct Histogram {
 };
 
 /// Conservative quantile estimate from a fixed-bin histogram: the upper
-/// bound of the first bin whose cumulative count reaches ceil(q * total)
-/// (the observed max for the open top bin, the observed min for q <= 0).
+/// bound of the first bin whose cumulative count reaches the rank
+/// min(floor(q * total) + 1, total) (the observed max for the open top
+/// bin, the observed min for q <= 0). Where q * total is an integer the
+/// rank is one above ceil(q * total): q = 0.5 over 100 values reads the
+/// 51st.
 /// Byte-stable because the bounds are fixed at construction. 0 when empty.
 double histogram_quantile(const Histogram& h, double q);
 

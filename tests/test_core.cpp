@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <tuple>
@@ -415,6 +416,54 @@ TEST(Verify, AllOnesMaskMatchesNoMask) {
     EXPECT_EQ(a.max_error, b.max_error) << offset;
     EXPECT_EQ(a.ok, b.ok) << offset;
   }
+}
+
+// A result bitwise equal to the last one evaluated is not evaluated again;
+// any other, however close, is.
+TEST(Verify, CheckSkipsOnlyBitIdenticalResults) {
+  const Config cfg = small_config();
+  const std::vector<DenseTensor> inputs = random_inputs(4, 4096, 16, 0.5, 13);
+  const ReferenceCheck check(inputs, cfg);
+  const DenseTensor& ref = check.reference();
+  int calls = 0;
+  const ReferenceCheck::ErrorFn counting = [&calls](const DenseTensor& result,
+                                                    const DenseTensor& r) {
+    ++calls;
+    return tensor::max_abs_diff(result, r);
+  };
+
+  std::vector<DenseTensor> results(6, ref);
+  EXPECT_TRUE(check.check(results, 0.0, counting).ok);
+  EXPECT_EQ(calls, 1);
+
+  std::size_t zero = 0;
+  while (std::signbit(ref[zero]) || ref[zero] != 0.0f) ++zero;
+  std::size_t nonzero = 0;
+  while (ref[nonzero] == 0.0f) ++nonzero;
+  DenseTensor neg_zero = ref;
+  neg_zero[zero] = -0.0f;
+  DenseTensor one_ulp = ref;
+  one_ulp[nonzero] = std::nextafter(ref[nonzero], 2.0f * ref[nonzero]);
+  for (const DenseTensor* other : {&neg_zero, &one_ulp}) {
+    calls = 0;
+    results = {ref, *other};
+    check.check(results, 0.0, counting);
+    EXPECT_EQ(calls, 2);
+  }
+  calls = 0;
+  results = {ref, ref, neg_zero, neg_zero, ref};
+  EXPECT_TRUE(check.check(results, 0.0, counting).ok);
+  EXPECT_EQ(calls, 3);
+  calls = 0;
+  results = {ref, one_ulp};
+  EXPECT_FALSE(check.check(results, 0.0, counting).ok);
+  EXPECT_EQ(calls, 2);
+
+  results = {ref, ref};
+  results[1][nonzero] = std::numeric_limits<float>::quiet_NaN();
+  const ReferenceCheck::Outcome nan = check.check(results, 1e-4);
+  EXPECT_FALSE(nan.ok);
+  EXPECT_EQ(nan.max_error, std::numeric_limits<double>::infinity());
 }
 
 TEST(SparseKv, ReducesCorrectly) {

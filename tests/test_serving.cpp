@@ -144,6 +144,41 @@ void check_conservation(const Scenario& sc, const Outcome& out) {
   ASSERT_GT(r.finish, r.first_issue);
 }
 
+// The lookup lane is the merge of the hit and miss lanes: bin by bin, and
+// in total, sum, min and max. Each lane also counts what the shards did.
+void check_lookup_lane(const telemetry::ServeReport& r) {
+  const telemetry::Histogram* lanes[3] = {};
+  const char* names[3] = {"lookup", "lookup_hit", "lookup_miss"};
+  for (const auto& lane : r.lanes) {
+    for (int k = 0; k < 3; ++k) {
+      if (lane.name == names[k]) lanes[k] = &lane.latency_ns;
+    }
+  }
+  ASSERT_TRUE(lanes[0] != nullptr && lanes[1] != nullptr &&
+              lanes[2] != nullptr);
+  const telemetry::Histogram& lookup = *lanes[0];
+  const telemetry::Histogram& hit = *lanes[1];
+  const telemetry::Histogram& miss = *lanes[2];
+  ASSERT_EQ(lookup.counts.size(), hit.counts.size());
+  ASSERT_EQ(lookup.counts.size(), miss.counts.size());
+  for (std::size_t i = 0; i < lookup.counts.size(); ++i) {
+    ASSERT_EQ(lookup.counts[i], hit.counts[i] + miss.counts[i]) << "bin " << i;
+  }
+  ASSERT_EQ(lookup.total, hit.total + miss.total);
+  ASSERT_EQ(lookup.sum, hit.sum + miss.sum);
+  ASSERT_EQ(lookup.total, r.lookups);
+  ASSERT_EQ(hit.total, r.cache_hits);
+  ASSERT_EQ(miss.total, r.cache_misses);
+  if (hit.total == 0 || miss.total == 0) {
+    const telemetry::Histogram& only = hit.total == 0 ? miss : hit;
+    ASSERT_EQ(lookup.min, only.min);
+    ASSERT_EQ(lookup.max, only.max);
+  } else {
+    ASSERT_EQ(lookup.min, std::min(hit.min, miss.min));
+    ASSERT_EQ(lookup.max, std::max(hit.max, miss.max));
+  }
+}
+
 // --- shard routing ---------------------------------------------------------
 
 TEST(Serving, ShardRoutingDeterministicAndCovers) {
@@ -471,6 +506,55 @@ TEST(Serving, ZipfDrawsMatchFullTableSearch) {
   // alpha = 8 really does saturate: the tail adds nothing to the sum.
   const ReferenceZipf saturated(4097, 8.0);
   EXPECT_EQ(saturated.cum[4095], saturated.cum[4096]);
+}
+
+// A batch resolves every variate exactly as a lone rank_at does, at every
+// batch length around the serving client's old 64-draw chunk and on and
+// beside every cumulative weight, on the shapes above.
+TEST(Serving, ZipfBatchMatchesSingleDraws) {
+  const std::pair<std::size_t, double> shapes[] = {
+      {1, 0.9}, {1001, 1.0}, {4097, 8.0}, {37, 0.5},
+      {std::size_t{1} << 20, 0.9},
+  };
+  auto expect_batch_matches = [](const ZipfGenerator& zipf,
+                                 const std::vector<double>& u) {
+    std::vector<std::uint64_t> got(u.size(), ~std::uint64_t{0});
+    zipf.ranks_at(u.data(), got.data(), u.size());
+    for (std::size_t j = 0; j < u.size(); ++j) {
+      ASSERT_EQ(got[j], zipf.rank_at(u[j])) << "j " << j << " u " << u[j];
+    }
+  };
+  for (const auto& [n, alpha] : shapes) {
+    SCOPED_TRACE("n " + std::to_string(n) + " alpha " +
+                 std::to_string(alpha));
+    const ZipfGenerator zipf(n, alpha);
+    const ReferenceZipf ref(n, alpha);
+    const double total = ref.cum.back();
+    ASSERT_EQ(zipf.total_weight(), total);
+
+    sim::Rng rng(0xba7cULL + n);
+    for (const std::size_t len : {0, 1, 63, 64, 65, 1000}) {
+      std::vector<double> u(len);
+      for (double& x : u) x = rng.next_double() * total;
+      expect_batch_matches(zipf, u);
+    }
+
+    std::vector<double> edges = {0.0, total, -1.0, 4.0 * total};
+    const std::size_t stride = n > 100000 ? 97 : 1;
+    for (std::size_t i = 0; i < n; i += stride) {
+      edges.push_back(ref.cum[i]);
+      edges.push_back(std::nextafter(ref.cum[i], 0.0));
+      edges.push_back(std::nextafter(ref.cum[i], 2.0 * total));
+    }
+    expect_batch_matches(zipf, edges);
+  }
+
+  const ZipfGenerator uniform(16, 0.0);
+  const double u = 0.5;
+  std::uint64_t out = 0;
+  EXPECT_THROW(uniform.ranks_at(&u, &out, 1), std::logic_error);
+  EXPECT_THROW(uniform.rank_at(u), std::logic_error);
+  EXPECT_THROW(uniform.total_weight(), std::logic_error);
 }
 
 // Generators of one shape share a table built by whichever thread gets
@@ -857,6 +941,7 @@ TEST(Serving, TortureSweep) {
 
     const Outcome first = run_scenario(sc);
     check_conservation(sc, first);
+    check_lookup_lane(first.report);
     if (sc.co_trainer) {
       ASSERT_TRUE(first.trainer_verified);
     }

@@ -90,6 +90,85 @@ TEST(DenseTensor, MaxAbsDiffSeesNaN) {
             6.0);
 }
 
+// The scalar loop max_abs_diff ran before it had a vector body: the
+// oracle for every length, value class and NaN placement.
+double scalar_max_abs_diff(const DenseTensor& a, const DenseTensor& b) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = std::abs(static_cast<double>(a[i]) - b[i]);
+    if (d > m) {
+      m = d;
+    } else if (std::isnan(d) && std::isnan(a[i]) != std::isnan(b[i])) {
+      return std::numeric_limits<double>::infinity();
+    }
+  }
+  return m;
+}
+
+TEST(Tensor, MaxAbsDiffMatchesScalarReference) {
+  using lim = std::numeric_limits<float>;
+  const float nan = lim::quiet_NaN();
+  const float inf = lim::infinity();
+  const double unbounded = std::numeric_limits<double>::infinity();
+  // Infinities last, so that finite draws can leave them out: with them,
+  // most long pairs differ by inf somewhere, and with +-FLT_MAX by
+  // 2 * FLT_MAX. Plain draws leave out the whole pool.
+  const float pool[] = {0.0f,  -0.0f,          1.0f,  -1.0f,
+                        0.5f,  -3.25f,         1e-30f, 7e20f,
+                        lim::denorm_min(),     -lim::denorm_min(),
+                        lim::min() / 4.0f,     -lim::min() / 3.0f,
+                        lim::max(),            -lim::max(),
+                        inf,   -inf};
+  sim::Rng rng(0x3a5dULL);
+  enum Draw { kPlain, kFinite, kAny };
+  auto random_tensor = [&](std::size_t n, Draw draw = kAny) {
+    const std::size_t kinds = std::size(pool) - (draw == kAny ? 0 : 2);
+    DenseTensor t(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      t[i] = draw == kPlain || rng.next_bool(0.3)
+                 ? rng.next_float(-2.0f, 2.0f)
+                 : pool[rng.next_below(kinds)];
+    }
+    return t;
+  };
+  // Every length up to eight vector steps plus every tail length.
+  for (std::size_t n = 0; n <= 67; ++n) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    for (int rep = 0; rep < 24; ++rep) {
+      const auto draw = static_cast<Draw>(rep % 3);
+      const DenseTensor a = random_tensor(n, draw);
+      const DenseTensor b = rep % 8 == 1 ? a : random_tensor(n, draw);
+      ASSERT_EQ(max_abs_diff(a, b), scalar_max_abs_diff(a, b));
+      ASSERT_EQ(max_abs_diff(b, a), scalar_max_abs_diff(b, a));
+    }
+    // One NaN at each position, in the vector body and in the tail: on
+    // one side only it is unbounded, on both sides (any sign) it is
+    // ignored, as is inf - inf.
+    const DenseTensor base = random_tensor(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      SCOPED_TRACE("position " + std::to_string(p));
+      DenseTensor a = base;
+      DenseTensor b = base;
+      b[p] = 0.25f;
+      a[p] = nan;
+      ASSERT_EQ(max_abs_diff(a, b), unbounded);
+      ASSERT_EQ(max_abs_diff(b, a), unbounded);
+      a[p] = -nan;
+      ASSERT_EQ(max_abs_diff(a, b), unbounded);
+      ASSERT_EQ(max_abs_diff(b, a), unbounded);
+      b[p] = nan;
+      ASSERT_EQ(max_abs_diff(a, b), scalar_max_abs_diff(a, b));
+      ASSERT_EQ(max_abs_diff(a, b), max_abs_diff(base, base));
+      a[p] = inf;
+      b[p] = inf;
+      ASSERT_EQ(max_abs_diff(a, b), scalar_max_abs_diff(a, b));
+      ASSERT_EQ(max_abs_diff(a, b), max_abs_diff(base, base));
+      b[p] = -inf;
+      ASSERT_EQ(max_abs_diff(a, b), unbounded);
+    }
+  }
+}
+
 TEST(Coo, RoundTrip) {
   DenseTensor t(std::vector<float>{0, 1, 0, 0, -2, 0, 3});
   CooTensor c = dense_to_coo(t);
