@@ -19,13 +19,12 @@ namespace omr::bench {
 /// Collects telemetry::RunReport objects and, when the OMR_REPORT_JSON
 /// environment variable names a path, writes them there as one
 /// `omnireduce.run_report_array.v1` JSON document on flush. With the
-/// variable unset the sink is disabled and add() is a no-op, so bench
+/// variable unset the sink is disabled and add_at() is a no-op, so bench
 /// binaries can call it unconditionally.
 ///
-/// Thread-safe: add()/add_at() may be called from sweep tasks on pool
-/// threads. Each report carries a slot — explicit for add_at(), arrival
-/// order for add() — and flush() merges by slot, so the emitted array is
-/// identical for serial and parallel sweeps over the same grid.
+/// Reports arrive from Sweep::run's commits on the calling thread, each
+/// keyed by its sweep cell; flush() merges by slot, so the emitted array
+/// is identical for serial and parallel sweeps over the same grid.
 ///
 /// Failure-safe: flush() returns false (and ok() turns false) when the
 /// file cannot be written. Bench mains should exit non-zero via
@@ -42,14 +41,6 @@ class ReportSink {
 
   bool enabled() const { return !path_.empty(); }
   bool ok() const { return !failed_; }
-
-  /// Append one report at the next auto slot (program order). Use either
-  /// add() or add_at() within one bench, not both interleaved.
-  void add(telemetry::RunReport report) {
-    if (!enabled()) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    entries_.push_back({next_auto_slot_++, std::move(report)});
-  }
 
   /// Merge a task's reports at an explicit slot (its sweep index). Reports
   /// sharing a slot keep their given order; flush() orders slots.
@@ -100,7 +91,6 @@ class ReportSink {
   std::mutex mu_;
   std::string path_;
   std::vector<Entry> entries_;
-  std::size_t next_auto_slot_ = 0;
   bool failed_ = false;
 };
 
@@ -118,9 +108,9 @@ struct CellResult {
 /// Grid-sweep harness for the figure/table benches. A bench enqueues one
 /// job per grid cell up front, calls run() once, then formats its tables
 /// from value(). Jobs execute across OMR_JOBS threads (default: all
-/// cores; 1 = exact serial path) via runner::SweepRunner; results commit
-/// in submission order on the calling thread, so stdout tables and the
-/// report JSON are byte-identical to a serial run regardless of
+/// cores; 1 = exact serial path) via runner::parallel_for_each; results
+/// commit in submission order on the calling thread, so stdout tables and
+/// the report JSON are byte-identical to a serial run regardless of
 /// scheduling.
 ///
 /// Jobs must be thread-isolated: build inputs from an explicit seed
@@ -188,7 +178,7 @@ inline void banner(const char* id, const char* title) {
   std::printf("================================================================\n");
 }
 
-/// Simple aligned row printer: first cell 24 chars, rest 12.
+/// Simple aligned row printer: first cell 26 chars, rest 12.
 inline void row(const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     std::printf(i == 0 ? "%-26s" : "%12s", cells[i].c_str());

@@ -21,13 +21,4 @@ std::size_t default_jobs() {
   return hw;
 }
 
-SweepRunner::SweepRunner(std::size_t jobs)
-    : jobs_(jobs == 0 ? default_jobs() : jobs) {}
-
-SweepRunner::~SweepRunner() = default;
-
-void SweepRunner::ensure_pool() {
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(jobs_);
-}
-
 }  // namespace omr::runner

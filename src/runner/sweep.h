@@ -1,15 +1,16 @@
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
-
-#include "runner/thread_pool.h"
 
 namespace omr::runner {
 
@@ -19,104 +20,72 @@ namespace omr::runner {
 /// tasks interleave with commits precisely like a plain for loop.
 std::size_t default_jobs();
 
-/// Fans independent tasks out across a work-stealing pool while committing
-/// results on the calling thread in strict submission order, so any output
-/// produced from the commits (tables, report JSON) is byte-identical to a
-/// serial run regardless of scheduling.
+/// Runs task(0) .. task(n-1) on min(jobs, n) threads and commits each
+/// result on the calling thread in index order, so any output produced
+/// from the commits (tables, report JSON) is byte-identical to a serial
+/// run regardless of scheduling. `jobs == 0` means default_jobs(); with
+/// jobs == 1 or n <= 1 it is a plain for loop and starts no thread.
 ///
+/// Each thread claims the lowest unclaimed index from a shared cursor.
 /// Tasks must be thread-isolated: each should build its own Engine /
 /// Network / Rng and touch no shared mutable state. `commit(i, result)`
-/// runs only on the caller's thread and may print, accumulate, or write —
-/// it needs no synchronization of its own.
+/// runs only on the caller's thread and needs no synchronization.
 ///
-/// A task that throws has its exception captured and rethrown on the
-/// calling thread once every commit with a smaller index has run; the
-/// runner waits for in-flight tasks to finish before rethrowing, so no
-/// task outlives the call.
-class SweepRunner {
- public:
-  /// jobs == 0 means default_jobs().
-  explicit SweepRunner(std::size_t jobs = 0);
-  ~SweepRunner();
-  SweepRunner(const SweepRunner&) = delete;
-  SweepRunner& operator=(const SweepRunner&) = delete;
-
-  std::size_t jobs() const { return jobs_; }
-
-  template <typename R>
-  void for_each(std::size_t n, const std::function<R(std::size_t)>& task,
-                const std::function<void(std::size_t, R&&)>& commit) {
-    if (n == 0) return;
-    if (jobs_ == 1 || n == 1) {
-      // Exact serial path: identical control flow to the pre-runner code.
-      for (std::size_t i = 0; i < n; ++i) commit(i, task(i));
-      return;
-    }
-    ensure_pool();
-
-    struct Slot {
-      std::optional<R> result;
-      std::exception_ptr error;
-      bool done = false;
-    };
-    struct Shared {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::vector<Slot> slots;
-    };
-    Shared shared;
-    shared.slots.resize(n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      pool_->submit([&shared, &task, i] {
-        Slot local;
-        try {
-          local.result.emplace(task(i));
-        } catch (...) {
-          local.error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lk(shared.mu);
-        shared.slots[i] = std::move(local);
-        shared.slots[i].done = true;
-        shared.cv.notify_all();
-      });
-    }
-
-    // Commit the completed prefix in order; on the first failed slot, wait
-    // for pool quiescence (tasks capture &shared / &task) and rethrow.
-    for (std::size_t i = 0; i < n; ++i) {
-      std::unique_lock<std::mutex> lk(shared.mu);
-      shared.cv.wait(lk, [&] { return shared.slots[i].done; });
-      if (shared.slots[i].error != nullptr) {
-        std::exception_ptr err = shared.slots[i].error;
-        lk.unlock();
-        pool_->wait_all();
-        std::rethrow_exception(err);
-      }
-      R result = std::move(*shared.slots[i].result);
-      shared.slots[i].result.reset();
-      lk.unlock();
-      commit(i, std::move(result));
-    }
-    pool_->wait_all();
-  }
-
- private:
-  void ensure_pool();
-
-  std::size_t jobs_;
-  std::unique_ptr<ThreadPool> pool_;  // created on first parallel for_each
-};
-
-/// One-shot convenience over a temporary SweepRunner. `jobs == 0` means
-/// default_jobs(); pass 1 to force the serial path.
+/// A task that throws has its exception rethrown on the calling thread
+/// once every commit with a smaller index has run; no commit at or past
+/// it runs, no new task starts, and every running task finishes before the
+/// call returns.
 template <typename R>
 void parallel_for_each(std::size_t n,
                        const std::function<R(std::size_t)>& task,
                        const std::function<void(std::size_t, R&&)>& commit,
                        std::size_t jobs = 0) {
-  SweepRunner runner(jobs);
-  runner.for_each<R>(n, task, commit);
+  if (jobs == 0) jobs = default_jobs();
+  if (jobs == 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) commit(i, task(i));
+    return;
+  }
+
+  struct Slot {
+    std::optional<R> result;
+    std::exception_ptr error;
+    bool done() const { return result.has_value() || error != nullptr; }
+  };
+  std::vector<Slot> slots(n);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::atomic<std::size_t> cursor{0};
+  auto work = [&] {
+    for (std::size_t i = cursor++; i < n; i = cursor++) {
+      Slot local;
+      try {
+        local.result.emplace(task(i));
+      } catch (...) {
+        local.error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lk(mu);
+      slots[i] = std::move(local);
+      cv.notify_one();
+    }
+  };
+  // Declared after the state the threads use, so it is joined first on
+  // every way out of this scope.
+  std::vector<std::jthread> threads;
+  for (std::size_t t = 0; t < std::min(jobs, n); ++t) {
+    threads.emplace_back(work);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return slots[i].done(); });
+    Slot slot = std::move(slots[i]);
+    lk.unlock();
+    if (slot.error != nullptr) {
+      cursor.store(n);
+      std::rethrow_exception(slot.error);
+    }
+    commit(i, std::move(*slot.result));
+  }
 }
 
 }  // namespace omr::runner

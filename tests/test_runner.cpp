@@ -1,5 +1,5 @@
-// Tests for the parallel sweep runner: pool lifecycle, ordered commits
-// under adversarial scheduling, exception propagation, and the headline
+// Tests for the parallel sweep runner: ordered commits under adversarial
+// scheduling, the thread count, exception propagation, and the headline
 // guarantee — a parallel sweep's RunReport array is bit-identical to the
 // serial one for a Fig. 4-shaped grid, and every baseline collective gives
 // the same bits on any number of threads.
@@ -8,9 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <latch>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -18,61 +22,12 @@
 #include "core/algorithm.h"
 #include "core/engine.h"
 #include "runner/sweep.h"
-#include "runner/thread_pool.h"
 #include "sim/rng.h"
 #include "telemetry/report.h"
 #include "tensor/generators.h"
 
 namespace omr::runner {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_all();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitAllIsReusableAcrossBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_all();
-    EXPECT_EQ(count.load(), (batch + 1) * 20);
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&count] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        count.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // No wait_all: shutdown itself must finish the queue before joining.
-  }
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, WaitAllWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_all();
-  pool.wait_all();
-  SUCCEED();
-}
 
 // ---------------------------------------------------------------------------
 // parallel_for_each ordering
@@ -127,6 +82,58 @@ TEST(ParallelForEach, ZeroTasksIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
+// Thread count
+// ---------------------------------------------------------------------------
+
+// Threads of this process, from /proc/self/task; 0 where that is absent.
+std::size_t process_threads() {
+  std::error_code ec;
+  std::size_t count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ParallelForEach, StartsNoMoreThreadsThanTasks) {
+  // jobs = 64 over 3 tasks starts 3 threads, not 64. The latch holds each
+  // task until all three run at once, so they run on 3 distinct threads,
+  // none of them the caller's: the caller only commits. The baseline is
+  // taken after one parallel call, so a helper thread a runtime starts on
+  // first thread creation (ThreadSanitizer's) is counted in it.
+  parallel_for_each<int>(
+      2, [](std::size_t) { return 0; }, [](std::size_t, int&&) {},
+      /*jobs=*/2);
+  const std::size_t before = process_threads();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch all_running(3);
+  struct Seen {
+    std::thread::id id;
+    std::size_t threads;
+  };
+  std::vector<Seen> seen;
+  parallel_for_each<Seen>(
+      3,
+      [&all_running](std::size_t) {
+        all_running.arrive_and_wait();
+        return Seen{std::this_thread::get_id(), process_threads()};
+      },
+      [&seen](std::size_t, Seen&& s) { seen.push_back(s); },
+      /*jobs=*/64);
+  ASSERT_EQ(seen.size(), 3u);
+  std::set<std::thread::id> ids;
+  for (const Seen& s : seen) {
+    ids.insert(s.id);
+    if (before > 0) {
+      EXPECT_LE(s.threads, before + 3);
+    }
+  }
+  EXPECT_EQ(ids.size(), 3u);
+  EXPECT_EQ(ids.count(caller), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Exception propagation
 // ---------------------------------------------------------------------------
 
@@ -173,26 +180,6 @@ TEST(ParallelForEach, SerialPathPropagatesExceptions) {
                    },
                    [](std::size_t, int&&) {}, /*jobs=*/1),
                std::logic_error);
-}
-
-TEST(SweepRunner, IsReusableAfterAnException) {
-  SweepRunner runner(4);
-  EXPECT_THROW(runner.for_each<int>(
-                   8,
-                   [](std::size_t i) -> int {
-                     if (i == 1) throw std::runtime_error("first sweep");
-                     return 0;
-                   },
-                   [](std::size_t, int&&) {}),
-               std::runtime_error);
-  int commits = 0;
-  runner.for_each<int>(
-      8, [](std::size_t i) { return static_cast<int>(i); },
-      [&](std::size_t i, int&& v) {
-        EXPECT_EQ(v, static_cast<int>(i));
-        ++commits;
-      });
-  EXPECT_EQ(commits, 8);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ the smoke flag, mode-specific totals and a `results` list.
          stdout and of its RunReport JSON (OMR_REPORT_JSON), if any, and
          from wait4 its peak RSS (maxrss_kb) and minor page faults
          (minflt).
-         The six sweep benches run a second time at OMR_JOBS=<host CPUs>
-         and must print the same bytes. bench_fig_codec's CELL table is
-         embedded with its acceptance gate, and the serving and tenancy
-         benches' --out documents are embedded (the serving one checked
-         against its schema). Writes BENCH_e2e.json.
+         Every bench whose source uses bench::Sweep or
+         runner::parallel_for_each runs a second time at
+         OMR_JOBS=<host CPUs> and must print the same bytes.
+         bench_fig_codec's CELL table is embedded with its acceptance
+         gate, and the serving and tenancy benches' --out documents are
+         embedded (the serving one checked against its schema). Writes
+         BENCH_e2e.json.
 
          With --expect <record> it checks instead of recording: it runs
          each binary once at OMR_MB=4 OMR_JOBS=1, concurrently on the
@@ -73,16 +75,10 @@ SCHEMA = "omnireduce.bench_record.v1"
 HARNESS = "bench_hotpath_wallclock"
 OMR_MB = 4
 
-# Benches on the grid harness (bench::Sweep / the runner): their stdout and
-# report must not depend on the job count.
-SWEEP_BENCHES = (
-    "bench_fig04_allreduce_time",
-    "bench_fig05_dense_methods",
-    "bench_fig06_sparse_methods",
-    "bench_fig07_sparse_scalability",
-    "bench_fig15_block_size",
-    "bench_fig21_loss_recovery",
-)
+# A bench whose source names one of these runs on the runner (the grid
+# harness or the runner itself): its stdout and report must not depend on
+# the job count.
+RUNNER_MARKERS = ("bench::Sweep", "runner::parallel_for_each")
 
 # Deterministic outputs of a harness row: equal in every run of both sides.
 SIM_KEYS = (
@@ -344,11 +340,25 @@ DOC_BENCHES = {
 }
 
 
-def suite_benches(only):
-    names = sorted(
-        f[:-len(".cpp")] for f in os.listdir(os.path.join(REPO, "bench"))
+def bench_names(bench_dir):
+    """One per bench_*.cpp in `bench_dir`, except the host-timing harness."""
+    return sorted(
+        f[:-len(".cpp")] for f in os.listdir(bench_dir)
         if f.startswith("bench_") and f.endswith(".cpp") and
         f != HARNESS + ".cpp")
+
+
+def sweep_benches(bench_dir):
+    """The benches of `bench_dir` whose source runs on the runner."""
+    def on_runner(name):
+        with open(os.path.join(bench_dir, name + ".cpp")) as f:
+            source = f.read()
+        return any(marker in source for marker in RUNNER_MARKERS)
+    return {name for name in bench_names(bench_dir) if on_runner(name)}
+
+
+def suite_benches(only):
+    names = bench_names(os.path.join(REPO, "bench"))
     unknown = sorted(set(only or ()) - set(names))
     if unknown:
         sys.exit(f"not a suite bench: {', '.join(unknown)}")
@@ -357,6 +367,7 @@ def suite_benches(only):
 
 def record_suite(build_dir, only, smoke, host_cpus):
     results, problems = [], []
+    sweeps = sweep_benches(os.path.join(REPO, "bench"))
     for name in suite_benches(only):
         exe = os.path.join(build_dir, "bench", name)
         if not os.path.exists(exe):
@@ -369,7 +380,7 @@ def record_suite(build_dir, only, smoke, host_cpus):
             row = dict(run_row(name, run), wall_s=round(run.wall_s, 3))
             found = [f"exit code {run.exit_code}"] if run.exit_code else []
             line = f"{name:34s} {run.wall_s:8.2f} s"
-            if name in SWEEP_BENCHES:
+            if name in sweeps:
                 par = run_bench(exe, host_cpus, args, cwd)
                 row["parallel_wall_s"] = round(par.wall_s, 3)
                 same = outputs_identical(run, par)
@@ -637,6 +648,27 @@ def self_test():
          len(codec_cells(failing)[1]) == 4),
         ("codec: no CELL lines fail the gate",
          codec_cells("ACCEPTANCE: pass\n")[1] != []),
+    ]
+
+    with tempfile.TemporaryDirectory() as bench_dir:
+        for name, source in (
+                ("bench_grid", "bench::Sweep sweep(&sink);\n"),
+                ("bench_columns", "runner::parallel_for_each<Column>(\n"),
+                ("bench_plain", "int main() { return 0; }\n"),
+                (HARNESS, "omr::runner::parallel_for_each<Result>(\n"),
+                ("helper", "bench::Sweep sweep;\n")):
+            with open(os.path.join(bench_dir, name + ".cpp"), "w") as f:
+                f.write(source)
+        derived = sweep_benches(bench_dir)
+    real = sweep_benches(os.path.join(REPO, "bench"))
+    checks += [
+        ("sweeps: a bench using bench::Sweep or runner::parallel_for_each "
+         "is derived; a plain bench, the harness and a non-bench file are "
+         "not", derived == {"bench_grid", "bench_columns"}),
+        ("sweeps: the repo's grid and column benches are derived",
+         {"bench_fig04_allreduce_time", "bench_fig_codec",
+          "bench_fig_selector", "bench_table1_workloads"} <= real and
+         HARNESS not in real),
     ]
 
     serial = Run(2.0, 0, b"table\n", b"[]", 900, 80)
