@@ -19,17 +19,37 @@ std::size_t ceil_log2(std::size_t n) {
 
 bool power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
+/// The entries of `t` whose magnitude clears `threshold`, counted first so
+/// the kept keys and values are each allocated once, at their exact size.
 tensor::CooTensor filter_by_magnitude(const tensor::CooTensor& t,
                                       double threshold) {
+  const auto kept = [threshold](float v) {
+    return std::abs(static_cast<double>(v)) >= threshold;
+  };
+  const auto count = static_cast<std::size_t>(
+      std::count_if(t.values.begin(), t.values.end(), kept));
   tensor::CooTensor out;
   out.dim = t.dim;
+  out.keys.reserve(count);
+  out.values.reserve(count);
   for (std::size_t i = 0; i < t.nnz(); ++i) {
-    if (std::abs(static_cast<double>(t.values[i])) >= threshold) {
+    if (kept(t.values[i])) {
       out.keys.push_back(t.keys[i]);
       out.values.push_back(t.values[i]);
     }
   }
   return out;
+}
+
+/// Survivors whose key is below `x`, over all workers.
+std::size_t keys_below(const std::vector<tensor::CooTensor>& kept,
+                       std::int64_t x) {
+  std::size_t below = 0;
+  for (const auto& t : kept) {
+    below += static_cast<std::size_t>(
+        std::lower_bound(t.keys.begin(), t.keys.end(), x) - t.keys.begin());
+  }
+  return below;
 }
 
 }  // namespace
@@ -84,28 +104,33 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
       static_cast<double>(max_nnz) * 4.0 / detail::kReduceBandwidthBps);
 
   // ---- Balanced partitioning: equal survivor counts per owner ------------
-  // Boundaries derive from the survivors' key histogram, so each owner
-  // receives ~total/N pairs regardless of where the non-zeros cluster.
-  // Bound p is the smallest surviving key whose run (its copies in the
-  // sorted multiset of survivors) starts at or after total*p/N, so a
-  // boundary never splits one key across owners.
-  std::vector<std::uint32_t> key_count(dim, 0);
+  // Boundaries derive from the survivors' keys, so each owner receives
+  // ~total/N pairs regardless of where the non-zeros cluster. Bound p is
+  // the smallest surviving key whose run (its copies in the sorted multiset
+  // of survivors) starts at or after total*p/N, so a boundary never splits
+  // one key across owners. The survivors below key x never decrease as x
+  // grows, so a binary search over [0, dim] finds the smallest x with at
+  // least total*p/N survivors below it; the bound is the first surviving
+  // key at or after x (dim if there is none).
   std::size_t total = 0;
-  for (const auto& kt : kept) {
-    for (std::int32_t k : kt.keys) ++key_count[static_cast<std::size_t>(k)];
-    total += kt.nnz();
-  }
+  for (const auto& kt : kept) total += kt.nnz();
   std::vector<std::int32_t> bounds(n + 1, static_cast<std::int32_t>(dim));
   bounds[0] = 0;
-  {
-    std::size_t p = 1;
-    std::size_t run_start = 0;
-    for (std::size_t k = 0; k < dim && p < n; ++k) {
-      if (key_count[k] == 0) continue;
-      while (p < n && run_start >= total * p / n) {
-        bounds[p++] = static_cast<std::int32_t>(k);
+  std::int64_t x = 0;
+  for (std::size_t p = 1; p < n; ++p) {
+    const std::size_t target = total * p / n;
+    std::int64_t hi = static_cast<std::int64_t>(dim);
+    while (x < hi) {
+      const std::int64_t mid = x + (hi - x) / 2;
+      if (keys_below(kept, mid) >= target) {
+        hi = mid;
+      } else {
+        x = mid + 1;
       }
-      run_start += key_count[k];
+    }
+    for (const auto& kt : kept) {
+      const auto it = std::lower_bound(kt.keys.begin(), kt.keys.end(), x);
+      if (it != kt.keys.end()) bounds[p] = std::min(bounds[p], *it);
     }
   }
 
@@ -116,6 +141,8 @@ OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
                                               std::vector<std::size_t>(n, 0));
   std::vector<std::size_t> payload(n);
   out.result.dim = dim;
+  out.result.keys.reserve(std::min(total, dim));
+  out.result.values.reserve(std::min(total, dim));
   out.partition_pairs.assign(n, 0);
   std::size_t merge_pairs_max = 0;
   tensor::SparseRangeAccumulator acc;

@@ -38,7 +38,7 @@ struct OkTopkResult {
 /// Run Ok-Topk over the simulated fabric. Deterministic: the threshold is
 /// the exact k-th largest magnitude (idealizing the paper's sampled
 /// estimation, which the estimation round's cost still accounts for) and
-/// partition boundaries derive from the survivors' key histogram.
+/// partition boundaries derive from the survivors' sorted keys.
 OkTopkResult oktopk_allreduce(const std::vector<tensor::CooTensor>& inputs,
                               const BaselineConfig& cfg,
                               const OkTopkOptions& opts = {});

@@ -1,11 +1,13 @@
 #include "baselines/sketch_reducer.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "baselines/ring.h"
 #include "tensor/coo.h"
@@ -39,66 +41,177 @@ struct ExactMod {
   std::uint64_t inv;
 };
 
-/// Counters per chunk times workers: a chunk's [counter][worker] scratch
-/// (512 KiB) stays in L2 beside the value rows its probes pull in.
-constexpr std::size_t kScratchFloats = std::size_t{1} << 17;
-
-/// How many probes ahead the chunk loop prefetches a value row.
-constexpr std::ptrdiff_t kPrefetchAhead = 16;
-
 /// The packed buffer as the ring splits it: segment g is
-/// [payload*g/N, payload*(g+1)/N), cut into chunks of 2^shift counters
-/// from its start. Chunk k of segment g has id g * per_segment + k.
-class Chunking {
+/// [payload*g/N, payload*(g+1)/N). A counter's segment is one lookup in a
+/// table of cells no longer than the shortest segment, then a short walk
+/// (one step at most unless some segments are empty).
+class Segments {
  public:
-  Chunking(std::size_t payload, std::size_t n, unsigned shift)
-      : shift_(shift), seg_begin_(n + 1) {
-    const std::size_t size = std::size_t{1} << shift;
-    std::size_t longest = 0;
-    for (std::size_t g = 0; g <= n; ++g) {
-      seg_begin_[g] = payload * g / n;
-      if (g > 0) longest = std::max(longest, seg_begin_[g] - seg_begin_[g - 1]);
-    }
-    per_segment_ = std::max<std::size_t>(1, (longest + size - 1) / size);
-    for (std::size_t g = 0; g < n; ++g) {
-      for (std::size_t k = 0; k < per_segment_; ++k) {
-        chunk_begin_.push_back(seg_begin_[g] + k * size);
-      }
-    }
-    // Segment of each chunk-aligned cell's first counter: chunk_of's
-    // starting guess.
+  Segments(std::size_t payload, std::size_t n)
+      : shift_(static_cast<unsigned>(
+            std::bit_width(std::max<std::size_t>(1, payload / n)) - 1)),
+        begin_(n + 1) {
+    for (std::size_t g = 0; g <= n; ++g) begin_[g] = payload * g / n;
     std::size_t g = 0;
-    for (std::size_t c = 0; c < payload; c += size) {
-      while (seg_begin_[g + 1] <= c) ++g;
-      cell_segment_.push_back(g);
+    for (std::size_t c = 0; c < payload; c += std::size_t{1} << shift_) {
+      while (begin_[g + 1] <= c) ++g;
+      cell_.push_back(g);
     }
   }
 
-  std::size_t chunks() const { return chunk_begin_.size(); }
-  /// Ring segment (the owner whose buffer starts its fold) of chunk `id`.
-  std::size_t segment(std::size_t id) const { return id / per_segment_; }
-  std::size_t chunk_begin(std::size_t id) const { return chunk_begin_[id]; }
-
-  /// Id of the chunk holding counter c.
-  std::size_t chunk_of(std::size_t c) const {
-    std::size_t g = cell_segment_[c >> shift_];
-    while (seg_begin_[g + 1] <= c) ++g;
-    return g * per_segment_ + ((c - seg_begin_[g]) >> shift_);
+  /// Ring segment (the owner whose buffer starts its fold) of counter c.
+  std::size_t of(std::size_t c) const {
+    std::size_t g = cell_[c >> shift_];
+    while (begin_[g + 1] <= c) ++g;
+    return g;
   }
 
  private:
   unsigned shift_;
-  std::vector<std::size_t> seg_begin_;
-  std::size_t per_segment_ = 1;
-  std::vector<std::size_t> chunk_begin_;
-  std::vector<std::size_t> cell_segment_;
+  std::vector<std::size_t> begin_;
+  std::vector<std::size_t> cell_;
 };
 
-/// One candidate's probe into the current row: its counter's offset in
-/// its chunk, shifted left by one, with the low bit set for sign -1.
-struct Probe {
-  std::uint32_t candidate;
-  std::uint32_t offset_sign;
+/// A row key is its counter's bucket shifted left by one, with the low bit
+/// set for sign -1. Once the row is folded the key holds the candidate's
+/// estimate for the row (its float bits), or, until the row's crowded
+/// counters are folded, kCrowded | slot << 1 | sign bit.
+constexpr std::uint64_t kCrowded = std::uint64_t{1} << 63;
+
+/// Folds one sketch row at a time, writing each candidate's estimate for
+/// the row over its key. Holds the per-row buffers: two `width`-bit sets
+/// (counters seen, counters hit by more than one candidate), the crowded
+/// counters' ranks, and their [slot][worker] sums.
+class RowFolder {
+  using Fold = void (*)(RowFolder&, std::uint64_t*, std::size_t);
+
+  template <std::size_t... kN>
+  static constexpr std::array<Fold, sizeof...(kN)> folds(
+      std::index_sequence<kN...>) {
+    return {[](RowFolder& f, std::uint64_t* keys, std::size_t row_base) {
+      f.fold_candidates<kN>(keys, row_base);
+    }...};
+  }
+
+ public:
+  RowFolder(const std::vector<tensor::DenseTensor>& inputs,
+            const Segments& segments,
+            const std::vector<std::size_t>& candidate_blocks,
+            std::size_t block, std::size_t width)
+      : n_(inputs.size()),
+        dim_(inputs.front().size()),
+        block_(block),
+        segments_(segments),
+        candidate_blocks_(candidate_blocks),
+        ring_(2 * n_),
+        seen_((width + 63) / 64),
+        crowded_(seen_.size()),
+        rank_(seen_.size()) {
+    // ring_ + g lists the workers in segment g's fold order.
+    for (std::size_t w = 0; w < 2 * n_; ++w) {
+      ring_[w] = inputs[w % n_].values().data();
+    }
+  }
+
+  /// Replaces `keys` (one row's, for every candidate in index order) with
+  /// the candidates' estimates; the row's counters start at `row_base`.
+  void fold(std::uint64_t* keys, std::size_t candidates,
+            std::size_t row_base) {
+    // fold_candidates<N> for N = 1..16, so a lone counter's N values stay
+    // in registers; entry 0 loops over a run-time worker count.
+    static constexpr std::array<Fold, 17> kFolds =
+        folds(std::make_index_sequence<17>());
+    mark(keys, candidates);
+    (n_ < kFolds.size() ? kFolds[n_] : kFolds[0])(*this, keys, row_base);
+    for (std::size_t k = 0; k < candidates; ++k) {
+      if ((keys[k] & kCrowded) == 0) continue;
+      const float sign = (keys[k] & 1) != 0 ? -1.0f : 1.0f;
+      keys[k] = std::bit_cast<std::uint32_t>(
+          sign * merged_[(keys[k] & ~kCrowded) >> 1]);
+    }
+  }
+
+ private:
+  /// Marks the row's counters seen and crowded, and ranks the crowded ones:
+  /// a crowded counter's slot is the number of crowded counters before it.
+  void mark(const std::uint64_t* keys, std::size_t candidates) {
+    std::fill(seen_.begin(), seen_.end(), 0);
+    std::fill(crowded_.begin(), crowded_.end(), 0);
+    for (std::size_t k = 0; k < candidates; ++k) {
+      const std::size_t bucket = keys[k] >> 1;
+      const std::uint64_t bit = std::uint64_t{1} << (bucket & 63);
+      crowded_[bucket >> 6] |= seen_[bucket >> 6] & bit;
+      seen_[bucket >> 6] |= bit;
+    }
+    std::size_t slots = 0;
+    for (std::size_t j = 0; j < crowded_.size(); ++j) {
+      rank_[j] = slots;
+      slots += static_cast<std::size_t>(std::popcount(crowded_[j]));
+    }
+    sums_.assign(slots * n_, 0.0f);
+    merged_.resize(slots);
+  }
+
+  /// One pass over the candidates in index order, reading each one's N
+  /// values from the inputs. A lone counter's fold is 0 + s*v[g], plus
+  /// s*v[w] for the other workers in ring order from its segment g, times
+  /// s: the operations of the ring's fold, in registers. A crowded
+  /// counter's per-worker sums gain s*v[w] in index order, and each is
+  /// folded in ring order once the row ends.
+  template <std::size_t kN>
+  void fold_candidates(std::uint64_t* keys, std::size_t row_base) {
+    const std::size_t n = kN != 0 ? kN : n_;
+    const float* const* ring = ring_.data();
+    std::size_t k = 0;
+    for (const std::size_t b : candidate_blocks_) {
+      const std::size_t last = std::min(dim_, (b + 1) * block_);
+      for (std::size_t i = b * block_; i < last; ++i, ++k) {
+        const std::uint64_t key = keys[k];
+        const std::size_t bucket = key >> 1;
+        const float sign = (key & 1) != 0 ? -1.0f : 1.0f;
+        const std::uint64_t word = crowded_[bucket >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (bucket & 63);
+        if ((word & bit) == 0) {
+          const float* const* from = ring + segments_.of(row_base + bucket);
+          float merged = 0.0f + sign * from[0][i];
+          for (std::size_t j = 1; j < n; ++j) merged += sign * from[j][i];
+          keys[k] = std::bit_cast<std::uint32_t>(sign * merged);
+        } else {
+          const std::size_t slot =
+              rank_[bucket >> 6] +
+              static_cast<std::size_t>(std::popcount(word & (bit - 1)));
+          float* acc = sums_.data() + slot * n;
+          for (std::size_t w = 0; w < n; ++w) acc[w] += sign * ring[w][i];
+          keys[k] = kCrowded | slot << 1 | (key & 1);
+        }
+      }
+    }
+    std::size_t slot = 0;
+    for (std::size_t j = 0; j < crowded_.size(); ++j) {
+      for (std::uint64_t bits = crowded_[j]; bits != 0; bits &= bits - 1) {
+        const std::size_t bucket =
+            j * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const std::size_t g = segments_.of(row_base + bucket);
+        const float* acc = sums_.data() + slot * n;
+        float merged = acc[g];
+        for (std::size_t w = g + 1; w < n; ++w) merged += acc[w];
+        for (std::size_t w = 0; w < g; ++w) merged += acc[w];
+        merged_[slot++] = merged;
+      }
+    }
+  }
+
+  std::size_t n_;
+  std::size_t dim_;
+  std::size_t block_;
+  const Segments& segments_;
+  const std::vector<std::size_t>& candidate_blocks_;
+  std::vector<const float*> ring_;
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint64_t> crowded_;
+  std::vector<std::size_t> rank_;
+  std::vector<float> sums_;
+  std::vector<float> merged_;
 };
 
 /// Stable median: the middle element of `v` after a stable sort. Insertion
@@ -149,44 +262,33 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
   const std::size_t block = std::max<std::size_t>(1, opts.block_elements);
   const std::size_t n_blocks = (dim + block - 1) / block;
 
-  // One pass over the blocks finds the union support and transposes it.
-  // Each block's non-zeros are counted per worker first; every index of an
-  // occupied block is a recovery candidate (a superset of every worker's
-  // non-zeros) and gets one row of `cand`: its N worker values, then its
-  // `rows` row estimates. Only the union support's size enters the wire
-  // format (the per-block occupancy travels with the sketch); which blocks
-  // are occupied is local bookkeeping.
-  const std::size_t stride = n + rows;
-  const auto cand = std::make_unique_for_overwrite<float[]>(dim * stride);
+  // One pass over the blocks finds the union support. Each block's
+  // non-zeros are counted per worker; every index of an occupied block is a
+  // recovery candidate (a superset of every worker's non-zeros). Only the
+  // union support's size enters the wire format (the per-block occupancy
+  // travels with the sketch); which blocks are occupied is local
+  // bookkeeping.
   std::vector<std::size_t> candidate_blocks;
   std::vector<std::size_t> nnz(n, 0);
-  std::vector<const float*> src(n);
-  for (std::size_t w = 0; w < n; ++w) src[w] = inputs[w].values().data();
   std::size_t union_nnz = 0;
   std::size_t candidates = 0;
   for (std::size_t b = 0; b < n_blocks; ++b) {
     const std::size_t first = b * block;
     const std::size_t last = std::min(dim, first + block);
-    bool occupied = false;
-    for (std::size_t w = 0; w < n; ++w) {
-      std::size_t count = 0;
-      for (std::size_t i = first; i < last; i += 64) {
-        count += static_cast<std::size_t>(std::popcount(tensor::nonzero_mask(
-            src[w] + i, std::min<std::size_t>(64, last - i))));
-      }
-      nnz[w] += count;
-      occupied = occupied || count > 0;
-    }
-    if (!occupied) continue;
-    float* row = cand.get() + candidates * stride;
-    for (std::size_t i = first; i < last; ++i, row += stride) {
-      bool any = false;
+    std::size_t block_union = 0;
+    for (std::size_t i = first; i < last; i += 64) {
+      const std::size_t len = std::min<std::size_t>(64, last - i);
+      std::uint64_t any = 0;
       for (std::size_t w = 0; w < n; ++w) {
-        row[w] = src[w][i];
-        any = any || row[w] != 0.0f;
+        const std::uint64_t mask =
+            tensor::nonzero_mask(inputs[w].values().data() + i, len);
+        nnz[w] += static_cast<std::size_t>(std::popcount(mask));
+        any |= mask;
       }
-      union_nnz += any;
+      block_union += static_cast<std::size_t>(std::popcount(any));
     }
+    if (block_union == 0) continue;
+    union_nnz += block_union;
     candidate_blocks.push_back(b);
     candidates += last - first;
   }
@@ -207,27 +309,19 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
   // through a dense ring AllReduce, which splits it into N segments.
   // Counter c of segment g is the left fold, over workers g, g+1, ...,
   // g+N-1 (mod N), of each worker's counter: the sum of sign * value over
-  // the indices hashed to c, in index order. Counters are built one row
-  // and one chunk at a time, in a [counter][worker] scratch, from the
-  // candidates' value rows. Adding every worker's value, zero or not, is
-  // exact: a zero adds +-0, and adding +-0 changes no sum, because a sum
-  // that starts at +0 is never -0 (an exact-zero sum rounds to +0). So a
-  // worker that never touched a counter holds +0, which the fold leaves
-  // unchanged. Occupancy sums to the contributing-worker count, of which
-  // recovery only needs "> 0": candidate_blocks.
-  const unsigned shift = static_cast<unsigned>(std::bit_width(
-      std::max<std::size_t>(1, kScratchFloats / n)) - 1);
-  const Chunking chunking(payload, n, shift);
-  const std::size_t n_chunks = chunking.chunks();
-
+  // the indices hashed to c, in index order. Adding every worker's value,
+  // zero or not, is exact: a zero adds +-0, and adding +-0 changes no sum,
+  // because a sum that starts at +0 is never -0 (an exact-zero sum rounds
+  // to +0). So a worker that never touched a counter holds +0, which the
+  // fold leaves unchanged. Occupancy sums to the contributing-worker count,
+  // of which recovery only needs "> 0": candidate_blocks.
+  //
   // Hash each candidate once per row, all rows in one pass: bucket and sign
   // come from one splitmix64 of (seed, row, index), low bits (mod width)
   // picking the bucket and bit 32 the sign. Row r's key for candidate k is
-  // keys[r * candidates + k], and start[r] counts row r's probes per chunk.
+  // keys[r * candidates + k].
   const auto keys =
       std::make_unique_for_overwrite<std::uint64_t[]>(rows * candidates);
-  std::vector<std::vector<std::size_t>> start(
-      rows, std::vector<std::size_t>(n_chunks + 1, 0));
   const ExactMod bucket_of(width);
   {
     std::size_t k = 0;
@@ -239,69 +333,15 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
         for (std::size_t r = 0; r < rows; ++r) {
           const std::uint64_t h =
               splitmix64(opts.seed ^ (r * 0x100000001b3ULL) ^ index_hash);
-          const std::size_t c = r * width + bucket_of(h);
-          const std::size_t chunk = chunking.chunk_of(c);
-          const std::uint64_t offset_sign =
-              (c - chunking.chunk_begin(chunk)) << 1 | ((h >> 32 & 1) ^ 1);
-          keys[r * candidates + k] =
-              static_cast<std::uint64_t>(chunk) << 32 | offset_sign;
-          ++start[r][chunk + 1];
+          keys[r * candidates + k] = bucket_of(h) << 1 | ((h >> 32 & 1) ^ 1);
         }
       }
     }
   }
-
-  std::vector<float> scratch((std::size_t{1} << shift) * n, 0.0f);
-  const auto probes = std::make_unique_for_overwrite<Probe[]>(candidates);
-  std::vector<std::size_t> next(n_chunks);
+  const Segments segments(payload, n);
+  RowFolder folder(inputs, segments, candidate_blocks, block, width);
   for (std::size_t r = 0; r < rows; ++r) {
-    // Stably counting-sort the row's probes by chunk, so each chunk sees
-    // its probes in index order.
-    std::vector<std::size_t>& row_start = start[r];
-    for (std::size_t c = 1; c <= n_chunks; ++c) {
-      row_start[c] += row_start[c - 1];
-    }
-    std::copy(row_start.begin(), row_start.end() - 1, next.begin());
-    const std::uint64_t* row_keys = keys.get() + r * candidates;
-    for (std::size_t k = 0; k < candidates; ++k) {
-      probes[next[row_keys[k] >> 32]++] = {
-          static_cast<std::uint32_t>(k),
-          static_cast<std::uint32_t>(row_keys[k])};
-    }
-
-    for (std::size_t chunk = 0; chunk < n_chunks; ++chunk) {
-      const Probe* first = probes.get() + row_start[chunk];
-      const Probe* last = probes.get() + row_start[chunk + 1];
-      // Every worker's counter: its signed values added in index order.
-      // The value rows are random reads, so each is prefetched a few
-      // probes ahead (its estimate slots share its cache lines).
-      for (const Probe* p = first; p != last; ++p) {
-        if (last - p > kPrefetchAhead) {
-          const float* ahead =
-              cand.get() + p[kPrefetchAhead].candidate * stride;
-          __builtin_prefetch(ahead);
-          __builtin_prefetch(ahead + stride - 1);
-        }
-        const float* values = cand.get() + p->candidate * stride;
-        float* acc = scratch.data() + (p->offset_sign >> 1) * n;
-        const float sign = (p->offset_sign & 1) != 0 ? -1.0f : 1.0f;
-        for (std::size_t w = 0; w < n; ++w) acc[w] += sign * values[w];
-      }
-      // The merged counter, folded in its segment's ring order, is each
-      // probe's estimate for this row.
-      const std::size_t g = chunking.segment(chunk);
-      for (const Probe* p = first; p != last; ++p) {
-        const float* acc = scratch.data() + (p->offset_sign >> 1) * n;
-        float merged = acc[g];
-        for (std::size_t w = g + 1; w < n; ++w) merged += acc[w];
-        for (std::size_t w = 0; w < g; ++w) merged += acc[w];
-        const float sign = (p->offset_sign & 1) != 0 ? -1.0f : 1.0f;
-        cand[p->candidate * stride + n + r] = sign * merged;
-      }
-      for (const Probe* p = first; p != last; ++p) {
-        std::fill_n(scratch.data() + (p->offset_sign >> 1) * n, n, 0.0f);
-      }
-    }
+    folder.fold(keys.get() + r * candidates, candidates, r * width);
   }
   const BaselineStats ring = detail::ring_allreduce_schedule(payload, n, cfg);
   out.stats.total_tx_bytes = ring.total_tx_bytes;
@@ -310,11 +350,16 @@ SketchResult sketch_allreduce(const std::vector<tensor::DenseTensor>& inputs,
   // inside occupied blocks come back as bounded noise — that is the
   // approximation the epsilon verification covers).
   out.result = tensor::DenseTensor(dim);
+  std::vector<float> estimates(rows);
   std::size_t k = 0;
   for (const std::size_t b : candidate_blocks) {
     const std::size_t last = std::min(dim, (b + 1) * block);
     for (std::size_t i = b * block; i < last; ++i, ++k) {
-      out.result[i] = stable_median(cand.get() + k * stride + n, rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        estimates[r] = std::bit_cast<float>(
+            static_cast<std::uint32_t>(keys[r * candidates + k]));
+      }
+      out.result[i] = stable_median(estimates.data(), rows);
     }
   }
 

@@ -757,5 +757,200 @@ TEST(Sketch, MatchesNaiveReference) {
   }
 }
 
+/// Row r's counter (bucket) of index i, as naive_sketch's probe hashes it.
+std::size_t sketch_bucket(const SketchOptions& opts, std::size_t width,
+                          std::size_t r, std::size_t i) {
+  std::uint64_t h = opts.seed ^ (r * 0x100000001b3ULL) ^
+                    (static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL);
+  h += 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h % width;
+}
+
+TEST(Sketch, FoldKernelMatchesReferenceAtEveryWorkerCount) {
+  // The fold is compiled per worker count up to 16, with a loop over a
+  // run-time count above that, so N runs over both sides of the boundary.
+  // A counter hit by one candidate is folded in registers and a crowded
+  // one through per-worker sums: a table wide enough that every counter
+  // is hit once (40 candidates), the default width and 16 counters a row,
+  // where every counter is crowded (300 candidates).
+  struct Shape {
+    std::size_t dim;
+    double width_factor;
+  };
+  constexpr Shape kShapes[] = {{40, 4096.0}, {300, 4.0}, {300, 1e-9}};
+  std::uint64_t seed = 9000;
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (const Shape& shape : kShapes) {
+      std::vector<std::vector<DenseTensor>> cases = {
+          sketch_inputs(n, shape.dim, ++seed)};
+      // sketch_inputs zeroes a worker only when N >= 3.
+      if (n <= 2) {
+        cases.push_back(cases.front());
+        cases.back().back() = DenseTensor(shape.dim);
+        if (n == 1) cases.back().back()[shape.dim / 2] = -0.0f;
+      }
+      for (const auto& ts : cases) {
+        for (std::size_t rows : {1u, 3u}) {
+          SketchOptions opts;
+          opts.rows = rows;
+          opts.seed = seed;
+          opts.width_factor = shape.width_factor;
+          const std::string label =
+              "N=" + std::to_string(n) + " rows=" + std::to_string(rows) +
+              " dim=" + std::to_string(shape.dim) +
+              " factor=" + std::to_string(shape.width_factor) +
+              " zeroed=" + std::to_string(&ts != &cases.front());
+          expect_sketch_matches_reference(ts, opts, label);
+          const std::size_t width =
+              sketch_allreduce(ts, fast_cfg(), opts).sketch_width;
+          if (shape.width_factor < 1.0) {
+            EXPECT_EQ(width, 16u) << label;
+            continue;
+          }
+          // The wide table really is wide: no two candidates share a
+          // counter in any row (an all-zero input has no candidates).
+          if (shape.width_factor < 4096.0 || width == 16) continue;
+          for (std::size_t r = 0; r < rows; ++r) {
+            std::vector<std::size_t> buckets;
+            for (std::size_t i = 0; i < shape.dim; ++i) {
+              buckets.push_back(sketch_bucket(opts, width, r, i));
+            }
+            std::sort(buckets.begin(), buckets.end());
+            EXPECT_EQ(std::adjacent_find(buckets.begin(), buckets.end()),
+                      buckets.end())
+                << label << " row " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ok-Topk's partition bounds against the histogram walk
+// ---------------------------------------------------------------------------
+
+/// Ok-Topk's bounds as a dim-sized histogram of the survivors' keys walked
+/// in key order: bound p is the first key whose run starts at or after
+/// total*p/N, or dim when no key's run does. Counts into `inside_run` the
+/// targets total*p/N that fall strictly inside some key's run.
+std::vector<std::int32_t> histogram_walk_bounds(
+    const std::vector<tensor::CooTensor>& kept, std::size_t dim,
+    std::size_t& inside_run) {
+  const std::size_t n = kept.size();
+  std::vector<std::uint32_t> key_count(dim, 0);
+  std::size_t total = 0;
+  for (const auto& kt : kept) {
+    for (std::int32_t k : kt.keys) ++key_count[static_cast<std::size_t>(k)];
+    total += kt.nnz();
+  }
+  std::vector<std::int32_t> bounds(n + 1, static_cast<std::int32_t>(dim));
+  bounds[0] = 0;
+  std::size_t p = 1;
+  std::size_t run_start = 0;
+  for (std::size_t k = 0; k < dim && p < n; ++k) {
+    if (key_count[k] == 0) continue;
+    while (p < n && run_start >= total * p / n) {
+      bounds[p++] = static_cast<std::int32_t>(k);
+    }
+    run_start += key_count[k];
+    for (std::size_t q = p; q < n && total * q / n < run_start; ++q) {
+      ++inside_run;
+    }
+  }
+  return bounds;
+}
+
+/// Worker inputs over `dim` keys: each worker is empty with probability
+/// `empty`, else holds each of the `hot` keys {0, dim/2, dim/2+1, dim-1}
+/// (which every such worker shares, so their runs are long) with
+/// probability 0.9 and any other key with probability `density`.
+std::vector<tensor::CooTensor> oktopk_inputs(std::size_t n, std::size_t dim,
+                                             double density, double empty,
+                                             std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<tensor::CooTensor> ts(n);
+  for (auto& t : ts) {
+    t.dim = dim;
+    if (rng.next_double() < empty) continue;
+    for (std::size_t k = 0; k < dim; ++k) {
+      const bool hot = k == 0 || k == dim / 2 || k == dim / 2 + 1 ||
+                       k + 1 == dim;
+      if (rng.next_double() < (hot ? 0.9 : density)) {
+        t.keys.push_back(static_cast<std::int32_t>(k));
+        t.values.push_back(rng.next_float(0.5f, 1.0f) *
+                           (rng.next_below(2) == 0 ? 1.0f : -1.0f));
+      }
+    }
+  }
+  return ts;
+}
+
+TEST(OkTopk, BoundsMatchHistogramWalk) {
+  // Bounds are always present keys (or dim), so two different sets of
+  // bounds route different survivor counts to some owner: equal partition
+  // loads mean equal bounds. N is a power of two, where the reduced
+  // partitions are allgathered by recursive doubling: the ring allgather
+  // used otherwise never finishes when some but not all partitions are
+  // empty, as tiny inputs make them.
+  std::uint64_t seed = 0;
+  std::size_t cases = 0;
+  std::size_t fewer_than_n = 0;  // cases with total < N survivors
+  std::size_t inside_run = 0;
+  for (std::size_t n : {1u, 2u, 4u, 8u, 16u}) {
+    for (std::size_t dim : {1u, 2u, 63u, 100u, 1000u}) {
+      // Dense, sparse (often total < N), duplicate-heavy (hot keys only),
+      // and with some workers empty.
+      for (double density : {0.5, 0.01, 0.0}) {
+        for (double empty : {0.0, 0.4}) {
+          for (std::size_t k : {std::size_t{0}, std::size_t{7}}) {
+            const auto inputs = oktopk_inputs(n, dim, density, empty, ++seed);
+            OkTopkOptions opts;
+            opts.k = k;
+            const OkTopkResult r = oktopk_allreduce(inputs, fast_cfg(), opts);
+            // The survivors as Ok-Topk filters them.
+            std::vector<tensor::CooTensor> kept = inputs;
+            for (auto& t : kept) {
+              tensor::CooTensor f;
+              f.dim = t.dim;
+              for (std::size_t i = 0; i < t.nnz(); ++i) {
+                if (std::abs(static_cast<double>(t.values[i])) >=
+                    r.threshold) {
+                  f.keys.push_back(t.keys[i]);
+                  f.values.push_back(t.values[i]);
+                }
+              }
+              t = f;
+            }
+            const std::vector<std::int32_t> bounds =
+                histogram_walk_bounds(kept, dim, inside_run);
+            std::size_t total = 0;
+            for (const auto& t : kept) total += t.nnz();
+            fewer_than_n += total < n;
+            std::vector<std::size_t> expect(n, 0);
+            for (std::size_t p = 0; p < n; ++p) {
+              for (const auto& t : kept) {
+                const auto [begin, end] =
+                    tensor::coo_key_range(t, bounds[p], bounds[p + 1]);
+                expect[p] += end - begin;
+              }
+            }
+            EXPECT_EQ(r.partition_pairs, expect)
+                << "N=" << n << " dim=" << dim << " density=" << density
+                << " empty=" << empty << " k=" << k;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 300u);
+  EXPECT_GT(fewer_than_n, 0u);
+  EXPECT_GT(inside_run, 0u);
+}
+
 }  // namespace
 }  // namespace omr::baselines
