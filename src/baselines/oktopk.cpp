@@ -19,21 +19,12 @@ std::size_t ceil_log2(std::size_t n) {
 
 bool power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
-/// The entries of `t` whose magnitude clears `threshold`, counted first so
-/// the kept keys and values are each allocated once, at their exact size.
 tensor::CooTensor filter_by_magnitude(const tensor::CooTensor& t,
                                       double threshold) {
-  const auto kept = [threshold](float v) {
-    return std::abs(static_cast<double>(v)) >= threshold;
-  };
-  const auto count = static_cast<std::size_t>(
-      std::count_if(t.values.begin(), t.values.end(), kept));
   tensor::CooTensor out;
   out.dim = t.dim;
-  out.keys.reserve(count);
-  out.values.reserve(count);
   for (std::size_t i = 0; i < t.nnz(); ++i) {
-    if (kept(t.values[i])) {
+    if (std::abs(static_cast<double>(t.values[i])) >= threshold) {
       out.keys.push_back(t.keys[i]);
       out.values.push_back(t.values[i]);
     }
